@@ -16,7 +16,7 @@ import numpy as np
 
 from .discrepancy import BlockAccumulator, DiscrepancyValue
 from .errors import TableTooSmallError
-from .primes import PrimeTable, cumulative_P
+from .primes import PrimeTable, cumulative_P, m_asymptotic  # noqa: F401 (re-export)
 
 _RESIDUAL_TOL = 1e-12
 
@@ -71,13 +71,6 @@ def lambert_identity_residual(x: float) -> float:
     w = lambert_w(x)
     ratio = x / w
     return abs(math.exp(w) - ratio) / max(1.0, abs(ratio))
-
-
-def m_asymptotic(n: int) -> float:
-    """Leading-order block count 2 sqrt(n / ln n) for an n-element prefix."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return 2.0 * math.sqrt(n / math.log(n))
 
 
 def scaled_discrepancy(n: int, disc) -> float:

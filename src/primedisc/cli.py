@@ -257,12 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument(
-            "--threads",
-            type=_positive_int,
-            default=1,
-            help="accepted for interface stability; evaluation is serial",
-        )
 
     p_gen = sub.add_parser("gen", help="emit the first N elements as num/den lines")
     p_gen.add_argument("--family", choices=families, required=True)

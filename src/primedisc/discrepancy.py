@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,18 +89,19 @@ def _point_pairs(points: Iterable) -> list[tuple[int, int]]:
     """Normalize Frac objects or (num, den) pairs; validates (0, 1) openness."""
     pairs: list[tuple[int, int]] = []
     for x in points:
-        if isinstance(x, Frac):
-            pairs.append((x.num, x.den))
-        else:
+        if not isinstance(x, Frac):
             num, den = x
-            num = int(num)
-            den = int(den)
-            if den < 2 or not 1 <= num <= den - 1:
-                raise ValueError(f"{num}/{den} is not strictly inside (0, 1)")
-            pairs.append((num, den))
+            x = Frac(num, den)
+        pairs.append((x.num, x.den))
     if not pairs:
         raise ValueError("points must be nonempty")
     return pairs
+
+
+def _reduced_value(vnum: int, vden: int, wn: int, wd: int, side: str) -> DiscrepancyValue:
+    g = gcd(vnum, vden)
+    gw = gcd(wn, wd)
+    return DiscrepancyValue(vnum // g, vden // g, wn // gw, wd // gw, side)
 
 
 def _confirm(
@@ -124,11 +125,7 @@ def _confirm(
     if best is None:
         raise ArithmeticError("no nonnegative candidate; engine inconsistency")
     vnum, vden, i, side = best
-    g = gcd(vnum, vden)
-    wn = int(num[i])
-    wd = int(den[i])
-    gw = gcd(wn, wd)
-    return DiscrepancyValue(vnum // g, vden // g, wn // gw, wd // gw, side)
+    return _reduced_value(vnum, vden, int(num[i]), int(den[i]), side)
 
 
 def _eval_sorted(val: np.ndarray, num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
@@ -156,13 +153,18 @@ def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
 
 
 def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Exact D_N* from parallel numerator/denominator arrays.
+    """Exact D_N* from parallel integer numerator/denominator arrays.
 
-    Bulk companion to star_discrepancy for array pipelines; falls back to
-    exact sorting when a denominator is too large for faithful float order.
+    The one sorted evaluator: star_discrepancy and prefix_scan feed it. Falls
+    back to exact sorting when a denominator is too large for faithful float
+    order. Non-integer arrays are rejected rather than truncated.
     """
-    num = np.asarray(num, dtype=np.int64)
-    den = np.asarray(den, dtype=np.int64)
+    num = np.asarray(num)
+    den = np.asarray(den)
+    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
+        raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
+    num = num.astype(np.int64, copy=False)
+    den = den.astype(np.int64, copy=False)
     if num.size == 0:
         raise ValueError("points must be nonempty")
     if num.shape != den.shape:
@@ -176,20 +178,25 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     return _eval_sorted(val[order], num[order], den[order])
 
 
+def _prefix_evaluator(pairs: list[tuple[int, int]]) -> Callable[[int], DiscrepancyValue]:
+    # k -> exact D_k* of pairs[:k]; the pairs become int64 arrays once, unless
+    # a denominator needs the exact path (it may not even fit in int64)
+    if max(b for _, b in pairs) > _FLOAT_SAFE_DEN:
+        return lambda k: _star_discrepancy_exact(pairs[:k])
+    num = np.array([a for a, _ in pairs], dtype=np.int64)
+    den = np.array([b for _, b in pairs], dtype=np.int64)
+    return lambda k: star_discrepancy_arrays(num[:k], den[:k])
+
+
 def star_discrepancy(points: Sequence) -> DiscrepancyValue:
     """Exact D_N* of a nonempty multiset of fractions in (0, 1).
 
-    Input order is irrelevant (order matters only to prefixes, see
-    prefix_scan). Accepts Frac objects or (num, den) pairs.
+    List front end of star_discrepancy_arrays. Input order is irrelevant
+    (order matters only to prefixes, see prefix_scan). Accepts Frac objects
+    or (num, den) pairs.
     """
     pairs = _point_pairs(points)
-    if max(b for _, b in pairs) > _FLOAT_SAFE_DEN:
-        return _star_discrepancy_exact(pairs)
-    num = np.array([a for a, _ in pairs], dtype=np.int64)
-    den = np.array([b for _, b in pairs], dtype=np.int64)
-    val = num / den
-    order = np.argsort(val, kind="stable")
-    return _eval_sorted(val[order], num[order], den[order])
+    return _prefix_evaluator(pairs)(len(pairs))
 
 
 def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
@@ -224,44 +231,35 @@ def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
     )
 
 
-def _scan_common_denominator(nums: list[int], p: int) -> list[ScanRecord]:
-    # all points sit on the grid j/p, so each prefix is an O(p) integer sweep:
-    # k * D_k* = max_j max(|p c_j - k j|, |p c_{j-1} - k j|) / p with c_j the
-    # running count of numerators <= j
+def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per prefix k: p * k * D_k*, its witness numerator j and whether side is "at".
+
+    All points sit on the grid j/p, so each prefix is an O(p) integer sweep:
+    p * k * D_k* = max_j max(|p c_j - k j|, |p c_{j-1} - k j|) with c_j the
+    running count of numerators <= j. Ties go to the smallest j, "at" before
+    "left", as in every other engine.
+    """
     n = len(nums)
-    counts = np.zeros(p, dtype=np.int64)
+    pc = np.zeros(p, dtype=np.int64)  # p * c_j for j = 0..p-1 (c_0 = 0)
     j_grid = np.arange(1, p, dtype=np.int64)
-    records: list[ScanRecord] = []
-    for k, v in enumerate(nums, start=1):
-        counts[v] += 1
-        c_at = np.cumsum(counts[1:])
-        c_left = np.empty_like(c_at)
-        c_left[0] = 0
-        c_left[1:] = c_at[:-1]
-        kj = k * j_grid
-        at = np.abs(p * c_at - kj)
-        left = np.abs(p * c_left - kj)
-        m_at = int(at.max())
-        m_left = int(left.max())
-        m = max(m_at, m_left)
-        j_at = int(at.argmax()) + 1 if m_at == m else p
-        j_left = int(left.argmax()) + 1 if m_left == m else p
-        if j_at <= j_left:
-            j_star, side = j_at, "at"
+    kj = np.zeros(p - 1, dtype=np.int64)
+    maxima = np.empty(n, dtype=np.int64)
+    witness = np.empty(n, dtype=np.int64)
+    at_side = np.empty(n, dtype=bool)
+    for k, v in enumerate(nums):
+        pc[v:] += p
+        kj += j_grid
+        at = np.abs(pc[1:] - kj)
+        left = np.abs(pc[:-1] - kj)
+        i_at = int(at.argmax())
+        i_left = int(left.argmax())
+        m_at = int(at[i_at])
+        m_left = int(left[i_left])
+        if m_at > m_left or (m_at == m_left and i_at <= i_left):
+            maxima[k], witness[k], at_side[k] = m_at, i_at + 1, True
         else:
-            j_star, side = j_left, "left"
-        g = gcd(m, k * p)
-        gw = gcd(j_star, p)
-        gm = gcd(m, p)
-        records.append(
-            ScanRecord(
-                k,
-                DiscrepancyValue(m // g, (k * p) // g, j_star // gw, p // gw, side),
-                m // gm,
-                p // gm,
-            )
-        )
-    return records
+            maxima[k], witness[k], at_side[k] = m_left, i_left + 1, False
+    return maxima, witness, at_side
 
 
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
@@ -273,45 +271,36 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
     weighted == k * disc.exact identically.
     """
     pairs = _point_pairs(points)
+    ks = range(1, len(pairs) + 1)
     dens = {b for _, b in pairs}
     if len(dens) == 1:
-        return _scan_common_denominator([a for a, _ in pairs], dens.pop())
+        p = dens.pop()
+        maxima, witness, at_side = _grid_sweep([a for a, _ in pairs], p)
+        values = [
+            _reduced_value(m, k * p, j, p, "at" if at else "left")
+            for k, m, j, at in zip(ks, maxima.tolist(), witness.tolist(), at_side.tolist())
+        ]
+    else:
+        evaluate = _prefix_evaluator(pairs)
+        values = [evaluate(k) for k in ks]
     records: list[ScanRecord] = []
-    for k in range(1, len(pairs) + 1):
-        dv = star_discrepancy(pairs[:k])
-        wn = dv.num * k
-        wd = dv.den
-        g = gcd(wn, wd)
-        records.append(ScanRecord(k, dv, wn // g, wd // g))
+    for k, dv in zip(ks, values):
+        g = gcd(dv.num * k, dv.den)
+        records.append(ScanRecord(k, dv, dv.num * k // g, dv.den // g))
     return records
 
 
 def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
-    Same counting sweep as prefix_scan's fast path without the witness
-    bookkeeping; meant for whole-block bound checks where only the scaled
-    integer maxima matter.
+    The sweep behind prefix_scan's common-denominator path, returning only
+    the scaled integer maxima; meant for whole-block bound checks.
     """
-    n = len(nums)
-    if n == 0:
+    if len(nums) == 0:
         raise ValueError("nums must be nonempty")
     if not all(1 <= v < p for v in nums):
         raise ValueError("numerators must lie strictly inside (0, p)")
-    counts = np.zeros(p, dtype=np.int64)
-    j_grid = np.arange(1, p, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    for k, v in enumerate(nums, start=1):
-        counts[v] += 1
-        c_at = np.cumsum(counts[1:])
-        c_left = np.empty_like(c_at)
-        c_left[0] = 0
-        c_left[1:] = c_at[:-1]
-        kj = k * j_grid
-        out[k - 1] = max(
-            int(np.abs(p * c_at - kj).max()), int(np.abs(p * c_left - kj).max())
-        )
-    return out
+    return _grid_sweep(nums, p)[0]
 
 
 def block_max_weighted(

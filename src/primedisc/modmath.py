@@ -6,22 +6,17 @@ from __future__ import annotations
 def mod_inverse(j: int, p: int) -> int:
     """The unique v in {1, ..., p-1} with j * v = 1 (mod p).
 
-    Extended Euclid. The modulus is expected to be prime, which makes every
-    j not divisible by p invertible; a composite modulus is tolerated as
-    long as gcd(j, p) = 1. Raises ValueError for p < 2, for j divisible by
-    p, and for non-invertible j.
+    The modulus is expected to be prime, which makes every j not divisible
+    by p invertible; a composite modulus is tolerated as long as
+    gcd(j, p) = 1. Raises ValueError for p < 2, for j divisible by p, and
+    for non-invertible j.
     """
     if p < 2:
         raise ValueError("modulus must be >= 2")
     j %= p
     if j == 0:
         raise ValueError("j is divisible by the modulus")
-    r0, r1 = p, j
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise ValueError(f"{j} is not invertible modulo {p}")
-    return s0 % p
+    try:
+        return pow(j, -1, p)
+    except ValueError:
+        raise ValueError(f"{j} is not invertible modulo {p}") from None

@@ -55,11 +55,18 @@ def _nth_prime_limit(m: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
 
 
+def m_asymptotic(n: int) -> float:
+    """Leading-order block count 2 sqrt(n / ln n) for an n-element prefix."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return 2.0 * math.sqrt(n / math.log(n))
+
+
 def required_blocks_estimate(n: int) -> int:
     """Rough number of blocks M needed for P(M) to exceed n (with headroom)."""
     if n < 4:
         return 4
-    return int(2.0 * math.sqrt(n / math.log(n)) * 1.3) + 8
+    return int(m_asymptotic(n) * 1.3) + 8
 
 
 @dataclass(frozen=True)

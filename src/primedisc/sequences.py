@@ -118,7 +118,7 @@ def block_numerators(q: int, ordering: Ordering) -> np.ndarray:
     if not is_prime(q):
         raise ValueError(f"inversive order needs a prime denominator, got {q}")
     return np.fromiter(
-        (mod_inverse(j, q) for j in range(1, q)), dtype=np.int64, count=q - 1
+        (pow(j, -1, q) for j in range(1, q)), dtype=np.int64, count=q - 1
     )
 
 
@@ -178,16 +178,9 @@ def _require_coverage(family: SequenceFamily, n: int, table: PrimeTable | None) 
 def generate_prefix(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
 ) -> list[Frac]:
-    """The first n elements of the family as a list."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_coverage(family, n, table)
-    out: list[Frac] = []
-    for frac in iter_family(family, table):
-        out.append(frac)
-        if len(out) == n:
-            break
-    return out
+    """The first n elements of the family as a list of fractions."""
+    num, den = prefix_arrays(family, n, table)
+    return [Frac(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 
 def prefix_arrays(
@@ -195,8 +188,8 @@ def prefix_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(numerators, denominators) of the first n elements as int64 arrays.
 
-    Bulk companion to generate_prefix with identical values, suited to the
-    array discrepancy engines.
+    The one prefix generator; generate_prefix is its list view, and the
+    array discrepancy engines take its output directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from primedisc.cli import main
+from primedisc.discrepancy import star_discrepancy_oracle
 
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
 
@@ -83,6 +84,17 @@ class TestDisc:
         code, _, err = run(capsys, "disc", "--input", str(bad))
         assert code == 1
         assert "line 1" in err
+
+    def test_input_denominator_beyond_int64(self, capsys, tmp_path):
+        big = 10**30
+        pts = [(1, big), (2, 3), (big - 1, big), (1, 2), (12345, big)]
+        dump = tmp_path / "big.txt"
+        dump.write_text("".join(f"{a}/{b}\n" for a, b in pts))
+        code, out, _ = run(capsys, "disc", "--input", str(dump))
+        assert code == 0
+        payload = json.loads(out)
+        want = star_discrepancy_oracle(pts)
+        assert (payload["disc_num"], payload["disc_den"]) == (want.num, want.den)
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "disc", "--input", str(tmp_path / "nope.txt"))
@@ -221,8 +233,9 @@ class TestTopLevel:
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_threads_validated(self, capsys):
+        # --threads was a no-op and is gone; argparse rejects it as unknown
         assert run(capsys, "gen", "--family", "eta", "--n", "2", "--threads", "0")[0] == 2
-        assert run(capsys, "gen", "--family", "eta", "--n", "2", "--threads", "4")[0] == 0
+        assert run(capsys, "gen", "--family", "eta", "--n", "2", "--threads", "4")[0] == 2
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from primedisc.sequences import (
     Frac,
     Ordering,
     SequenceFamily,
+    block_numerators,
     generate_block,
     generate_prefix,
 )
@@ -50,6 +52,17 @@ def assert_witness_reproduces(points, dv: DiscrepancyValue) -> None:
         count_at_or_below(points, w) if dv.side == "at" else count_below(points, w)
     )
     assert abs(Fraction(count, len(points)) - w) == dv.exact
+
+
+def scan_digest(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        d = r.disc
+        h.update(
+            f"{r.k},{d.num},{d.den},{d.witness_num},{d.witness_den},{d.side},"
+            f"{r.weighted_num},{r.weighted_den}\n".encode()
+        )
+    return h.hexdigest()
 
 
 def random_multiset(rng, max_size=60, max_den=30):
@@ -147,6 +160,14 @@ class TestStarDiscrepancy:
         oracle = star_discrepancy_oracle(pts)
         assert (engine.num, engine.den) == (oracle.num, oracle.den)
 
+    def test_denominator_beyond_int64(self):
+        big = 10**30
+        pts = [(1, big), (2, 3), (big - 1, big), (1, 2), (12345, big)]
+        dv = star_discrepancy(pts)
+        want = star_discrepancy_oracle(pts)
+        assert (dv.num, dv.den) == (want.num, want.den)
+        assert_witness_reproduces(pts, dv)
+
     def test_exact_fallback_matches_oracle(self):
         # denominators beyond the float-safe cutoff take the Fraction path
         big = (1 << 26) + 15
@@ -186,6 +207,28 @@ class TestStarDiscrepancyArrays:
             star_discrepancy_arrays(np.array([1]), np.array([2, 3]))
         with pytest.raises(ValueError):
             star_discrepancy_arrays(np.array([2]), np.array([2]))
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            ([1.9, 2.5], [3.2, 5.9]),
+            (np.array([1.0, 2.0]), np.array([3, 5])),
+            (np.array([1, 2]), np.array([3.0, 5.0])),
+            (np.array([True]), np.array([3])),
+            ([1, 2], [3, 10**30]),
+        ],
+    )
+    def test_non_integer_dtype_rejected(self, num, den):
+        with pytest.raises(ValueError, match="integer arrays"):
+            star_discrepancy_arrays(num, den)
+
+    def test_other_integer_dtypes_accepted(self):
+        want = star_discrepancy_arrays(np.array([1, 2]), np.array([3, 5]))
+        for dtype in (np.int32, np.uint16, np.uint64):
+            got = star_discrepancy_arrays(
+                np.array([1, 2], dtype=dtype), np.array([3, 5], dtype=dtype)
+            )
+            assert got == want
 
     def test_big_denominator_fallback(self):
         big = (1 << 27) + 29
@@ -230,6 +273,65 @@ class TestPrefixScan:
             direct = star_discrepancy(pts[: r.k])
             assert r.disc.exact == direct.exact
             assert r.weighted == r.k * r.disc.exact
+
+    def test_mixed_denominators_beyond_int64(self):
+        big = 10**30
+        pts = [(2, 3), (1, big), (1, 2), (big - 1, big), (12345, big), (1, 3)]
+        for r in prefix_scan(pts):
+            want = star_discrepancy_oracle(pts[: r.k])
+            assert (r.disc.num, r.disc.den) == (want.num, want.den)
+            assert_witness_reproduces(pts[: r.k], r.disc)
+            assert r.weighted == r.k * r.disc.exact
+
+    def test_common_denominator_multisets_against_oracle(self):
+        # repeated numerators exercise the sweep beyond permutation blocks
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            den = int(rng.integers(2, 40))
+            nums = rng.integers(1, den, size=int(rng.integers(1, 50))).tolist()
+            pts = [(a, den) for a in nums]
+            for r in prefix_scan(pts):
+                want = star_discrepancy_oracle(pts[: r.k])
+                assert (r.disc.num, r.disc.den) == (want.num, want.den)
+                assert_witness_reproduces(pts[: r.k], r.disc)
+
+    # sha256 of every record (value, witness, side, weighted), pinned to the
+    # output of the two separate sweeps that preceded the shared kernel
+    @pytest.mark.parametrize(
+        "p,ordering,digest",
+        [
+            (13, INV, "6128659d634d4aa257823c29608809bf7c16e2273746c5a628a618189aefa793"),
+            (13, INC, "d971cea3cc3ebe75bf5548309930bad3b01a7b723c4bd267db05c44bd5e666aa"),
+            (101, INV, "c260b99d2620656618d79affe45aa6f8a2386c0447a17616df52ae2636b41fcc"),
+            (101, INC, "9f0b94bbc6ae6a3bb3591a2f9f14229181dc217ad86a8c79217b10d101f74d65"),
+            (1009, INV, "02594330a28dabebeaee652ad1a4fe1f33a2c6f19d06ca1406ff5c889a2173e6"),
+            (1009, INC, "0dcba61ac5f4b0ab16296b9786e1638f6576c115df977262244590daa8a23a5e"),
+        ],
+    )
+    def test_block_records_pinned(self, p, ordering, digest):
+        nums = [int(a) for a in block_numerators(p, ordering)]
+        records = prefix_scan([(a, p) for a in nums])
+        assert scan_digest(records) == digest
+        assert weighted_prefix_maxima(nums, p).tolist() == [
+            int(r.weighted * p) for r in records
+        ]
+
+    @pytest.mark.parametrize(
+        "seed,den,size,digest",
+        [
+            (1, 3, 40, "a0fafffecd9787d7e4d716653d016a82bec4e307cf5d636fc9cdba1afa068e92"),
+            (2, 100, 400, "48f0002db9657ee1574169bc5fd2836b3005f03b5e1909c5c5179a1fb03c044f"),
+            (3, 1009, 3000, "f31c926ebbb1166736af23dd6b20b3b7772307a8deeb42df14a103a9656a7c65"),
+        ],
+    )
+    def test_multiset_records_pinned(self, seed, den, size, digest):
+        nums = np.random.default_rng(seed).integers(1, den, size=size).tolist()
+        assert len(set(nums)) < size  # repeats present
+        records = prefix_scan([(a, den) for a in nums])
+        assert scan_digest(records) == digest
+        assert weighted_prefix_maxima(nums, den).tolist() == [
+            int(r.weighted * den) for r in records
+        ]
 
     def test_last_record_is_full_multiset(self, table10):
         pre = generate_prefix(SequenceFamily.ETA, 13, table10)
