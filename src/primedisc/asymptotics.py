@@ -27,11 +27,11 @@ def lambert_w(x: float) -> float:
     Start values: ln x - ln ln x for x > e, a branch-point series for
     x < -1/4, and x itself in between. The result satisfies
     |W e^W - x| <= 1e-12 * max(1, |x|); ArithmeticError otherwise,
-    ValueError outside the domain.
+    ValueError outside the domain or for a non-finite x.
     """
     x = float(x)
-    if math.isnan(x):
-        raise ValueError("x is NaN")
+    if not math.isfinite(x):
+        raise ValueError(f"x={x} is not finite")
     t = math.e * x + 1.0  # scaled distance above the branch point -1/e
     if t < -1e-12:
         raise ValueError(f"x={x} is below -1/e, outside the principal branch")

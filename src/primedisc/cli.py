@@ -47,6 +47,7 @@ from .sequences import (
     Ordering,
     SequenceFamily,
     block_numerators,
+    dump_lines,
     generate_prefix,
     parse_dump,
     prefix_arrays,
@@ -97,14 +98,29 @@ def _family_table(family: SequenceFamily, n: int):
     return table_covering(n)
 
 
+def _growth_cells(table, m: int) -> str:
+    """The pnt_ratio,sum_ratio,m_est cells of block m, blank for m = 1 (N = 1)."""
+    if m < 2:
+        return ",,"
+    return (
+        f"{pnt_ratio(table, m):.17g},{sum_ratio(table, m):.17g},"
+        f"{m_asymptotic(table.cumulative[m]):.17g}"
+    )
+
+
+def _w_and_residual(x: float) -> tuple[float, float]:
+    try:
+        w = lambert_w(x)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return w, abs(w * math.exp(w) - x)
+
+
 def _cmd_gen(args: argparse.Namespace) -> list[str]:
     family = SequenceFamily(args.family)
     num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
-    lines: list[str] = []
-    if args.header:
-        lines.append(f"# family={family.value} N={args.n}")
-    lines.extend(f"{a}/{b}" for a, b in zip(num.tolist(), den.tolist()))
-    return lines
+    pairs = zip(num.tolist(), den.tolist())
+    return list(dump_lines(pairs, family, args.n, header=args.header))
 
 
 def _cmd_disc(args: argparse.Namespace) -> list[str]:
@@ -122,13 +138,7 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
         num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
         n = args.n
         dv = star_discrepancy_arrays(num, den)
-    if args.format == "csv":
-        return [
-            "n,disc_num,disc_den,disc_float,witness_num,witness_den,side",
-            f"{n},{dv.num},{dv.den},{dv.approx:.17g},"
-            f"{dv.witness_num},{dv.witness_den},{dv.side}",
-        ]
-    payload = {
+    fields = {
         "n": n,
         "disc_num": dv.num,
         "disc_den": dv.den,
@@ -137,7 +147,10 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
         "witness_den": dv.witness_den,
         "side": dv.side,
     }
-    return [json.dumps(payload)]
+    if args.format == "csv":
+        cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in fields.values())
+        return [",".join(fields), ",".join(cells)]
+    return [json.dumps(fields)]
 
 
 def _cmd_scan(args: argparse.Namespace) -> list[str]:
@@ -203,34 +216,24 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
     rows = verify_theorem(table, m_lo, m_hi)
     lines = [THEOREM_CSV_HEADER + ",pnt_ratio,sum_ratio,m_est"]
     for r in rows:
-        pnt = f"{pnt_ratio(table, r.m):.17g}" if r.m >= 2 else ""
-        srt = f"{sum_ratio(table, r.m):.17g}" if r.m >= 2 else ""
-        est = f"{m_asymptotic(r.n):.17g}" if r.n >= 2 else ""
-        lines.append(f"{theorem_csv_row(r)},{pnt},{srt},{est}")
+        lines.append(f"{theorem_csv_row(r)},{_growth_cells(table, r.m)}")
     return lines
 
 
 def _cmd_asym(args: argparse.Namespace) -> list[str]:
     if args.x is not None:
-        try:
-            w = lambert_w(args.x)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        residual = abs(w * math.exp(w) - args.x)
+        w, residual = _w_and_residual(args.x)
         return [json.dumps({"x": args.x, "w": w, "residual": residual})]
     if args.grid is not None:
+        # a non-finite LO or HI yields a non-finite x, which lambert_w refuses
         lo, hi, count_f = args.grid
+        if not count_f.is_integer() or count_f < 2 or hi <= lo:
+            raise UsageError("--grid needs LO < HI and an integral COUNT >= 2")
         count = int(count_f)
-        if count < 2 or hi <= lo:
-            raise UsageError("--grid needs LO < HI and COUNT >= 2")
         lines = ["x,w,residual"]
         for i in range(count):
             x = lo + (hi - lo) * i / (count - 1)
-            try:
-                w = lambert_w(x)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            residual = abs(w * math.exp(w) - x)
+            w, residual = _w_and_residual(x)
             lines.append(f"{x:.17g},{w:.17g},{residual:.17g}")
         return lines
     m_lo, m_hi = _parse_range(args.m_range)
@@ -238,11 +241,7 @@ def _cmd_asym(args: argparse.Namespace) -> list[str]:
     lines = ["m,p_m,P_m,pnt_ratio,sum_ratio,m_est"]
     for m in range(m_lo, m_hi + 1):
         p = table.primes[m - 1]
-        pm = table.cumulative[m]
-        pnt = f"{pnt_ratio(table, m):.17g}" if m >= 2 else ""
-        srt = f"{sum_ratio(table, m):.17g}" if m >= 2 else ""
-        est = f"{m_asymptotic(pm):.17g}" if pm >= 2 else ""
-        lines.append(f"{m},{p},{pm},{pnt},{srt},{est}")
+        lines.append(f"{m},{p},{table.cumulative[m]},{_growth_cells(table, m)}")
     return lines
 
 
@@ -332,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError, KeyboardInterrupt) as exc:
+        # a bare MemoryError or KeyboardInterrupt has no message: name its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -86,16 +86,35 @@ class ScanRecord:
 
 
 def _point_pairs(points: Iterable) -> list[tuple[int, int]]:
-    """Normalize Frac objects or (num, den) pairs; validates (0, 1) openness."""
-    pairs: list[tuple[int, int]] = []
-    for x in points:
-        if not isinstance(x, Frac):
-            num, den = x
-            x = Frac(num, den)
-        pairs.append((x.num, x.den))
-    if not pairs:
+    """Normalize Frac objects or (num, den) pairs, each validated by Frac."""
+    fracs = [x if isinstance(x, Frac) else Frac(*x) for x in points]
+    if not fracs:
         raise ValueError("points must be nonempty")
-    return pairs
+    return [(x.num, x.den) for x in fracs]
+
+
+def _checked_arrays(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """The one input check of the array engines: equal-shape int64 (num, den).
+
+    Integer dtypes only (floats, bools and ints beyond int64 are refused, not
+    truncated); a scalar den is shared; every num/den lies inside (0, 1).
+    """
+    num = np.asarray(num)
+    den = np.asarray(den)
+    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
+        raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
+    if num.size == 0:
+        raise ValueError("points must be nonempty")
+    if den.ndim and num.shape != den.shape:
+        raise ValueError("num and den must have equal length")
+    # uint64 values beyond int64 wrap negative here and fail the range check
+    num = num.astype(np.int64, copy=False)
+    den = den.astype(np.int64, copy=False)
+    if not den.ndim:
+        den = np.full(num.shape, den)
+    if not ((num >= 1) & (num < den)).all():
+        raise ValueError("every fraction must lie strictly inside (0, 1)")
+    return num, den
 
 
 def _reduced_value(vnum: int, vden: int, wn: int, wd: int, side: str) -> DiscrepancyValue:
@@ -159,18 +178,7 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     back to exact sorting when a denominator is too large for faithful float
     order. Non-integer arrays are rejected rather than truncated.
     """
-    num = np.asarray(num)
-    den = np.asarray(den)
-    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
-        raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
-    num = num.astype(np.int64, copy=False)
-    den = den.astype(np.int64, copy=False)
-    if num.size == 0:
-        raise ValueError("points must be nonempty")
-    if num.shape != den.shape:
-        raise ValueError("num and den must have equal length")
-    if not ((num >= 1) & (num < den)).all():
-        raise ValueError("every fraction must lie strictly inside (0, 1)")
+    num, den = _checked_arrays(num, den)
     if int(den.max()) > _FLOAT_SAFE_DEN:
         return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
     val = num / den
@@ -296,10 +304,7 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     The sweep behind prefix_scan's common-denominator path, returning only
     the scaled integer maxima; meant for whole-block bound checks.
     """
-    if len(nums) == 0:
-        raise ValueError("nums must be nonempty")
-    if not all(1 <= v < p for v in nums):
-        raise ValueError("numerators must lie strictly inside (0, p)")
+    nums, _ = _checked_arrays(nums, p)
     return _grid_sweep(nums, p)[0]
 
 
@@ -316,8 +321,7 @@ def block_max_weighted(
             f"p={spec.p} exceeds the sweep limit {sweep_limit} (quadratic cost); "
             "raise sweep_limit explicitly to proceed"
         )
-    nums = [int(v) for v in block_numerators(spec.p, spec.ordering)]
-    maxima = weighted_prefix_maxima(nums, spec.p)
+    maxima = weighted_prefix_maxima(block_numerators(spec.p, spec.ordering), spec.p)
     m = int(maxima.max())
     k = int(maxima.argmax()) + 1
     return Fraction(m, spec.p), k
@@ -341,15 +345,13 @@ def triangle_bound(blocks: Sequence[Sequence]) -> tuple[Fraction, DiscrepancyVal
     if not blocks:
         raise ValueError("blocks must be nonempty")
     weighted_sum = Fraction(0)
-    total = 0
     pieces: list[tuple[int, int]] = []
     for block in blocks:
         pairs = _point_pairs(block)
         dv = star_discrepancy(pairs)
         weighted_sum += len(pairs) * dv.exact
-        total += len(pairs)
         pieces.extend(pairs)
-    bound = weighted_sum / total
+    bound = weighted_sum / len(pieces)
     exact = star_discrepancy(pieces)
     if exact.exact > bound:
         raise ArithmeticError("triangle inequality violated; engine inconsistency")
@@ -376,18 +378,16 @@ class BlockAccumulator:
 
     def add_block(self, numerators: np.ndarray, den: int) -> None:
         """Merge the multiset {a/den : a in numerators}; order inside is irrelevant."""
-        if den > _FLOAT_SAFE_DEN:
+        new_num, new_den = _checked_arrays(numerators, den)
+        if new_den.max() > _FLOAT_SAFE_DEN:
             raise ValueError(f"denominator {den} too large for the float-sorted engine")
-        new_num = np.sort(np.asarray(numerators, dtype=np.int64))
-        if new_num.size == 0:
-            return
-        if new_num[0] < 1 or new_num[-1] >= den:
-            raise ValueError("numerators must lie strictly inside (0, den)")
-        new_val = new_num / den
+        new_val = new_num / new_den
+        order = np.argsort(new_val, kind="stable")
+        new_val = new_val[order]
         pos = np.searchsorted(self._val, new_val)
         self._val = np.insert(self._val, pos, new_val)
-        self._num = np.insert(self._num, pos, new_num)
-        self._den = np.insert(self._den, pos, np.full(new_num.size, den, dtype=np.int64))
+        self._num = np.insert(self._num, pos, new_num[order])
+        self._den = np.insert(self._den, pos, new_den[order])
 
     def star_discrepancy(self) -> DiscrepancyValue:
         """Exact D_N* of everything merged so far."""

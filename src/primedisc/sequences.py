@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
+from itertools import count
 from math import gcd, isqrt
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import TableTooSmallError
-from .modmath import mod_inverse
 from .primes import PrimeTable, is_prime, required_blocks_estimate, smallest_block_covering
 
 
@@ -34,14 +35,19 @@ class Frac:
 
     Equality, ordering and hashing go by value, so Frac(1, 2) == Frac(2, 4)
     and both hash alike; num/den keep whatever the constructor was given.
+    Both must be integers (numpy integers included): floats and strings are
+    refused, never truncated.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int) -> None:
-        num = int(num)
-        den = int(den)
-        if den < 2 or not 1 <= num <= den - 1:
+        try:
+            num = index(num)
+            den = index(den)
+        except TypeError:
+            raise ValueError(f"{num!r}/{den!r} is not a fraction of integers") from None
+        if not 1 <= num < den:
             raise ValueError(f"{num}/{den} is not strictly inside (0, 1)")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -124,29 +130,39 @@ def block_numerators(q: int, ordering: Ordering) -> np.ndarray:
 
 def generate_block(spec: BlockSpec) -> list[Frac]:
     """The block of spec as a list of fractions in sequence order."""
-    return [Frac(int(v), spec.p) for v in block_numerators(spec.p, spec.ordering)]
+    return [Frac(v, spec.p) for v in block_numerators(spec.p, spec.ordering)]
+
+
+def _block_ordering(
+    family: SequenceFamily, table: PrimeTable | None, n: int = 1
+) -> Ordering:
+    """Each family's block ordering; the one place that decides which families
+    need a prime table (all but omega) and whether it covers n elements.
+    """
+    if family is SequenceFamily.OMEGA:
+        return Ordering.INCREASING
+    if table is None:
+        raise ValueError(f"family {family.value!r} requires a prime table")
+    if table.coverage < n:
+        raise TableTooSmallError(
+            f"table covers {table.coverage} elements with M={len(table)} blocks; "
+            f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
+            required=required_blocks_estimate(n),
+        )
+    return Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
 
 
 def _family_blocks(
-    family: SequenceFamily, table: PrimeTable | None
-) -> Iterator[tuple[int, int, Ordering]]:
-    """Yield (block index, denominator, ordering) in sequence order.
+    family: SequenceFamily, table: PrimeTable | None, n: int = 1
+) -> Iterator[tuple[int, Ordering]]:
+    """Yield (denominator, ordering) in sequence order after the table check.
 
     Omega never stops; prime-backed families raise TableTooSmallError once
     the table is exhausted rather than ending silently.
     """
-    if family is SequenceFamily.OMEGA:
-        q = 2
-        while True:
-            yield q - 1, q, Ordering.INCREASING
-            q += 1
-    if table is None:
-        raise ValueError(f"family {family.value!r} requires a prime table")
-    ordering = (
-        Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
-    )
-    for m, p in enumerate(table.primes, start=1):
-        yield m, p, ordering
+    ordering = _block_ordering(family, table, n)
+    for q in count(2) if family is SequenceFamily.OMEGA else table.primes:
+        yield q, ordering
     raise TableTooSmallError(
         f"prime table exhausted after M={len(table)} blocks "
         f"(P(M)={table.coverage}); build a larger table"
@@ -157,22 +173,9 @@ def iter_family(
     family: SequenceFamily, table: PrimeTable | None = None
 ) -> Iterator[Frac]:
     """Stream the sequence one element at a time, resumable like any iterator."""
-    for _, q, ordering in _family_blocks(family, table):
+    for q, ordering in _family_blocks(family, table):
         for v in block_numerators(q, ordering):
-            yield Frac(int(v), q)
-
-
-def _require_coverage(family: SequenceFamily, n: int, table: PrimeTable | None) -> None:
-    if family is SequenceFamily.OMEGA:
-        return
-    if table is None:
-        raise ValueError(f"family {family.value!r} requires a prime table")
-    if table.coverage < n:
-        raise TableTooSmallError(
-            f"table covers {table.coverage} elements with M={len(table)} blocks; "
-            f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
-            required=required_blocks_estimate(n),
-        )
+            yield Frac(v, q)
 
 
 def generate_prefix(
@@ -193,11 +196,10 @@ def prefix_arrays(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_coverage(family, n, table)
     nums: list[np.ndarray] = []
     dens: list[np.ndarray] = []
     got = 0
-    for _, q, ordering in _family_blocks(family, table):
+    for q, ordering in _family_blocks(family, table, n):
         take = min(q - 1, n - got)
         nums.append(block_numerators(q, ordering)[:take])
         dens.append(np.full(take, q, dtype=np.int64))
@@ -219,14 +221,11 @@ def locate(
     if n < 1:
         raise ValueError("n must be >= 1")
     if family is SequenceFamily.OMEGA:
-        # block t has size t, so t(t+1)/2 positions are covered after block t
-        t = max(1, (isqrt(8 * n) - 1) // 2)
-        while t * (t + 1) // 2 < n:
-            t += 1
-        while t > 1 and (t - 1) * t // 2 >= n:
-            t -= 1
+        # block t has size t, so T(t) = t(t+1)/2 positions end with block t;
+        # T(t-1) < n <= T(t) is exactly (2t-1)^2 <= 8n-7 < (2t+1)^2
+        t = (isqrt(8 * n - 7) + 1) // 2
         return t, n - (t - 1) * t // 2
-    _require_coverage(family, n, table)
+    _block_ordering(family, table, n)  # raises unless the table covers n
     m = smallest_block_covering(table, n)
     return m, n - table.cumulative[m - 1]
 
@@ -236,25 +235,24 @@ def element_at(
 ) -> Frac:
     """The n-th element (1-based) without generating the whole prefix."""
     m, offset = locate(family, n, table)
-    if family is SequenceFamily.OMEGA:
-        return Frac(offset, m + 1)
-    p = table.primes[m - 1]
-    if family is SequenceFamily.ETA:
-        return Frac(mod_inverse(offset, p), p)
-    return Frac(offset, p)
+    q = m + 1 if family is SequenceFamily.OMEGA else table.primes[m - 1]
+    if _block_ordering(family, table) is Ordering.INVERSIVE:
+        return Frac(pow(offset, -1, q), q)
+    return Frac(offset, q)
 
 
 def dump_lines(
-    fracs: Iterable[Frac],
+    fracs: Iterable,
     family: SequenceFamily | None = None,
     n: int | None = None,
     header: bool = False,
 ) -> Iterator[str]:
-    """Render fractions as num/den lines, optionally preceded by a comment header."""
+    """Render Frac objects or (num, den) pairs (written as given) as num/den lines."""
     if header:
         yield f"# family={family.value if family else '?'} N={n if n is not None else '?'}"
     for f in fracs:
-        yield f"{f.num}/{f.den}"
+        num, den = (f.num, f.den) if isinstance(f, Frac) else f
+        yield f"{num}/{den}"
 
 
 def parse_dump(lines: Iterable[str]) -> list[Frac]:
@@ -273,6 +271,6 @@ def parse_dump(lines: Iterable[str]) -> list[Frac]:
             if not sep:
                 raise ValueError("expected num/den")
             out.append(Frac(int(num_s), int(den_s)))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {i}: cannot parse fraction {s!r}: {exc}") from exc
     return out

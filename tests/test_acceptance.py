@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from primedisc.asymptotics import lambert_w, m_asymptotic, verify_theorem
 from primedisc.discrepancy import (
@@ -147,6 +148,7 @@ def test_criterion_4_increasing_lower_bound():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_boundary_sharpness():
     t0 = time.time()
     table = build_prime_table(2001)

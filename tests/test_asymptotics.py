@@ -61,6 +61,10 @@ class TestLambertW:
             lambert_w(-1.0)
         with pytest.raises(ValueError):
             lambert_w(float("nan"))
+        # +inf must not come back as NaN
+        for x in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                lambert_w(x)
 
     def test_large_argument(self):
         w = lambert_w(1e15)

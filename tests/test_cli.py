@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import primedisc.cli as cli
 from primedisc.cli import main
 from primedisc.discrepancy import star_discrepancy_oracle
 
@@ -220,6 +222,37 @@ class TestAsym:
         assert len(lines) == 6
         assert lines[1].startswith("2,3,3,")
 
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_x_is_usage_error(self, capsys, x):
+        # never exit 0 with {"w": NaN, ...}, which is not JSON
+        code, out, err = run(capsys, "asym", f"--x={x}")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (("0", "1", "2.5"), "integral COUNT"),  # not a silent 2-point table
+            (("0", "1", "inf"), "integral COUNT"),
+            (("0", "1", "nan"), "integral COUNT"),
+            (("0", "inf", "5"), "not finite"),
+            (("0", "1e400", "5"), "not finite"),
+            (("nan", "1", "5"), "not finite"),
+            (("inf", "inf", "5"), "LO < HI"),
+        ],
+    )
+    def test_grid_needs_finite_ends_and_integral_count(self, capsys, grid, message):
+        code, out, err = run(capsys, "asym", "--grid", *grid)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_integral_float_count_accepted(self, capsys):
+        code, out, _ = run(capsys, "asym", "--grid", "0.5", "10", "5.0")
+        assert code == 0
+        assert len(out.splitlines()) == 6
+
     def test_modes_exclusive(self, capsys):
         code, _, _ = run(capsys, "asym", "--x", "1.0", "--grid", "1", "2", "3")
         assert code == 2
@@ -240,6 +273,25 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize(
+        "exc,cause",
+        [
+            (MemoryError, "error: MemoryError"),
+            (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate"),
+            (KeyboardInterrupt, "error: KeyboardInterrupt"),
+        ],
+    )
+    def test_no_traceback_on_memory_error_or_interrupt(self, capsys, monkeypatch, exc, cause):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_gen", handler)
+        code, out, err = run(capsys, "gen", "--family", "eta", "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert cause in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -258,3 +310,38 @@ class TestDeterminism:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty
+
+
+# sha256 of stdout and the exit code of each command, recorded before the
+# input-contract refactor; gen and asym have no other byte-level guard
+PINNED = [
+    ("gen --family eta --n 500", 0, "0dbcd341d1c9e54a7d40414251db21309348635fd35bff771ca85bffd7dfb579"),
+    ("gen --family eta --n 500 --header", 0, "934d6fd68cc2485095825274767d12a08c6182b45cd6f79406f7570b9ab9a3f1"),
+    ("gen --family omega --n 500", 0, "95a6fdd9ed433486fefb5602cb97d27598a6b246debc9dc71e0a626b1b79a62f"),
+    ("gen --family omega --n 500 --header", 0, "ac16c004d9c8d3393771001d2f90decf7e75b10c7a125f03ac943c537f26f75f"),
+    ("gen --family prime-increasing --n 500", 0, "4ca93d0045a41abb7641be95b42c66cdb7115e805398212ed3aac65606289155"),
+    ("gen --family prime-increasing --n 500 --header", 0, "82958f2b86fbdb85acf48fafa20493c4289ac83958c1b961589335f2786447a5"),
+    ("disc --family eta --n 3000", 0, "c48bbda0fc5a51d8d246b461c7c959a20cfbd5fa3252679e844ea6237b748dcd"),
+    ("disc --family omega --n 3000 --format csv", 0, "290532c86f2da3af5dce75bfd7ba6ce31efbfb57729c6cc6d23ff24cf8379cda"),
+    ("disc --family prime-increasing --n 3000 --format json", 0, "237f95909b2ab9452475575fdb22fd33df85ce627de1e9df752c8c973212dbeb"),
+    ("scan --prime 101", 0, "b9ec8c6b6bd2844a4343388aaf068b95d7052b9ab38cce3554e0b20d2833a0e9"),
+    ("scan --prime 101 --ordering increasing", 0, "6086815031741b6fd7013f2222630028925ac71a84dc38dc1e3fbc23a4bf63ab"),
+    ("scan --prime 211 --n 50", 0, "560c21fa402969249f1009a7ab47a567c2d0ae94166b522306f2e386e5f6c3fd"),
+    ("scan --family omega --n 120", 0, "ee2f1ed3d6f6ab43a0d750a026c98b8df39556ca886373a4500c3f09f8ea17f1"),
+    ("scan --family eta --n 120", 0, "b05c7aefb98ff8e2e9b4cd644e929ae8ae878ca39a7e078161d3bf579238bfac"),
+    ("bounds --pmax 150", 0, "5aeb132e6108b3a038b627f6ba66ecb2a5f735cf9c5fa3c4c524ec4c81435358"),
+    ("bounds --pmax 150 --ordering increasing", 0, "a7bf67a86f3d2a97889a90cf4729d64e2ea8d430f7d6129c8d9811368a56fd58"),
+    ("bounds --pmin 50 --pmax 150", 0, "54c8d7a938f54f31dbf2906c673aa16dd174d25a0b34266cd8136ba2c160dd0d"),
+    ("verify --m 1..40", 0, "1715816bcd421d01e3436f98fecb4bc2cc27ad6cad1619e5c6004371b5dd1d88"),
+    ("asym --x 2.5", 0, "0a39112e72731030e62c76ab8398fc4d24cf156b64a299d7668c3d0f97dcae09"),
+    ("asym --x -0.3", 0, "fb192a0906a721803c62252c56fc3cefbf241320959831c241f2cb8f23a5b44e"),
+    ("asym --grid -0.3 100 40", 0, "c7edad951f8ee6b804fb8f439c2181ee673385b63963760c2db753c3458c6fc1"),
+    ("asym --m-range 2..60", 0, "82e742a7eb7b428b92cdf10e87ca7e04a088b22cb2046ce54f7f8717d4ead9aa"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED)
+def test_pinned_output(capsys, command, code, digest):
+    got_code, out, _ = run(capsys, *command.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -122,6 +122,21 @@ class TestStarDiscrepancy:
         with pytest.raises(ValueError):
             star_discrepancy([(3, 2)])
 
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            star_discrepancy,
+            star_discrepancy_oracle,
+            prefix_scan,
+            lambda pts: triangle_bound([pts]),
+        ],
+    )
+    def test_non_integer_pairs_rejected(self, engine):
+        # (1.9, 3) must not be read as 1/3, which reports 3/5
+        for pts in ([(1.9, 3), (2, 5)], [(2.0, 5), (1, 3)], [("1", 3)]):
+            with pytest.raises(ValueError, match="not a fraction of integers"):
+                engine(pts)
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
         pts = random_multiset(rng)
@@ -229,6 +244,15 @@ class TestStarDiscrepancyArrays:
                 np.array([1, 2], dtype=dtype), np.array([3, 5], dtype=dtype)
             )
             assert got == want
+
+    def test_scalar_denominator_shared(self):
+        got = star_discrepancy_arrays(np.array([3, 1, 1]), 5)
+        assert got == star_discrepancy([(3, 5), (1, 5), (1, 5)])
+
+    def test_wrapped_uint64_rejected(self):
+        # 2^63 wraps to a negative int64 and must fail the range check
+        with pytest.raises(ValueError, match="strictly inside"):
+            star_discrepancy_arrays(np.array([1 << 63], dtype=np.uint64), np.array([3]))
 
     def test_big_denominator_fallback(self):
         big = (1 << 27) + 29
@@ -364,6 +388,18 @@ class TestWeightedPrefixMaxima:
         with pytest.raises(ValueError):
             weighted_prefix_maxima([5], 5)
 
+    @pytest.mark.parametrize("nums,p", [([1.5, 2], 3), ([1, 2], 3.0), (np.array([1.0, 2.0]), 3)])
+    def test_non_integers_rejected(self, nums, p):
+        # a ValueError from the check, not a TypeError from a slice
+        with pytest.raises(ValueError, match="integer arrays"):
+            weighted_prefix_maxima(nums, p)
+
+    def test_array_input_matches_list(self):
+        nums = block_numerators(31, INV)
+        assert weighted_prefix_maxima(nums, 31).tolist() == (
+            weighted_prefix_maxima(nums.tolist(), 31).tolist()
+        )
+
 
 class TestBlockMaxWeighted:
     def test_inversive_five(self):
@@ -486,6 +522,30 @@ class TestBlockAccumulator:
         acc.add_block(np.array([2, 1]), 3)  # unsorted input is fine
         assert acc.n == 2
         assert acc.star_discrepancy().exact == Fraction(1, 3)
+
+    @pytest.mark.parametrize(
+        "numerators,den",
+        [
+            (np.array([1.7, 2.2]), 3),  # must not be stored as [1, 2]
+            (np.array([1, 2]), 3.0),
+            (np.array([], dtype=np.int64), 3),
+            (np.array([1, 3]), 3),
+        ],
+    )
+    def test_rejects_and_keeps_state(self, numerators, den):
+        acc = BlockAccumulator()
+        acc.add_block(np.array([1]), 2)
+        with pytest.raises(ValueError):
+            acc.add_block(numerators, den)
+        assert acc.n == 1
+        assert acc.star_discrepancy().exact == Fraction(1, 2)
+
+    def test_per_point_denominators_merge_by_value(self):
+        acc = BlockAccumulator()
+        acc.add_block(np.array([1, 2]), 5)
+        acc.add_block(np.array([2, 1, 3]), np.array([3, 3, 7]))
+        want = star_discrepancy([(1, 5), (2, 5), (2, 3), (1, 3), (3, 7)])
+        assert acc.star_discrepancy() == want
 
 
 class TestScanCsv:

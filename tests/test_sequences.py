@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ class TestFrac:
     def test_rejects_outside_open_unit_interval(self, num, den):
         with pytest.raises(ValueError):
             Frac(num, den)
+
+    @pytest.mark.parametrize(
+        "num,den", [(1.9, 3), (2.0, 5), (2, 5.0), ("2", 5), (2, "5"), (np.float64(2), 5)]
+    )
+    def test_rejects_non_integers(self, num, den):
+        # refused, not truncated: Frac(1.9, 3) must not become 1/3
+        with pytest.raises(ValueError, match="not a fraction of integers"):
+            Frac(num, den)
+
+    def test_accepts_numpy_integers(self):
+        f = Frac(np.int64(2), np.int32(5))
+        assert (f.num, f.den) == (2, 5)
+        assert type(f.num) is int and type(f.den) is int
 
     def test_immutable(self):
         f = Frac(1, 2)
@@ -143,6 +157,17 @@ class TestGeneratePrefix:
         with pytest.raises(ValueError):
             generate_prefix(ETA, 3)
 
+    @pytest.mark.parametrize("family", [ETA, PRIME_INC])
+    def test_every_entry_point_requires_a_table(self, family):
+        for call in (
+            lambda: prefix_arrays(family, 3),
+            lambda: locate(family, 3),
+            lambda: element_at(family, 3),
+            lambda: next(iter_family(family)),
+        ):
+            with pytest.raises(ValueError, match="requires a prime table"):
+                call()
+
     def test_table_too_small(self, table10):
         with pytest.raises(TableTooSmallError):
             generate_prefix(ETA, table10.coverage + 1, table10)
@@ -210,6 +235,23 @@ class TestLocate:
     def test_boundary_covered(self, table10):
         assert locate(ETA, 119, table10) == (10, 28)
 
+    @staticmethod
+    def _assert_omega_block(n):
+        # block t ends at T(t) = t(t+1)/2, so T(t-1) < n <= T(t)
+        t, offset = locate(OMEGA, n)
+        assert (t - 1) * t // 2 < n <= t * (t + 1) // 2
+        assert offset == n - (t - 1) * t // 2
+
+    def test_omega_closed_form_small(self):
+        for n in range(1, 100_001):
+            self._assert_omega_block(n)
+
+    def test_omega_closed_form_near_1e18(self):
+        k = isqrt(2 * 10**18)
+        ends = [j * (j + 1) // 2 for j in (k - 1, k, k + 1)]
+        for n in [10**18 - 1, 10**18, 10**18 + 1] + [e + d for e in ends for d in (-1, 0, 1)]:
+            self._assert_omega_block(n)
+
     @pytest.mark.parametrize("family", [ETA, OMEGA, PRIME_INC])
     def test_element_at_matches_prefix(self, family, table10):
         table = None if family is OMEGA else table10
@@ -225,6 +267,13 @@ class TestDumpParse:
         lines = list(dump_lines(pre))
         back = parse_dump(lines)
         assert [(f.num, f.den) for f in back] == [(f.num, f.den) for f in pre]
+
+    def test_pairs_render_like_fracs(self, table10):
+        pre = generate_prefix(ETA, 13, table10)
+        pairs = [(f.num, f.den) for f in pre]
+        assert list(dump_lines(pairs, ETA, 13, header=True)) == list(
+            dump_lines(pre, ETA, 13, header=True)
+        )
 
     def test_header_line(self):
         lines = list(dump_lines([Frac(1, 2)], family=OMEGA, n=1, header=True))
