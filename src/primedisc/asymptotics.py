@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from .discrepancy import BlockAccumulator, DiscrepancyValue
+from .discrepancy import DiscrepancyValue, _boundary_discrepancies
 from .errors import TableTooSmallError
 from .primes import PrimeTable, cumulative_P, m_asymptotic  # noqa: F401 (re-export)
 
@@ -103,12 +101,13 @@ THEOREM_CSV_HEADER = "m,N,p_m,disc_num,disc_den,disc_float,scaled,lower_num,lowe
 def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     """Exact D_N* at every block boundary N = P(m) for m in [m_lo, m_hi].
 
-    One sorted multiset is extended block by block instead of regenerating
-    each prefix. At a boundary every block is complete, so the multiset
-    {j/p_k : k <= m} alone determines D_N* and the inversive permutation
-    never needs to be applied. Each row is checked against its witness
-    threshold r = 1 - 1/(2 p_m), which forces D_N* >= 1/(2 p_m); a row
-    below that raises ArithmeticError (engine inconsistency).
+    At a boundary every block is complete, so the multiset {j/p_k : k <= m}
+    alone determines D_N* and the inversive permutation never needs to be
+    applied. The rows come from one certified lazy sweep over the blocks,
+    which merges and rescans the whole multiset only when its tracked band
+    can no longer certify the maximum. Each row is checked against its
+    witness threshold r = 1 - 1/(2 p_m), which forces D_N* >= 1/(2 p_m); a
+    row below that raises ArithmeticError (engine inconsistency).
     """
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got {m_lo}..{m_hi}")
@@ -116,15 +115,11 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
         raise TableTooSmallError(
             f"table has {len(table)} blocks, need {m_hi}", required=m_hi
         )
-    acc = BlockAccumulator()
     rows: list[TheoremRow] = []
-    for m in range(1, m_hi + 1):
+    sweep = _boundary_discrepancies(table.primes, m_lo, m_hi)
+    for m, dv in zip(range(m_lo, m_hi + 1), sweep):
         p = table.primes[m - 1]
-        acc.add_block(np.arange(1, p, dtype=np.int64), p)
-        if m < m_lo:
-            continue
         n = cumulative_P(table, m)
-        dv = acc.star_discrepancy()
         if dv.num * 2 * p < dv.den:
             raise ArithmeticError(
                 f"D_N* < 1/(2 p_m) at m={m}; discrepancy engine inconsistency"

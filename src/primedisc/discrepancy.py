@@ -127,9 +127,13 @@ def _confirm(
     cand: list[tuple[int, str]], num: Sequence[int], den: Sequence[int], n: int
 ) -> DiscrepancyValue:
     # exact winner among (sorted index, side) candidates; ties resolve to the
-    # smallest index, "at" before "left", so every engine is deterministic
+    # smallest threshold value, "at" before "left", as in the oracle and the
+    # grid sweep (a repeated value has "left" at its first index, "at" at its last)
+    def threshold_then_side(c: tuple[int, str]) -> tuple[Fraction, str]:
+        return Fraction(int(num[c[0]]), int(den[c[0]])), c[1]
+
     best: tuple[int, int, int, str] | None = None
-    for i, side in sorted(cand):
+    for i, side in sorted(cand, key=threshold_then_side):
         a = int(num[i])
         b = int(den[i])
         if side == "at":
@@ -273,16 +277,19 @@ def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
     """Exact D_k* for every prefix k = 1..N, in input order.
 
-    A shared denominator turns the scan into an O(p) integer sweep per
-    prefix; mixed denominators fall back to one sorted evaluation per
-    prefix (quadratic, meant for modest N). Each record satisfies
-    weighted == k * disc.exact identically.
+    A shared denominator p turns the scan into an O(p) integer sweep per
+    prefix, used while p <= N^2 and p is float-safe; otherwise, and for
+    mixed denominators, each prefix gets one sorted evaluation (quadratic,
+    meant for modest N). Each record satisfies weighted == k * disc.exact
+    identically.
     """
     pairs = _point_pairs(points)
-    ks = range(1, len(pairs) + 1)
+    n = len(pairs)
+    ks = range(1, n + 1)
     dens = {b for _, b in pairs}
-    if len(dens) == 1:
-        p = dens.pop()
+    p = dens.pop() if len(dens) == 1 else None
+    # the sweep allocates and scans O(p) per prefix, the sorted path O(k log k)
+    if p is not None and p <= min(_FLOAT_SAFE_DEN, n * n):
         maxima, witness, at_side = _grid_sweep([a for a, _ in pairs], p)
         values = [
             _reduced_value(m, k * p, j, p, "at" if at else "left")
@@ -361,10 +368,11 @@ def triangle_bound(blocks: Sequence[Sequence]) -> tuple[Fraction, DiscrepancyVal
 class BlockAccumulator:
     """Growing sorted multiset of whole blocks with on-demand exact D_N*.
 
-    Backs the long boundary sweeps: each complete block {j/q : 1 <= j < q}
-    merges into the sorted arrays in O(N + q) and the discrepancy of the
-    current multiset is evaluated without regenerating the prefix. Only
-    float-safe denominators are accepted so the float order stays exact.
+    The sorted store behind the boundary sweep's rebuilds: a batch of
+    points merges into the sorted arrays in O(N + batch) and the
+    discrepancy of the current multiset is evaluated without regenerating
+    the prefix. Only float-safe denominators are accepted so the float
+    order stays exact.
     """
 
     def __init__(self) -> None:
@@ -394,6 +402,95 @@ class BlockAccumulator:
         if self.n == 0:
             raise ValueError("empty multiset")
         return _eval_sorted(self._val, self._num, self._den)
+
+
+# a rebuild tracks every point whose u lies within this many units of the
+# maximum; the band lasts until the drift bound overtakes the maximum, about
+# two blocks per unit of width
+_BAND_WIDTH = 12
+
+
+def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> DiscrepancyValue:
+    # exact max of u = (n a - c b) / b over the tracked points a/b with counts
+    # c = #{y < a/b}; floats only pick the near-maximal points
+    u = n * a - c * b
+    approx = u / b
+    near = np.flatnonzero(approx >= approx.max() - n * 2.0**-30)
+    exact = {int(i): Fraction(int(u[i]), int(b[i])) for i in near}
+    best = max(exact.values())
+    tied = [Fraction(int(a[i]), int(b[i])) for i, v in exact.items() if v == best]
+    lo, hi = min(tied), max(tied)
+    # u(x) / n is the "left" deviation at x and, by the symmetry x -> 1 - x,
+    # the "at" deviation at 1 - x; the smaller threshold wins, "at" on a tie
+    w, side = (1 - hi, "at") if 1 - hi <= lo else (lo, "left")
+    vnum, vden = best.numerator, best.denominator * n
+    return _reduced_value(vnum, vden, w.numerator, w.denominator, side)
+
+
+def _boundary_discrepancies(
+    primes: Sequence[int], m_lo: int, m_hi: int
+) -> Iterator[DiscrepancyValue]:
+    """Exact D_N* of the whole blocks {j/p : 1 <= j < p, p in primes[:m]}, m = m_lo..m_hi.
+
+    Certified lazy sweep over distinct primes. All values are distinct and
+    the multiset is symmetric under x -> 1 - x, so D_N* = max u / N with
+    u(x) = N x - #{y < x}, and the witness follows from the maximizers of u
+    as _confirm's rule would choose it. A block p moves u(x) by
+    p x - ceil(p x) + 1 - x, which lies in (-x, 1 - x].
+
+    A rebuild merges the pending blocks into one BlockAccumulator, picks an
+    integer floor T0 below max u by the band width in one float pass, and
+    tracks every point with u >= T0 exactly. s blocks later every untracked
+    point has u < T0 + s, so once tracked points below T0 + s are dropped,
+    any survivor holds the maximum and every point tying it. New points get
+    their exact counts from the stale merged array plus the closed form
+    floor(j q / p) for each pending block q. Floats only choose what to
+    track; values, witnesses and the certification test are exact.
+    """
+    primes = [int(p) for p in primes[:m_hi]]
+    p_max = max(primes)
+    if p_max > _FLOAT_SAFE_DEN:
+        raise ValueError(f"denominator {p_max} too large for the float-sorted engine")
+    if sum(p - 1 for p in primes) * p_max >= 1 << 63:
+        raise OverflowError("N * p_m reaches 2^63; the exact counts need int64")
+    acc = BlockAccumulator()
+    pending: list[int] = []
+    n = 0
+    # tracked points a/b with exact counts c, all with u >= floor
+    a = b = c = None
+    floor = 0
+    for m, p in enumerate(primes, 1):
+        n += p - 1
+        pending.append(p)
+        if m < m_lo:
+            continue
+        if a is not None:
+            floor += 1
+            c += a * p // b
+            j = np.arange(1, p, dtype=np.int64)
+            cj = np.searchsorted(acc._val, j / p) + (j - 1)
+            for q in pending[:-1]:
+                cj += j * q // p
+            a = np.concatenate([a, j])
+            b = np.concatenate([b, np.full(p - 1, p, dtype=np.int64)])
+            c = np.concatenate([c, cj])
+            keep = n * a - c * b >= floor * b
+        if a is None or not keep.any():
+            acc.add_block(
+                np.concatenate([np.arange(1, q) for q in pending]),
+                np.repeat(np.array(pending, dtype=np.int64), [q - 1 for q in pending]),
+            )
+            pending.clear()
+            u = acc._val * n
+            u -= np.arange(n)  # the sorted values are distinct, so #{y < x_i} = i
+            margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
+            floor = math.floor(u.max() - margin) - _BAND_WIDTH
+            c = np.flatnonzero(u >= floor - margin)
+            del u  # the full-length float pass is not kept between rebuilds
+            a, b = acc._num[c], acc._den[c]
+            keep = n * a - c * b >= floor * b
+        a, b, c = a[keep], b[keep], c[keep]
+        yield _band_maximum(a, b, c, n)
 
 
 def scan_csv_lines(records: Iterable[ScanRecord]) -> Iterator[str]:

@@ -333,6 +333,8 @@ PINNED = [
     ("bounds --pmax 150 --ordering increasing", 0, "a7bf67a86f3d2a97889a90cf4729d64e2ea8d430f7d6129c8d9811368a56fd58"),
     ("bounds --pmin 50 --pmax 150", 0, "54c8d7a938f54f31dbf2906c673aa16dd174d25a0b34266cd8136ba2c160dd0d"),
     ("verify --m 1..40", 0, "1715816bcd421d01e3436f98fecb4bc2cc27ad6cad1619e5c6004371b5dd1d88"),
+    ("verify --m 1..300", 0, "97a926f10e91fe0bcecc7e2c0412acef769403f3a5877a5424695ebffd201166"),
+    ("verify --m 250..400", 0, "0b77fb562988795416ccd3e3039229ba7ac059a5d3d93951fea87c0a843014ca"),
     ("asym --x 2.5", 0, "0a39112e72731030e62c76ab8398fc4d24cf156b64a299d7668c3d0f97dcae09"),
     ("asym --x -0.3", 0, "fb192a0906a721803c62252c56fc3cefbf241320959831c241f2cb8f23a5b44e"),
     ("asym --grid -0.3 100 40", 0, "c7edad951f8ee6b804fb8f439c2181ee673385b63963760c2db753c3458c6fc1"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import primedisc.discrepancy as discrepancy
 from primedisc.discrepancy import (
     DEFAULT_SWEEP_LIMIT,
     SCAN_CSV_HEADER,
@@ -22,8 +23,10 @@ from primedisc.discrepancy import (
     star_discrepancy_oracle,
     triangle_bound,
     weighted_prefix_maxima,
+    _boundary_discrepancies,
     _star_discrepancy_exact,
 )
+from primedisc.primes import build_prime_table
 from primedisc.sequences import (
     BlockSpec,
     Frac,
@@ -357,6 +360,53 @@ class TestPrefixScan:
             int(r.weighted * den) for r in records
         ]
 
+    def test_tie_rule_same_record_in_every_engine(self):
+        # a repeated value has "left" at its first sorted index and "at" at its
+        # last; every engine must still prefer "at" on the same threshold
+        pts = [(4, 7), (6, 7), (2, 7), (1, 7), (3, 7), (1, 7), (6, 7)]
+        want = DiscrepancyValue(1, 7, 1, 7, "at")
+        assert star_discrepancy(pts) == star_discrepancy_oracle(pts) == want
+        assert prefix_scan(pts)[-1].disc == want
+        rng = np.random.default_rng(4096)
+        for _ in range(60):
+            den = int(rng.integers(3, 65))
+            nums = rng.integers(1, den, size=int(rng.integers(8, 41))).tolist()
+            pts = [(a, den) for a in nums]  # den <= N^2: the grid sweep
+            for r in prefix_scan(pts):
+                oracle = star_discrepancy_oracle(pts[: r.k])
+                assert r.disc == star_discrepancy(pts[: r.k]) == oracle
+
+    def test_denominator_beyond_int64_takes_exact_path(self):
+        # the grid sweep would allocate an array of length 10**30
+        big = 10**30
+        pts = [(1, big), (2, big), (big - 1, big)]
+        for r in prefix_scan(pts):
+            assert r.disc == star_discrepancy_oracle(pts[: r.k])
+
+    def test_sparse_common_denominator_skips_grid(self, monkeypatch):
+        # three points on a grid of 2^24 cost O(N log N), not O(N * 2^24)
+        def no_sweep(nums, p):
+            raise AssertionError(f"grid sweep of {len(nums)} points on {p} cells")
+
+        monkeypatch.setattr(discrepancy, "_grid_sweep", no_sweep)
+        den = 1 << 24
+        pts = [(1, den), (den - 3, den), (5, den)]
+        for r in prefix_scan(pts):
+            assert r.disc == star_discrepancy_oracle(pts[: r.k])
+            assert r.weighted == r.k * r.disc.exact
+
+    def test_paths_agree_across_the_switch(self):
+        # N^2 < den sorts every prefix; one more point puts N^2 >= den on the
+        # grid; numerators drawn from a few values repeat, so ties are common
+        rng = np.random.default_rng(7)
+        for den in range(5, 400):
+            n = math.isqrt(den - 1)
+            pool = rng.integers(1, den, size=3)
+            nums = rng.choice(pool, size=n + 1).tolist()
+            sorted_path = prefix_scan([(a, den) for a in nums[:n]])
+            grid_path = prefix_scan([(a, den) for a in nums])
+            assert sorted_path == grid_path[:n]
+
     def test_last_record_is_full_multiset(self, table10):
         pre = generate_prefix(SequenceFamily.ETA, 13, table10)
         recs = prefix_scan(pre)
@@ -546,6 +596,69 @@ class TestBlockAccumulator:
         acc.add_block(np.array([2, 1, 3]), np.array([3, 3, 7]))
         want = star_discrepancy([(1, 5), (2, 5), (2, 3), (1, 3), (3, 7)])
         assert acc.star_discrepancy() == want
+
+
+def merged_boundary_values(primes, m_lo, m_hi):
+    # reference: merge every block and evaluate the whole multiset each time
+    acc = BlockAccumulator()
+    values = []
+    for m, p in enumerate(primes[:m_hi], 1):
+        acc.add_block(np.arange(1, p), p)
+        if m >= m_lo:
+            values.append(acc.star_discrepancy())
+    return values
+
+
+class TestBoundarySweep:
+    @pytest.fixture(scope="class")
+    def primes(self):
+        return build_prime_table(300).primes
+
+    @pytest.fixture(scope="class")
+    def reference(self, primes):
+        return merged_boundary_values(primes, 1, 300)
+
+    def test_matches_merge_and_evaluate(self, primes, reference):
+        assert list(_boundary_discrepancies(primes, 1, 300)) == reference
+
+    @pytest.mark.parametrize("m_lo,m_hi", [(2, 40), (57, 300), (299, 300), (300, 300)])
+    def test_later_first_block(self, primes, reference, m_lo, m_hi):
+        got = list(_boundary_discrepancies(primes, m_lo, m_hi))
+        assert got == reference[m_lo - 1 : m_hi]
+
+    # width 0 rebuilds about every other block; a band holding every point
+    # never rebuilds after the first row
+    @pytest.mark.parametrize("width,min_calls,max_calls", [(0, 40, 120), (10**9, 1, 1)])
+    def test_band_width_changes_only_the_work(
+        self, primes, reference, monkeypatch, width, min_calls, max_calls
+    ):
+        calls = []
+        add_block = BlockAccumulator.add_block
+
+        def counted(acc, *args):
+            calls.append(1)
+            add_block(acc, *args)
+
+        monkeypatch.setattr(BlockAccumulator, "add_block", counted)
+        monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
+        assert list(_boundary_discrepancies(primes, 1, 120)) == reference[:120]
+        assert min_calls <= len(calls) <= max_calls
+
+    def test_matches_oracle_and_recount(self, primes):
+        for m, dv in enumerate(_boundary_discrepancies(primes, 1, 12), 1):
+            pts = [(j, p) for p in primes[:m] for j in range(1, p)]
+            assert dv == star_discrepancy_oracle(pts)
+            assert_witness_reproduces(pts, dv)
+
+    def test_refuses_int64_overflow(self):
+        # constructed input: about 2^37 points on denominators near 2^26
+        # would overflow the int64 counts; refused before any work
+        with pytest.raises(OverflowError, match="2\\^63"):
+            next(_boundary_discrepancies([(1 << 26) - 5] * 2100, 1, 2100))
+
+    def test_refuses_denominators_beyond_float_safety(self):
+        with pytest.raises(ValueError, match="too large"):
+            next(_boundary_discrepancies([2, (1 << 26) + 15], 1, 2))
 
 
 class TestScanCsv:
