@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,12 +98,14 @@ def _checked_arrays(num, den) -> tuple[np.ndarray, np.ndarray]:
     """The one input check of the array engines: equal-shape int64 (num, den).
 
     Integer dtypes only (floats, bools and ints beyond int64 are refused, not
-    truncated); a scalar den is shared; every num/den lies inside (0, 1).
+    truncated); num is 1-D, a scalar den is shared, every num/den is in (0, 1).
     """
     num = np.asarray(num)
     den = np.asarray(den)
     if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
         raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
+    if num.ndim != 1:
+        raise ValueError(f"expected a 1-D numerator array, got shape {num.shape}")
     if num.size == 0:
         raise ValueError("points must be nonempty")
     if den.ndim and num.shape != den.shape:
@@ -123,56 +126,61 @@ def _reduced_value(vnum: int, vden: int, wn: int, wd: int, side: str) -> Discrep
     return DiscrepancyValue(vnum // g, vden // g, wn // gw, wd // gw, side)
 
 
-def _confirm(
-    cand: list[tuple[int, str]], num: Sequence[int], den: Sequence[int], n: int
-) -> DiscrepancyValue:
-    # exact winner among (sorted index, side) candidates; ties resolve to the
-    # smallest threshold value, "at" before "left", as in the oracle and the
-    # grid sweep (a repeated value has "left" at its first index, "at" at its last)
-    def threshold_then_side(c: tuple[int, str]) -> tuple[Fraction, str]:
-        return Fraction(int(num[c[0]]), int(den[c[0]])), c[1]
-
-    best: tuple[int, int, int, str] | None = None
-    for i, side in sorted(cand, key=threshold_then_side):
-        a = int(num[i])
-        b = int(den[i])
-        if side == "at":
-            vnum = (i + 1) * b - a * n
-        else:
-            vnum = a * n - i * b
+def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
+    # exact winner among candidates (a, b, count, side): "at" is the deviation
+    # count/n - a/b at r = a/b, "left" is a/b - count/n as r -> a/b from below.
+    # The one tie rule of every engine: the smallest threshold wins, "at"
+    # before "left", as in the oracle and the grid sweep
+    best: tuple[int, int, int, int, str] | None = None
+    for a, b, count, side in sorted(cand, key=lambda t: (Fraction(t[0], t[1]), t[3])):
+        vnum = count * b - a * n if side == "at" else a * n - count * b
         if vnum < 0:
             continue
         vden = b * n
         if best is None or vnum * best[1] > best[0] * vden:
-            best = (vnum, vden, i, side)
+            best = (vnum, vden, a, b, side)
     if best is None:
         raise ArithmeticError("no nonnegative candidate; engine inconsistency")
-    vnum, vden, i, side = best
-    return _reduced_value(vnum, vden, int(num[i]), int(den[i]), side)
+    return _reduced_value(*best)
 
 
-def _eval_sorted(val: np.ndarray, num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Sorted-multiset formula: float scan, then exact confirmation."""
+def _deviations(val: np.ndarray) -> np.ndarray:
+    # u_i = n x_(i) - i over sorted values: u is n times the "left" deviation
+    # at x_(i) and 1 - u is n times the "at" deviation there; i is subtracted
+    # in slices, so no second n-length array is ever held
+    u = val * val.size
+    for lo in range(0, val.size, 1 << 16):
+        u[lo : lo + (1 << 16)] -= np.arange(lo, min(lo + (1 << 16), val.size))
+    return u
+
+
+def _eval_sorted(
+    val: np.ndarray, num: np.ndarray, den: np.ndarray, order: np.ndarray | None = None
+) -> DiscrepancyValue:
+    """Sorted-multiset formula: float scan of u, then exact confirmation.
+
+    val is sorted; num/den are read only at the candidates, through order.
+    """
     n = val.size
-    inv_n = 1.0 / n
-    grid = np.arange(1, n + 1, dtype=np.float64)
-    grid *= inv_n
-    d_at = grid - val
-    d_left = val - grid
-    d_left += inv_n
-    cut = max(float(d_at.max()), float(d_left.max())) - _FILTER_MARGIN
-    cand = [(int(i), "at") for i in np.flatnonzero(d_at >= cut)]
-    cand += [(int(i), "left") for i in np.flatnonzero(d_left >= cut)]
-    return _confirm(cand, num, den, n)
+    u = _deviations(val)
+    cut = max(float(u.max()), 1.0 - float(u.min())) - n * _FILTER_MARGIN
+    # a repeated value has "left" at its first index and "at" at its last;
+    # its other indices undercount and never win
+    at = np.flatnonzero(u <= 1.0 - cut)
+    left = np.flatnonzero(u >= cut)
+    cand: list[tuple[int, int, int, str]] = []
+    for idx, count, side in ((at, at + 1, "at"), (left, left, "left")):
+        src = idx if order is None else order[idx]
+        cand += zip(num[src].tolist(), den[src].tolist(), count.tolist(), repeat(side))
+    return _confirm(cand, n)
 
 
 def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
     # arbitrary-precision fallback: exact sort, every candidate confirmed
     ordered = sorted(pairs, key=lambda ab: Fraction(ab[0], ab[1]))
-    nums = [a for a, _ in ordered]
-    dens = [b for _, b in ordered]
-    cand = [(i, side) for i in range(len(ordered)) for side in ("at", "left")]
-    return _confirm(cand, nums, dens, len(ordered))
+    cand = [(a, b, i + 1, "at") for i, (a, b) in enumerate(ordered)]
+    cand += [(a, b, i, "left") for i, (a, b) in enumerate(ordered)]
+    return _confirm(cand, len(ordered))
 
 
 def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
@@ -187,17 +195,16 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
         return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
     val = num / den
     order = np.argsort(val, kind="stable")
-    return _eval_sorted(val[order], num[order], den[order])
+    val = val[order]
+    return _eval_sorted(val, num, den, order)
 
 
-def _prefix_evaluator(pairs: list[tuple[int, int]]) -> Callable[[int], DiscrepancyValue]:
-    # k -> exact D_k* of pairs[:k]; the pairs become int64 arrays once, unless
-    # a denominator needs the exact path (it may not even fit in int64)
+def _evaluate(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
+    # validated pairs -> exact D_N*; a denominator beyond float safety (it
+    # may not even fit in int64) takes the exact path before any array
     if max(b for _, b in pairs) > _FLOAT_SAFE_DEN:
-        return lambda k: _star_discrepancy_exact(pairs[:k])
-    num = np.array([a for a, _ in pairs], dtype=np.int64)
-    den = np.array([b for _, b in pairs], dtype=np.int64)
-    return lambda k: star_discrepancy_arrays(num[:k], den[:k])
+        return _star_discrepancy_exact(pairs)
+    return star_discrepancy_arrays(*np.array(pairs, dtype=np.int64).T)
 
 
 def star_discrepancy(points: Sequence) -> DiscrepancyValue:
@@ -207,8 +214,7 @@ def star_discrepancy(points: Sequence) -> DiscrepancyValue:
     (order matters only to prefixes, see prefix_scan). Accepts Frac objects
     or (num, den) pairs.
     """
-    pairs = _point_pairs(points)
-    return _prefix_evaluator(pairs)(len(pairs))
+    return _evaluate(_point_pairs(points))
 
 
 def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
@@ -246,58 +252,55 @@ def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
 def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per prefix k: p * k * D_k*, its witness numerator j and whether side is "at".
 
-    All points sit on the grid j/p, so each prefix is an O(p) integer sweep:
-    p * k * D_k* = max_j max(|p c_j - k j|, |p c_{j-1} - k j|) with c_j the
-    running count of numerators <= j. Ties go to the smallest j, "at" before
-    "left", as in every other engine.
+    All points sit on the grid j/p, so p * k * D_k* = max_j max(|p c_j - k j|,
+    |p c_{j-1} - k j|) with c_j the running count of numerators <= j. Between
+    two occupied numerators c is constant and |p c - k j| is convex in j, so
+    the maximum and the smallest tied witness sit at an occupied numerator:
+    the sweep visits only the distinct numerators v_t, O(distinct) per prefix.
+    The int64 arithmetic is exact while p * len(nums) < 2^63.
     """
-    n = len(nums)
-    pc = np.zeros(p, dtype=np.int64)  # p * c_j for j = 0..p-1 (c_0 = 0)
-    j_grid = np.arange(1, p, dtype=np.int64)
-    kj = np.zeros(p - 1, dtype=np.int64)
-    maxima = np.empty(n, dtype=np.int64)
-    witness = np.empty(n, dtype=np.int64)
-    at_side = np.empty(n, dtype=bool)
-    for k, v in enumerate(nums):
-        pc[v:] += p
-        kj += j_grid
-        at = np.abs(pc[1:] - kj)
-        left = np.abs(pc[:-1] - kj)
-        i_at = int(at.argmax())
-        i_left = int(left.argmax())
-        m_at = int(at[i_at])
-        m_left = int(left[i_left])
-        if m_at > m_left or (m_at == m_left and i_at <= i_left):
-            maxima[k], witness[k], at_side[k] = m_at, i_at + 1, True
-        else:
-            maxima[k], witness[k], at_side[k] = m_left, i_left + 1, False
-    return maxima, witness, at_side
+    values, slots = np.unique(nums, return_inverse=True)
+    # dev[2t] = p c(v_t) - k v_t ("at" v_t), dev[2t + 1] = p c(v_{t-1}) - k v_t
+    # ("left" v_t): the first maximum of |dev| is the smallest j, "at" before
+    # "left", the tie rule of every engine
+    step = np.repeat(values, 2)
+    dev = np.zeros(step.size, dtype=np.int64)
+    mag = np.empty_like(dev)
+    maxima, best = np.empty((2, slots.size), dtype=np.int64)
+    for k, t in enumerate(slots.tolist()):
+        dev[2 * t :] += p
+        dev[2 * t + 1] -= p
+        dev -= step
+        i = int(np.abs(dev, out=mag).argmax())
+        maxima[k], best[k] = mag[i], i
+    return maxima, values[best >> 1], best & 1 == 0
 
 
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
     """Exact D_k* for every prefix k = 1..N, in input order.
 
-    A shared denominator p turns the scan into an O(p) integer sweep per
-    prefix, used while p <= N^2 and p is float-safe; otherwise, and for
-    mixed denominators, each prefix gets one sorted evaluation (quadratic,
-    meant for modest N). Each record satisfies weighted == k * disc.exact
-    identically.
+    A shared denominator p takes the integer sweep over the distinct
+    numerators (O(distinct) per prefix) while p * N < 2^63 keeps it exact;
+    otherwise, and for mixed denominators, each prefix gets one sorted
+    evaluation (quadratic, meant for modest N). Each record satisfies
+    weighted == k * disc.exact identically.
     """
     pairs = _point_pairs(points)
     n = len(pairs)
     ks = range(1, n + 1)
     dens = {b for _, b in pairs}
-    p = dens.pop() if len(dens) == 1 else None
-    # the sweep allocates and scans O(p) per prefix, the sorted path O(k log k)
-    if p is not None and p <= min(_FLOAT_SAFE_DEN, n * n):
+    p = max(dens)
+    if len(dens) == 1 and p * n < 1 << 63:
         maxima, witness, at_side = _grid_sweep([a for a, _ in pairs], p)
         values = [
             _reduced_value(m, k * p, j, p, "at" if at else "left")
             for k, m, j, at in zip(ks, maxima.tolist(), witness.tolist(), at_side.tolist())
         ]
+    elif p > _FLOAT_SAFE_DEN:
+        values = [_star_discrepancy_exact(pairs[:k]) for k in ks]
     else:
-        evaluate = _prefix_evaluator(pairs)
-        values = [evaluate(k) for k in ks]
+        num, den = np.array(pairs, dtype=np.int64).T
+        values = [star_discrepancy_arrays(num[:k], den[:k]) for k in ks]
     records: list[ScanRecord] = []
     for k, dv in zip(ks, values):
         g = gcd(dv.num * k, dv.den)
@@ -309,10 +312,13 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
     The sweep behind prefix_scan's common-denominator path, returning only
-    the scaled integer maxima; meant for whole-block bound checks.
+    the scaled integer maxima; meant for whole-block bound checks. Refuses
+    p * len(nums) >= 2^63, where the int64 sweep would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
-    return _grid_sweep(nums, p)[0]
+    if int(p) * nums.size >= 1 << 63:
+        raise OverflowError(f"p * N = {int(p) * nums.size} reaches 2^63; the sweep needs int64")
+    return _grid_sweep(nums, int(p))[0]
 
 
 def block_max_weighted(
@@ -355,11 +361,10 @@ def triangle_bound(blocks: Sequence[Sequence]) -> tuple[Fraction, DiscrepancyVal
     pieces: list[tuple[int, int]] = []
     for block in blocks:
         pairs = _point_pairs(block)
-        dv = star_discrepancy(pairs)
-        weighted_sum += len(pairs) * dv.exact
+        weighted_sum += len(pairs) * _evaluate(pairs).exact
         pieces.extend(pairs)
     bound = weighted_sum / len(pieces)
-    exact = star_discrepancy(pieces)
+    exact = _evaluate(pieces)
     if exact.exact > bound:
         raise ArithmeticError("triangle inequality violated; engine inconsistency")
     return bound, exact
@@ -412,19 +417,14 @@ _BAND_WIDTH = 12
 
 def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> DiscrepancyValue:
     # exact max of u = (n a - c b) / b over the tracked points a/b with counts
-    # c = #{y < a/b}; floats only pick the near-maximal points
-    u = n * a - c * b
-    approx = u / b
+    # c = #{y < a/b}, floats picking the near-maximal ones; u(x) / n is the
+    # "left" deviation at x and, by the symmetry x -> 1 - x, the "at" one at 1 - x
+    approx = (n * a - c * b) / b
     near = np.flatnonzero(approx >= approx.max() - n * 2.0**-30)
-    exact = {int(i): Fraction(int(u[i]), int(b[i])) for i in near}
-    best = max(exact.values())
-    tied = [Fraction(int(a[i]), int(b[i])) for i, v in exact.items() if v == best]
-    lo, hi = min(tied), max(tied)
-    # u(x) / n is the "left" deviation at x and, by the symmetry x -> 1 - x,
-    # the "at" deviation at 1 - x; the smaller threshold wins, "at" on a tie
-    w, side = (1 - hi, "at") if 1 - hi <= lo else (lo, "left")
-    vnum, vden = best.numerator, best.denominator * n
-    return _reduced_value(vnum, vden, w.numerator, w.denominator, side)
+    cand: list[tuple[int, int, int, str]] = []
+    for ai, bi, ci in zip(a[near].tolist(), b[near].tolist(), c[near].tolist()):
+        cand += [(ai, bi, ci, "left"), (bi - ai, bi, n - ci, "at")]
+    return _confirm(cand, n)
 
 
 def _boundary_discrepancies(
@@ -434,8 +434,8 @@ def _boundary_discrepancies(
 
     Certified lazy sweep over distinct primes. All values are distinct and
     the multiset is symmetric under x -> 1 - x, so D_N* = max u / N with
-    u(x) = N x - #{y < x}, and the witness follows from the maximizers of u
-    as _confirm's rule would choose it. A block p moves u(x) by
+    u(x) = N x - #{y < x}, and _confirm picks the witness among the
+    maximizers of u and their mirrors. A block p moves u(x) by
     p x - ceil(p x) + 1 - x, which lies in (-x, 1 - x].
 
     A rebuild merges the pending blocks into one BlockAccumulator, picks an
@@ -481,8 +481,7 @@ def _boundary_discrepancies(
                 np.repeat(np.array(pending, dtype=np.int64), [q - 1 for q in pending]),
             )
             pending.clear()
-            u = acc._val * n
-            u -= np.arange(n)  # the sorted values are distinct, so #{y < x_i} = i
+            u = _deviations(acc._val)  # the values are distinct: #{y < x_(i)} = i
             margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
             floor = math.floor(u.max() - margin) - _BAND_WIDTH
             c = np.flatnonzero(u >= floor - margin)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,23 @@ class TestStarDiscrepancyArrays:
         assert dv.exact == star_discrepancy_oracle([(1, big), (big - 1, big)]).exact
 
 
+@pytest.mark.parametrize(
+    "engine",
+    [
+        star_discrepancy_arrays,
+        lambda num, den: BlockAccumulator().add_block(num, den),
+        weighted_prefix_maxima,
+    ],
+    ids=["star_discrepancy_arrays", "add_block", "weighted_prefix_maxima"],
+)
+@pytest.mark.parametrize("num", [np.array([[1, 2]]), np.array([[1], [2]]), np.array(1)])
+def test_non_1d_numerators_rejected(engine, num):
+    # named by shape, not an unrelated broadcast, insert or type error
+    shape = re.escape(str(num.shape))
+    with pytest.raises(ValueError, match=f"1-D numerator array, got shape {shape}"):
+        engine(num, 3)
+
+
 class TestPrefixScan:
     def test_inversive_block_five(self):
         recs = prefix_scan(generate_block(BlockSpec(5, INV)))
@@ -371,7 +389,7 @@ class TestPrefixScan:
         for _ in range(60):
             den = int(rng.integers(3, 65))
             nums = rng.integers(1, den, size=int(rng.integers(8, 41))).tolist()
-            pts = [(a, den) for a in nums]  # den <= N^2: the grid sweep
+            pts = [(a, den) for a in nums]  # one denominator: the grid sweep
             for r in prefix_scan(pts):
                 oracle = star_discrepancy_oracle(pts[: r.k])
                 assert r.disc == star_discrepancy(pts[: r.k]) == oracle
@@ -383,29 +401,29 @@ class TestPrefixScan:
         for r in prefix_scan(pts):
             assert r.disc == star_discrepancy_oracle(pts[: r.k])
 
-    def test_sparse_common_denominator_skips_grid(self, monkeypatch):
-        # three points on a grid of 2^24 cost O(N log N), not O(N * 2^24)
-        def no_sweep(nums, p):
-            raise AssertionError(f"grid sweep of {len(nums)} points on {p} cells")
-
-        monkeypatch.setattr(discrepancy, "_grid_sweep", no_sweep)
-        den = 1 << 24
-        pts = [(1, den), (den - 3, den), (5, den)]
-        for r in prefix_scan(pts):
-            assert r.disc == star_discrepancy_oracle(pts[: r.k])
-            assert r.weighted == r.k * r.disc.exact
+    def test_sparse_common_denominator_skips_grid(self):
+        # three points on a grid of 2^24 or 2^40 cells: the sweep visits the
+        # three numerators, never the cells (2^40 cells would need 8 TiB)
+        for den in (1 << 24, 1 << 40):
+            pts = [(1, den), (den - 3, den), (5, den)]
+            records = prefix_scan(pts)
+            for r in records:
+                assert r.disc == star_discrepancy_oracle(pts[: r.k])
+                assert r.weighted == r.k * r.disc.exact
+            assert weighted_prefix_maxima([a for a, _ in pts], den).tolist() == [
+                int(r.weighted * den) for r in records
+            ]
 
     def test_paths_agree_across_the_switch(self):
-        # N^2 < den sorts every prefix; one more point puts N^2 >= den on the
-        # grid; numerators drawn from a few values repeat, so ties are common
+        # the sweep against one sorted evaluation per prefix; numerators drawn
+        # from a few values repeat, so ties are common
         rng = np.random.default_rng(7)
         for den in range(5, 400):
             n = math.isqrt(den - 1)
             pool = rng.integers(1, den, size=3)
-            nums = rng.choice(pool, size=n + 1).tolist()
-            sorted_path = prefix_scan([(a, den) for a in nums[:n]])
-            grid_path = prefix_scan([(a, den) for a in nums])
-            assert sorted_path == grid_path[:n]
+            pts = [(a, den) for a in rng.choice(pool, size=n + 1).tolist()]
+            for r in prefix_scan(pts):
+                assert r.disc == star_discrepancy(pts[: r.k])
 
     def test_last_record_is_full_multiset(self, table10):
         pre = generate_prefix(SequenceFamily.ETA, 13, table10)
@@ -443,6 +461,14 @@ class TestWeightedPrefixMaxima:
         # a ValueError from the check, not a TypeError from a slice
         with pytest.raises(ValueError, match="integer arrays"):
             weighted_prefix_maxima(nums, p)
+
+    def test_refuses_int64_overflow(self):
+        # p * N >= 2^63 would overflow the int64 sweep; refused before any work
+        with pytest.raises(OverflowError, match="2\\^63"):
+            weighted_prefix_maxima([1, 2], 1 << 62)
+        p = (1 << 62) - 1  # p * N = 2^63 - 2 still fits
+        assert weighted_prefix_maxima([1, 2], p).tolist() == [p - 1, 2 * p - 4]
+        assert star_discrepancy_oracle([(1, p), (2, p)]).exact == Fraction(2 * p - 4, 2 * p)
 
     def test_array_input_matches_list(self):
         nums = block_numerators(31, INV)
