@@ -116,6 +116,14 @@ def _w_and_residual(x: float) -> tuple[float, float]:
     return w, abs(w * math.exp(w) - x)
 
 
+def _check_sweep_limit(flag: str, p: int, limit: int) -> None:
+    # every-prefix sweeps cost O(p^2): refused before any block is built
+    if p > limit:
+        raise UsageError(
+            f"{flag} {p} exceeds the sweep limit {limit}; raise --sweep-limit to proceed"
+        )
+
+
 def _cmd_gen(args: argparse.Namespace) -> list[str]:
     family = SequenceFamily(args.family)
     num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
@@ -157,6 +165,7 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
     if args.prime is not None:
         if not is_prime(args.prime):
             raise UsageError(f"--prime {args.prime} is not a prime")
+        _check_sweep_limit("--prime", args.prime, args.sweep_limit)
         ordering = Ordering(args.ordering)
         nums = block_numerators(args.prime, ordering)
         points = [(int(a), args.prime) for a in nums]
@@ -179,11 +188,7 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
 def _cmd_bounds(args: argparse.Namespace) -> list[str]:
     if args.pmin < 2 or args.pmax < args.pmin:
         raise UsageError("need 2 <= pmin <= pmax")
-    if args.pmax > args.sweep_limit:
-        raise UsageError(
-            f"--pmax {args.pmax} exceeds the sweep limit {args.sweep_limit}; "
-            "raise --sweep-limit to proceed"
-        )
+    _check_sweep_limit("--pmax", args.pmax, args.sweep_limit)
     ordering = Ordering(args.ordering)
     primes = [int(p) for p in sieve_primes(args.pmax) if p >= args.pmin]
     if ordering is Ordering.INVERSIVE:
@@ -279,6 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--family", choices=families)
     p_scan.add_argument("--ordering", choices=orderings, default="inversive")
     p_scan.add_argument("--n", type=_positive_int, default=None)
+    p_scan.add_argument(
+        "--sweep-limit",
+        type=_positive_int,
+        default=DEFAULT_SWEEP_LIMIT,
+        help="largest --prime to scan",
+    )
     common(p_scan)
     p_scan.set_defaults(handler=_cmd_scan)
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -144,22 +143,45 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
     return _reduced_value(*best)
 
 
+# slice length of the passes that would otherwise hold a second n-length array
+_SLICE = 1 << 16
+
+
 def _deviations(val: np.ndarray) -> np.ndarray:
     # u_i = n x_(i) - i over sorted values: u is n times the "left" deviation
     # at x_(i) and 1 - u is n times the "at" deviation there; i is subtracted
     # in slices, so no second n-length array is ever held
     u = val * val.size
-    for lo in range(0, val.size, 1 << 16):
-        u[lo : lo + (1 << 16)] -= np.arange(lo, min(lo + (1 << 16), val.size))
+    for lo in range(0, val.size, _SLICE):
+        u[lo : lo + _SLICE] -= np.arange(lo, min(lo + _SLICE, val.size))
     return u
 
 
-def _eval_sorted(
-    val: np.ndarray, num: np.ndarray, den: np.ndarray, order: np.ndarray | None = None
-) -> DiscrepancyValue:
+def _representatives(
+    values: np.ndarray, num: np.ndarray, den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # a pair (a, b) with a / b == x for each float x in values, found by
+    # recomputing num / den slice by slice: below _FLOAT_SAFE_DEN equal floats
+    # are equal rationals, so any match (1/2 or 2/4) names the same value
+    targets, where = np.unique(values, return_inverse=True)
+    a = np.zeros(targets.size, dtype=np.int64)  # 0 until found: numerators are >= 1
+    b = np.zeros_like(a)
+    for lo in range(0, num.size, _SLICE):
+        v = num[lo : lo + _SLICE] / den[lo : lo + _SLICE]
+        pos = np.searchsorted(targets, v).clip(max=targets.size - 1)
+        hit = np.flatnonzero(targets[pos] == v)
+        a[pos[hit]] = num[lo + hit]
+        b[pos[hit]] = den[lo + hit]
+        if a.all():
+            return a[where], b[where]
+    raise ArithmeticError("candidate value missing from its multiset; engine inconsistency")
+
+
+def _eval_sorted(val: np.ndarray, num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
     """Sorted-multiset formula: float scan of u, then exact confirmation.
 
-    val is sorted; num/den are read only at the candidates, through order.
+    val holds the values num / den sorted; num and den, in any order, are
+    read only to name each candidate value exactly.
     """
     n = val.size
     u = _deviations(val)
@@ -168,11 +190,11 @@ def _eval_sorted(
     # its other indices undercount and never win
     at = np.flatnonzero(u <= 1.0 - cut)
     left = np.flatnonzero(u >= cut)
-    cand: list[tuple[int, int, int, str]] = []
-    for idx, count, side in ((at, at + 1, "at"), (left, left, "left")):
-        src = idx if order is None else order[idx]
-        cand += zip(num[src].tolist(), den[src].tolist(), count.tolist(), repeat(side))
-    return _confirm(cand, n)
+    del u
+    a, b = _representatives(val[np.concatenate([at, left])], num, den)
+    count = np.concatenate([at + 1, left])
+    side = ["at"] * at.size + ["left"] * left.size
+    return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
 
 
 def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
@@ -194,9 +216,8 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     if int(den.max()) > _FLOAT_SAFE_DEN:
         return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
     val = num / den
-    order = np.argsort(val, kind="stable")
-    val = val[order]
-    return _eval_sorted(val, num, den, order)
+    val.sort()
+    return _eval_sorted(val, num, den)
 
 
 def _evaluate(pairs: list[tuple[int, int]]) -> DiscrepancyValue:

@@ -114,18 +114,44 @@ class BlockSpec:
 def block_numerators(q: int, ordering: Ordering) -> np.ndarray:
     """Numerators of one block as an int64 array (position j-1 for j = 1..q-1).
 
-    Inversive order requires a prime q; increasing order accepts any q >= 2
-    (omega uses composite denominators too).
+    Inversive order requires a prime q with q^2 < 2^63; increasing order
+    accepts any q >= 2 (omega uses composite denominators too).
     """
+    q = index(q)
     if q < 2:
         raise ValueError("denominator must be >= 2")
     if ordering is Ordering.INCREASING:
         return np.arange(1, q, dtype=np.int64)
+    # refused before any allocation: the power table multiplies residues in int64
+    if q * q >= 1 << 63:
+        raise ValueError(f"inversive block {q} too large: q^2 must stay below 2^63")
     if not is_prime(q):
         raise ValueError(f"inversive order needs a prime denominator, got {q}")
-    return np.fromiter(
-        (pow(j, -1, q) for j in range(1, q)), dtype=np.int64, count=q - 1
-    )
+    # powers g^0 .. g^(q-2) of a primitive root g, doubling the table per
+    # step with products below q^2; then inv[g^k] = g^((-k) mod (q-1))
+    n = q - 1
+    g = _primitive_root(q)
+    pw = np.ones(1, dtype=np.int64)
+    while pw.size < n:
+        pw = np.concatenate([pw, pw[: n - pw.size] * pow(g, pw.size, q) % q])
+    inv = np.empty(q, dtype=np.int64)
+    inv[pw] = np.roll(pw[::-1], 1)
+    return inv[1:]
+
+
+def _primitive_root(q: int) -> int:
+    """The smallest generator of the multiplicative group mod the prime q."""
+    factors = []
+    m, f = q - 1, 2
+    while f * f <= m:
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in count(1) if all(pow(g, (q - 1) // f, q) != 1 for f in factors))
 
 
 def generate_block(spec: BlockSpec) -> list[Frac]:
@@ -196,17 +222,19 @@ def prefix_arrays(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    nums: list[np.ndarray] = []
-    dens: list[np.ndarray] = []
+    _block_ordering(family, table, n)  # raises before allocating unless the table covers n
+    # filled in place: a list of per-block pieces would hold the prefix twice
+    num = np.empty(n, dtype=np.int64)
+    den = np.empty(n, dtype=np.int64)
     got = 0
     for q, ordering in _family_blocks(family, table, n):
         take = min(q - 1, n - got)
-        nums.append(block_numerators(q, ordering)[:take])
-        dens.append(np.full(take, q, dtype=np.int64))
+        num[got : got + take] = block_numerators(q, ordering)[:take]
+        den[got : got + take] = q
         got += take
         if got == n:
             break
-    return np.concatenate(nums), np.concatenate(dens)
+    return num, den
 
 
 def locate(

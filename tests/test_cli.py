@@ -9,7 +9,7 @@ import pytest
 
 import primedisc.cli as cli
 from primedisc.cli import main
-from primedisc.discrepancy import star_discrepancy_oracle
+from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
 
@@ -141,6 +141,24 @@ class TestScan:
     def test_n_beyond_block_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--prime", "5", "--n", "9")
         assert code == 2
+
+    def test_sweep_limit_guard(self, capsys, monkeypatch):
+        # refused before the block is generated, so a big prime costs no time
+        def no_block(q, ordering):
+            raise AssertionError("block generated before the limit check")
+
+        monkeypatch.setattr(cli, "block_numerators", no_block)
+        code, out, err = run(capsys, "scan", "--prime", "100003")
+        assert (code, out) == (2, "")
+        assert f"exceeds the sweep limit {DEFAULT_SWEEP_LIMIT}" in err
+
+    def test_sweep_limit_flag(self, capsys):
+        code, _, err = run(capsys, "scan", "--prime", "101", "--sweep-limit", "100")
+        assert code == 2
+        assert "--prime 101 exceeds the sweep limit 100" in err
+        code, out, _ = run(capsys, "scan", "--prime", "101", "--sweep-limit", "101")
+        assert code == 0
+        assert out == run(capsys, "scan", "--prime", "101")[1]
 
 
 class TestBounds:
@@ -324,6 +342,9 @@ PINNED = [
     ("disc --family eta --n 3000", 0, "c48bbda0fc5a51d8d246b461c7c959a20cfbd5fa3252679e844ea6237b748dcd"),
     ("disc --family omega --n 3000 --format csv", 0, "290532c86f2da3af5dce75bfd7ba6ce31efbfb57729c6cc6d23ff24cf8379cda"),
     ("disc --family prime-increasing --n 3000 --format json", 0, "237f95909b2ab9452475575fdb22fd33df85ce627de1e9df752c8c973212dbeb"),
+    ("disc --family eta --n 1000000", 0, "5e74de0c7d145d12736c8fdbb7ef7a9b89b6b75c624321f276c0526ce403847e"),
+    ("disc --family omega --n 2000000", 0, "da88c21a5fae52f51f0f28b1f3bb9f39933ca2d7a51f7967778020dea1e0e807"),
+    ("disc --family prime-increasing --n 2000000", 0, "a66e470e3b8812382b901ad5c143101ba16f5439514c37d70be3ec54759d814b"),
     ("scan --prime 101", 0, "b9ec8c6b6bd2844a4343388aaf068b95d7052b9ab38cce3554e0b20d2833a0e9"),
     ("scan --prime 101 --ordering increasing", 0, "6086815031741b6fd7013f2222630028925ac71a84dc38dc1e3fbc23a4bf63ab"),
     ("scan --prime 211 --n 50", 0, "560c21fa402969249f1009a7ab47a567c2d0ae94166b522306f2e386e5f6c3fd"),

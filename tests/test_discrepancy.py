@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +258,52 @@ class TestStarDiscrepancyArrays:
         # 2^63 wraps to a negative int64 and must fail the range check
         with pytest.raises(ValueError, match="strictly inside"):
             star_discrepancy_arrays(np.array([1 << 63], dtype=np.uint64), np.array([3]))
+
+    @pytest.fixture(params=[3, 1 << 16], ids=["slice3", "slice65536"])
+    def slices(self, request, monkeypatch):
+        # short slices make the value matching cross many slice boundaries
+        monkeypatch.setattr(discrepancy, "_SLICE", request.param)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_values_under_different_denominators(self, seed, slices):
+        # candidates are named by value: 1/2, 2/4 and 3/6 are one threshold,
+        # whichever representative the engine finds first
+        rng = np.random.default_rng(seed)
+        pts = []
+        for a, b in random_multiset(rng, max_size=30, max_den=9):
+            pts += [(a * k, b * k) for k in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
+        k = rng.integers(1, 6, size=int(rng.integers(1, 8))).tolist()
+        pts += [(x, 2 * x) for x in k] + [(x, 3 * x) for x in k]
+        pts = [pts[i] for i in rng.permutation(len(pts))]
+        num, den = np.array(pts).T
+        want = star_discrepancy_oracle(pts)
+        assert star_discrepancy_arrays(num, den) == want
+        acc = BlockAccumulator()
+        acc.add_block(num, den)
+        assert acc.star_discrepancy() == want
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 97, 256])
+    def test_every_point_a_candidate(self, n, slices):
+        # {(2i - 1) / (2n)}: u ties at every index, so all n values are
+        # candidates on both sides
+        num = np.arange(1, 2 * n, 2)
+        pts = [(a, 2 * n) for a in num.tolist()]
+        assert star_discrepancy_arrays(num, 2 * n) == star_discrepancy_oracle(pts)
+
+    def test_holds_no_index_array(self):
+        # sorted values and one deviation array (16 bytes per point) on top
+        # of the inputs; a sort order would add 8 bytes per point more
+        rng = np.random.default_rng(5)
+        n = 1 << 20
+        den = rng.integers(2, 1 << 20, size=n)
+        num = rng.integers(1, den)
+        tracemalloc.start()
+        try:
+            star_discrepancy_arrays(num, den)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n
 
     def test_big_denominator_fallback(self):
         big = (1 << 27) + 29

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import primedisc.sequences as sequences
 from primedisc.errors import TableTooSmallError
+from primedisc.modmath import mod_inverse
+from primedisc.primes import is_prime, sieve_primes
 from primedisc.sequences import (
     BlockSpec,
     Frac,
@@ -128,6 +131,57 @@ class TestGenerateBlock:
         assert block_numerators(6, Ordering.INCREASING).tolist() == [1, 2, 3, 4, 5]
 
 
+def fermat_inverses(p: int) -> np.ndarray:
+    # independent vectorised oracle: j^(p-2) mod p by square and multiply
+    base = np.arange(1, p, dtype=np.int64)
+    out = np.ones_like(base)
+    e = p - 2
+    while e > 0:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+class TestInversiveGenerator:
+    # block_numerators builds inverses from a primitive root's power table;
+    # these check it against inverses computed without one
+    def test_every_prime_below_20000_against_fermat(self):
+        primes = [int(p) for p in sieve_primes(20000)]
+        assert primes[:2] == [2, 3]
+        for p in primes:
+            got = block_numerators(p, Ordering.INVERSIVE)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, fermat_inverses(p)), p
+
+    def test_primes_below_2000_against_mod_inverse(self):
+        for p in (int(p) for p in sieve_primes(2000)):
+            want = [mod_inverse(j, p) for j in range(1, p)]
+            assert block_numerators(p, Ordering.INVERSIVE).tolist() == want, p
+
+    @pytest.mark.parametrize("p", [1048573, 1048583, 1048609])
+    def test_primes_near_2_to_20(self, p):
+        assert is_prime(p)
+        got = block_numerators(p, Ordering.INVERSIVE)
+        assert np.array_equal(got, fermat_inverses(p))
+        j = np.random.default_rng(p).integers(1, p, size=2000)
+        assert got[j - 1].tolist() == [mod_inverse(int(x), p) for x in j]
+
+    def test_refuses_q_squared_beyond_int64_before_any_work(self, monkeypatch):
+        q = 3037000507  # the first prime with q^2 >= 2^63
+        assert is_prime(q) and q * q >= 1 << 63 > (q - 8) ** 2
+
+        def no_work(q):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(sequences, "_primitive_root", no_work)
+        monkeypatch.setattr(sequences, "is_prime", no_work)
+        for p in (q, np.int64(q)):
+            with pytest.raises(ValueError, match="2\\^63"):
+                block_numerators(p, Ordering.INVERSIVE)
+
+
 class TestGeneratePrefix:
     def test_eta_first_seven(self, table10):
         got = [str(f) for f in generate_prefix(ETA, 7, table10)]
@@ -190,6 +244,11 @@ class TestPrefixArrays:
     def test_table_too_small(self, table10):
         with pytest.raises(TableTooSmallError):
             prefix_arrays(ETA, 10**6, table10)
+
+    def test_table_checked_before_allocating(self, table10):
+        # the arrays are allocated whole: a 16 PB request must still fail on the table
+        with pytest.raises(TableTooSmallError):
+            prefix_arrays(ETA, 10**15, table10)
 
 
 class TestIterFamily:
