@@ -104,10 +104,11 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     At a boundary every block is complete, so the multiset {j/p_k : k <= m}
     alone determines D_N* and the inversive permutation never needs to be
     applied. The rows come from one certified lazy sweep over the blocks,
-    which merges and rescans the whole multiset only when its tracked band
-    can no longer certify the maximum. Each row is checked against its
-    witness threshold r = 1 - 1/(2 p_m), which forces D_N* >= 1/(2 p_m); a
-    row below that raises ArithmeticError (engine inconsistency).
+    which stores only the lower half (0, 1/2] of the symmetric multiset and
+    merges and rescans it only when its two tracked bands run empty. Each
+    row is checked against its witness threshold r = 1 - 1/(2 p_m), which
+    forces D_N* >= 1/(2 p_m); a row below that raises ArithmeticError
+    (engine inconsistency).
     """
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got {m_lo}..{m_hi}")

@@ -117,7 +117,7 @@ def _w_and_residual(x: float) -> tuple[float, float]:
 
 
 def _check_sweep_limit(flag: str, p: int, limit: int) -> None:
-    # every-prefix sweeps cost O(p^2): refused before any block is built
+    # every-prefix sweeps cost O(p^2) or more: refused before any point is built
     if p > limit:
         raise UsageError(
             f"{flag} {p} exceeds the sweep limit {limit}; raise --sweep-limit to proceed"
@@ -179,6 +179,8 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
     else:
         if args.n is None:
             raise UsageError("--family requires --n")
+        # a mixed-denominator prefix costs one sort per prefix, O(n^2 log n)
+        _check_sweep_limit("--n", args.n, args.sweep_limit)
         family = SequenceFamily(args.family)
         fracs = generate_prefix(family, args.n, _family_table(family, args.n))
         records = prefix_scan(fracs)
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sweep-limit",
         type=_positive_int,
         default=DEFAULT_SWEEP_LIMIT,
-        help="largest --prime to scan",
+        help="largest --prime, or --n with --family, to scan",
     )
     common(p_scan)
     p_scan.set_defaults(handler=_cmd_scan)

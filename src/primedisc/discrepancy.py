@@ -129,9 +129,14 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
     # exact winner among candidates (a, b, count, side): "at" is the deviation
     # count/n - a/b at r = a/b, "left" is a/b - count/n as r -> a/b from below.
     # The one tie rule of every engine: the smallest threshold wins, "at"
-    # before "left", as in the oracle and the grid sweep
+    # before "left", as in the oracle and the grid sweep. Below _FLOAT_SAFE_DEN
+    # the float a / b orders and ties exactly as the fraction does
+    if max((t[1] for t in cand), default=0) <= _FLOAT_SAFE_DEN:
+        order = sorted(cand, key=lambda t: (t[0] / t[1], t[3]))
+    else:
+        order = sorted(cand, key=lambda t: (Fraction(t[0], t[1]), t[3]))
     best: tuple[int, int, int, int, str] | None = None
-    for a, b, count, side in sorted(cand, key=lambda t: (Fraction(t[0], t[1]), t[3])):
+    for a, b, count, side in order:
         vnum = count * b - a * n if side == "at" else a * n - count * b
         if vnum < 0:
             continue
@@ -394,11 +399,11 @@ def triangle_bound(blocks: Sequence[Sequence]) -> tuple[Fraction, DiscrepancyVal
 class BlockAccumulator:
     """Growing sorted multiset of whole blocks with on-demand exact D_N*.
 
-    The sorted store behind the boundary sweep's rebuilds: a batch of
-    points merges into the sorted arrays in O(N + batch) and the
+    A batch of points merges into the sorted arrays in O(N + batch) and the
     discrepancy of the current multiset is evaluated without regenerating
-    the prefix. Only float-safe denominators are accepted so the float
-    order stays exact.
+    the prefix: the plain merge-and-evaluate path, against which the tests
+    check the boundary sweep. Only float-safe denominators are accepted so
+    the float order stays exact.
     """
 
     def __init__(self) -> None:
@@ -435,17 +440,107 @@ class BlockAccumulator:
 # two blocks per unit of width
 _BAND_WIDTH = 12
 
+# the bucket filter's value buckets hold about this many stored points each
+_BUCKET_POINTS = 8
+
+
+class _LowerHalfStore:
+    """Sorted values x = j/q <= 1/2 of whole blocks q, with int32 denominators.
+
+    The boundary sweep's store: by the symmetry x -> 1 - x of whole blocks
+    it holds half of the points, 12 bytes each, and the numerator of x is
+    rint(x q), exact while q < 2^26. Merges move the held points in place
+    within arrays sized once for every block the sweep will merge.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._val = np.empty(capacity, dtype=np.float64)
+        self._den = np.empty(capacity, dtype=np.int32)
+        self.size = 0
+
+    @property
+    def val(self) -> np.ndarray:
+        return self._val[: self.size]
+
+    @property
+    def den(self) -> np.ndarray:
+        return self._den[: self.size]
+
+    def merge(self, primes: Sequence[int]) -> None:
+        """Merge the lower halves of the blocks q in primes, distinct from those held."""
+        half = [q // 2 for q in primes]
+        val = np.empty(sum(half))
+        lo = 0
+        for q, h in zip(primes, half):
+            np.divide(np.arange(1, h + 1), q, out=val[lo : lo + h])
+            lo += h
+        order = np.argsort(val)  # the values are distinct: stability is moot
+        if not self.size:
+            # the first merge sorts straight into place, one array at a time;
+            # the indices are in range, and mode="clip" makes take unbuffered
+            self.size = val.size
+            np.take(val, order, out=self._val[: self.size], mode="clip")
+            del val
+            den = np.repeat(np.array(primes, dtype=np.int32), half)
+            np.take(den, order, out=self._den[: self.size], mode="clip")
+            return
+        val = val[order]
+        den = np.repeat(np.array(primes, dtype=np.int32), half)[order]
+        del order
+        # new point t lands at pos[t] + t: the held points of a slice [lo, hi)
+        # shift right by the t_lo new points below them, and going down from
+        # the last slice each window covers only points already moved
+        pos = np.searchsorted(self.val, val)
+        hi, t_hi = self.size, val.size
+        for lo in range((self.size - 1) // _SLICE * _SLICE, -1, -_SLICE):
+            t_lo = int(np.searchsorted(pos, lo))
+            ins = pos[t_lo:t_hi] - lo + np.arange(t_hi - t_lo)
+            held = np.ones(hi - lo + t_hi - t_lo, dtype=bool)
+            held[ins] = False
+            for store, new in ((self._val, val), (self._den, den)):
+                window = np.empty(held.size, dtype=store.dtype)
+                window[ins] = new[t_lo:t_hi]
+                window[held] = store[lo:hi]
+                store[lo + t_lo : hi + t_hi] = window
+            hi, t_hi = lo, t_lo
+        self.size += val.size
+
+    def deviations(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(i0, u) slice by slice, u = n x_(i) - i for i = i0, i0 + 1, ...
+
+        n is the size of the whole multiset; the values are distinct and all
+        of (0, 1/2], so i = #{y < x_(i)}.
+        """
+        for lo in range(0, self.size, _SLICE):
+            u = self._val[lo : min(lo + _SLICE, self.size)] * n
+            u -= np.arange(lo, lo + u.size)
+            yield lo, u
+
 
 def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> DiscrepancyValue:
-    # exact max of u = (n a - c b) / b over the tracked points a/b with counts
-    # c = #{y < a/b}, floats picking the near-maximal ones; u(x) / n is the
-    # "left" deviation at x and, by the symmetry x -> 1 - x, the "at" one at 1 - x
-    approx = (n * a - c * b) / b
-    near = np.flatnonzero(approx >= approx.max() - n * 2.0**-30)
+    # exact max of max(u, 1 - u) over the tracked points a/b <= 1/2 with counts
+    # c = #{y < a/b}, floats picking the near-maximal ones: u / n is the "left"
+    # deviation at a/b and the "at" one at its mirror 1 - a/b, and (1 - u) / n
+    # the "at" deviation at a/b and the "left" one at 1 - a/b
+    u = (n * a - c * b) / b
+    cut = max(float(u.max()), 1.0 - float(u.min())) - n * 2.0**-30
     cand: list[tuple[int, int, int, str]] = []
-    for ai, bi, ci in zip(a[near].tolist(), b[near].tolist(), c[near].tolist()):
+    hi = u >= cut
+    for ai, bi, ci in zip(a[hi].tolist(), b[hi].tolist(), c[hi].tolist()):
         cand += [(ai, bi, ci, "left"), (bi - ai, bi, n - ci, "at")]
+    lo = u <= 1.0 - cut
+    for ai, bi, ci in zip(a[lo].tolist(), b[lo].tolist(), c[lo].tolist()):
+        cand += [(ai, bi, ci + 1, "at"), (bi - ai, bi, n - ci - 1, "left")]
     return _confirm(cand, n)
+
+
+def _bands(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, floor: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # the exact band test of points a/b with counts c, b u = n a - c b: masks
+    # of the high band u >= floor and of the low band u <= 1 - floor
+    w = n * a - c * b
+    return w >= floor * b, b - w >= floor * b
 
 
 def _boundary_discrepancies(
@@ -454,19 +549,25 @@ def _boundary_discrepancies(
     """Exact D_N* of the whole blocks {j/p : 1 <= j < p, p in primes[:m]}, m = m_lo..m_hi.
 
     Certified lazy sweep over distinct primes. All values are distinct and
-    the multiset is symmetric under x -> 1 - x, so D_N* = max u / N with
-    u(x) = N x - #{y < x}, and _confirm picks the witness among the
-    maximizers of u and their mirrors. A block p moves u(x) by
-    p x - ceil(p x) + 1 - x, which lies in (-x, 1 - x].
+    the multiset is symmetric under x -> 1 - x, so u(x) = N x - #{y < x}
+    has u(1 - x) = 1 - u(x), and N D_N* is the maximum of max(u, 1 - u) over
+    the lower half (0, 1/2] alone; 1/2 is its own mirror. A block p moves
+    u(x) by p x - ceil(p x) + 1 - x, in (-x, 1 - x] with x <= 1/2, so it
+    moves max(u, 1 - u) by less than 1.
 
-    A rebuild merges the pending blocks into one BlockAccumulator, picks an
-    integer floor T0 below max u by the band width in one float pass, and
-    tracks every point with u >= T0 exactly. s blocks later every untracked
-    point has u < T0 + s, so once tracked points below T0 + s are dropped,
-    any survivor holds the maximum and every point tying it. New points get
-    their exact counts from the stale merged array plus the closed form
-    floor(j q / p) for each pending block q. Floats only choose what to
-    track; values, witnesses and the certification test are exact.
+    A rebuild merges the pending blocks into a _LowerHalfStore, picks an
+    integer floor below the maximum by the band width in one float pass, and
+    tracks exactly the two bands: the high band u >= floor and the low band
+    u <= ceil = 1 - floor. Each block raises the floor and lowers the ceiling
+    by 1, so every untracked point stays strictly between them; once tracked
+    points that leave both bands are dropped, any survivor holds the maximum
+    and every point tying it, and the sweep rebuilds when both bands are
+    empty. A new point j/p gets its exact count from the stale store plus
+    the closed form floor(j q / p) for each pending block q, but only when
+    its u can reach a band: at each rebuild a bucket filter records the
+    stale count at the edges of equal value buckets, which brackets u(j/p)
+    in integers. Floats only choose what to track; values, witnesses and
+    the certification test are exact.
     """
     primes = [int(p) for p in primes[:m_hi]]
     p_max = max(primes)
@@ -474,10 +575,10 @@ def _boundary_discrepancies(
         raise ValueError(f"denominator {p_max} too large for the float-sorted engine")
     if sum(p - 1 for p in primes) * p_max >= 1 << 63:
         raise OverflowError("N * p_m reaches 2^63; the exact counts need int64")
-    acc = BlockAccumulator()
+    store = _LowerHalfStore(sum(p // 2 for p in primes))
     pending: list[int] = []
     n = 0
-    # tracked points a/b with exact counts c, all with u >= floor
+    # tracked points a/b <= 1/2 with exact counts c, each in a band
     a = b = c = None
     floor = 0
     for m, p in enumerate(primes, 1):
@@ -488,27 +589,47 @@ def _boundary_discrepancies(
         if a is not None:
             floor += 1
             c += a * p // b
-            j = np.arange(1, p, dtype=np.int64)
-            cj = np.searchsorted(acc._val, j / p) + (j - 1)
+            j = np.arange(1, p // 2 + 1, dtype=np.int64)
+            x = j / p
+            # p u(j/p) = n j - p (j - 1) - p #{stale y < j/p} - p sum_q floor(j q / p)
+            # over the r earlier pending blocks q, and with Q = sum q the last
+            # term lies in [j Q - r (p - 1), j Q - r]: p does not divide j q
+            r = len(pending) - 1
+            base = n * j - p * (j - 1) - j * sum(pending[:-1])
+            k = (x * scale).astype(np.int64)
+            reach = (base + r * (p - 1) - p * edge_count[k] >= floor * p) | (
+                base + r - p * edge_count[k + 1] <= (1 - floor) * p
+            )
+            j, x = j[reach], x[reach]
+            cj = np.searchsorted(store.val, x) + (j - 1)
             for q in pending[:-1]:
                 cj += j * q // p
             a = np.concatenate([a, j])
-            b = np.concatenate([b, np.full(p - 1, p, dtype=np.int64)])
+            b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
             c = np.concatenate([c, cj])
-            keep = n * a - c * b >= floor * b
+            keep = np.logical_or(*_bands(a, b, c, n, floor))
         if a is None or not keep.any():
-            acc.add_block(
-                np.concatenate([np.arange(1, q) for q in pending]),
-                np.repeat(np.array(pending, dtype=np.int64), [q - 1 for q in pending]),
-            )
+            store.merge(pending)
             pending.clear()
-            u = _deviations(acc._val)  # the values are distinct: #{y < x_(i)} = i
             margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
-            floor = math.floor(u.max() - margin) - _BAND_WIDTH
-            c = np.flatnonzero(u >= floor - margin)
-            del u  # the full-length float pass is not kept between rebuilds
-            a, b = acc._num[c], acc._den[c]
-            keep = n * a - c * b >= floor * b
+            top = max(max(u.max(), 1.0 - u.min()) for _, u in store.deviations(n))
+            floor = math.floor(top - margin) - _BAND_WIDTH
+            # bucket k = floor(x scale) holds [k / scale, (k + 1) / scale): a
+            # power of two keeps x * scale and the edges exact, so the stale
+            # count of an x in bucket k lies in [edge_count[k], edge_count[k + 1]]
+            scale = 2 << max(store.size // _BUCKET_POINTS, 1).bit_length()
+            edge_count = np.zeros(scale // 2 + 2, dtype=np.int64)
+            tracked = []
+            for lo, u in store.deviations(n):
+                near = (u >= floor - margin) | (u <= 1 - floor + margin)
+                tracked.append(lo + np.flatnonzero(near))
+                k = (store.val[lo : lo + u.size] * scale).astype(np.int64)
+                edge_count[k[0] + 1 : k[-1] + 2] += np.bincount(k - k[0])
+            np.cumsum(edge_count, out=edge_count)
+            c = np.concatenate(tracked)
+            b = store.den[c].astype(np.int64)
+            a = np.rint(store.val[c] * b).astype(np.int64)
+            keep = np.logical_or(*_bands(a, b, c, n, floor))
         a, b, c = a[keep], b[keep], c[keep]
         yield _band_maximum(a, b, c, n)
 

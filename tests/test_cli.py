@@ -161,6 +161,27 @@ class TestScan:
         assert out == run(capsys, "scan", "--prime", "101")[1]
 
 
+    def test_family_n_beyond_sweep_limit(self, capsys, monkeypatch):
+        # refused before the prefix is generated: one sort per prefix makes
+        # the cost grow faster than n^2
+        def no_prefix(*args):
+            raise AssertionError("prefix generated before the limit check")
+
+        monkeypatch.setattr(cli, "generate_prefix", no_prefix)
+        code, out, err = run(capsys, "scan", "--family", "eta", "--n", "41", "--sweep-limit", "40")
+        assert (code, out) == (2, "")
+        assert "--n 41 exceeds the sweep limit 40" in err
+        code, _, err = run(capsys, "scan", "--family", "omega", "--n", str(DEFAULT_SWEEP_LIMIT + 1))
+        assert code == 2
+        assert f"exceeds the sweep limit {DEFAULT_SWEEP_LIMIT}" in err
+
+    def test_family_n_at_sweep_limit(self, capsys):
+        code, out, _ = run(capsys, "scan", "--family", "eta", "--n", "40", "--sweep-limit", "40")
+        assert code == 0
+        assert len(out.splitlines()) == 41
+        assert out == run(capsys, "scan", "--family", "eta", "--n", "40")[1]
+
+
 class TestBounds:
     def test_inversive_row_count(self, capsys):
         code, out, _ = run(capsys, "bounds", "--pmax", "10")
@@ -356,6 +377,8 @@ PINNED = [
     ("verify --m 1..40", 0, "1715816bcd421d01e3436f98fecb4bc2cc27ad6cad1619e5c6004371b5dd1d88"),
     ("verify --m 1..300", 0, "97a926f10e91fe0bcecc7e2c0412acef769403f3a5877a5424695ebffd201166"),
     ("verify --m 250..400", 0, "0b77fb562988795416ccd3e3039229ba7ac059a5d3d93951fea87c0a843014ca"),
+    # the boundary-sweep benchmark's command, recorded before the half-interval store
+    ("verify --m 1..600", 0, "fd961823d51224e4e4376643b8453b9d158b33934962b649f4fa322f3bf5e8ff"),
     ("asym --x 2.5", 0, "0a39112e72731030e62c76ab8398fc4d24cf156b64a299d7668c3d0f97dcae09"),
     ("asym --x -0.3", 0, "fb192a0906a721803c62252c56fc3cefbf241320959831c241f2cb8f23a5b44e"),
     ("asym --grid -0.3 100 40", 0, "c7edad951f8ee6b804fb8f439c2181ee673385b63963760c2db753c3458c6fc1"),

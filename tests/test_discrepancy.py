@@ -25,7 +25,10 @@ from primedisc.discrepancy import (
     star_discrepancy_oracle,
     triangle_bound,
     weighted_prefix_maxima,
+    _band_maximum,
     _boundary_discrepancies,
+    _confirm,
+    _LowerHalfStore,
     _star_discrepancy_exact,
 )
 from primedisc.primes import build_prime_table
@@ -671,6 +674,85 @@ class TestBlockAccumulator:
         assert acc.star_discrepancy() == want
 
 
+class TestLowerHalfStore:
+    @pytest.mark.parametrize("slice_len", [3, 1 << 16])
+    def test_batches_merge_sorted(self, monkeypatch, slice_len):
+        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        batches = [[2, 13], [3], [5, 7, 11], [31], [17, 19, 23, 29]]
+        store = _LowerHalfStore(sum(q // 2 for batch in batches for q in batch))
+        held = []
+        for batch in batches:
+            store.merge(batch)
+            held += [(Fraction(j, q), q) for q in batch for j in range(1, q // 2 + 1)]
+            held.sort()
+            assert store.size == len(held)
+            assert store.val.tolist() == [float(x) for x, _ in held]
+            assert store.den.tolist() == [q for _, q in held]
+        assert store.den.dtype == np.int32
+        num = np.rint(store.val * store.den).astype(np.int64)
+        assert [Fraction(a, b) for a, b in zip(num.tolist(), store.den.tolist())] == [
+            x for x, _ in held
+        ]
+
+    def test_deviations_use_the_whole_multiset(self, monkeypatch):
+        # u = N x - #{y < x} with N counting both halves, not the store size
+        monkeypatch.setattr(discrepancy, "_SLICE", 2)
+        store = _LowerHalfStore(4)
+        store.merge([5, 3])
+        got = np.concatenate([u for _, u in store.deviations(6)])
+        want = [6 * Fraction(1, 5) - 0, 6 * Fraction(1, 3) - 1, 6 * Fraction(2, 5) - 2]
+        assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-12)
+
+
+class TestBandMaximum:
+    @pytest.mark.parametrize(
+        "lower",
+        [
+            [(1, 2)],
+            [(1, 3)],
+            [(1, 5), (2, 5), (1, 2)],
+            # clustered near 0: 1 - min u wins, so the low band decides
+            [(1, 101), (1, 53), (1, 37), (49, 101)],
+            [(1, 97), (2, 97), (3, 97), (1, 2)],
+        ],
+    )
+    def test_matches_oracle_on_symmetric_multisets(self, lower):
+        pts = lower + [(b - a, b) for a, b in lower if 2 * a != b]
+        n = len(pts)
+        a, b = (np.array(v, dtype=np.int64) for v in zip(*lower))
+        c = np.array([count_below(pts, Fraction(x, y)) for x, y in lower], dtype=np.int64)
+        assert _band_maximum(a, b, c, n) == star_discrepancy_oracle(pts)
+
+
+class TestConfirm:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_float_order_matches_fraction_order(self, seed):
+        # the same candidates scaled past 2^26 take the Fraction-keyed order;
+        # value, witness and side must agree, ties and equal values included
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        cand = []
+        for _ in range(int(rng.integers(1, 25))):
+            b = int(rng.integers(2, 9))
+            a = int(rng.integers(1, b))
+            k = int(rng.integers(1, 4))
+            count = int(rng.integers(0, n + 1))
+            cand.append((a * k, b * k, count, ["at", "left"][int(rng.integers(2))]))
+        cand += [(1, 2, n // 2, "at"), (2, 4, n // 2, "left"), (3, 6, n // 2 + 1, "at")]
+        cand = [cand[i] for i in rng.permutation(len(cand))]
+        big = (1 << 26) + 1
+        scaled = [(a * big, b * big, count, side) for a, b, count, side in cand]
+        assert _confirm(cand, n) == _confirm(scaled, n)
+
+    def test_smallest_threshold_then_at_before_left(self):
+        # every candidate is worth 1/4; 2/8 "at" and 1/4 "left" share the
+        # smallest threshold
+        cand = [(3, 4, 2, "left"), (2, 4, 3, "at"), (1, 4, 0, "left"), (2, 8, 2, "at")]
+        assert _confirm(cand, 4) == DiscrepancyValue(1, 4, 1, 4, "at")
+        cand = [(1, 2, 0, "left"), (2, 4, 4, "at")]
+        assert _confirm(cand, 4) == DiscrepancyValue(1, 2, 1, 2, "at")
+
+
 def merged_boundary_values(primes, m_lo, m_hi):
     # reference: merge every block and evaluate the whole multiset each time
     acc = BlockAccumulator()
@@ -706,16 +788,103 @@ class TestBoundarySweep:
         self, primes, reference, monkeypatch, width, min_calls, max_calls
     ):
         calls = []
-        add_block = BlockAccumulator.add_block
+        merge = _LowerHalfStore.merge
 
-        def counted(acc, *args):
+        def counted(store, *args):
             calls.append(1)
-            add_block(acc, *args)
+            merge(store, *args)
 
-        monkeypatch.setattr(BlockAccumulator, "add_block", counted)
+        monkeypatch.setattr(_LowerHalfStore, "merge", counted)
         monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
         assert list(_boundary_discrepancies(primes, 1, 120)) == reference[:120]
         assert min_calls <= len(calls) <= max_calls
+
+    @pytest.mark.parametrize("m_lo", [1, 2, 3, 45])
+    def test_width_zero_half_point_in_both_bands(self, primes, reference, monkeypatch, m_lo):
+        # 1/2 is its own mirror: while it holds the maximum (m = 1, 2) it
+        # sits in both bands at once
+        kept = []
+        bands = discrepancy._bands
+
+        def recorded(*args):
+            hi, lo = bands(*args)
+            kept.append((bool(hi.any()), bool(lo.any())))
+            return hi, lo
+
+        monkeypatch.setattr(discrepancy, "_bands", recorded)
+        monkeypatch.setattr(discrepancy, "_BAND_WIDTH", 0)
+        assert list(_boundary_discrepancies(primes, m_lo, 120)) == reference[m_lo - 1 : 120]
+        if m_lo <= 2:
+            assert kept[0] == (True, True)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            lambda ps: ps,  # 2 first: the 1/2 point is in the first merge
+            lambda ps: ps[1:],  # no 1/2 point, N even
+            lambda ps: [*ps[1:6], 2, *ps[6:]],  # 1/2 arrives as a new point
+            lambda ps: ps[::-1],
+        ],
+        ids=["two-first", "no-two", "two-later", "descending"],
+    )
+    @pytest.mark.parametrize("width", [0, 12])
+    def test_block_orders(self, primes, monkeypatch, order, width):
+        monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
+        ps = order(list(primes[:80]))
+        for m_lo in (1, 7):
+            want = merged_boundary_values(ps, m_lo, len(ps))
+            assert list(_boundary_discrepancies(ps, m_lo, len(ps))) == want
+
+    @pytest.mark.parametrize("width", [0, 12, 40])
+    def test_tracks_exactly_the_band_points(self, primes, reference, monkeypatch, width):
+        # after every row the tracked set is every lower-half point with
+        # u >= floor (high band) or u <= 1 - floor (low band), with its exact
+        # count: a filter that dropped a band point would show here even
+        # where the point never holds the maximum
+        seen = []
+        bands, band_maximum = discrepancy._bands, discrepancy._band_maximum
+
+        def recorded_bands(a, b, c, n, floor):
+            seen.append(floor)
+            return bands(a, b, c, n, floor)
+
+        def recorded_maximum(a, b, c, n):
+            seen.append((a.tolist(), b.tolist(), c.tolist(), n))
+            return band_maximum(a, b, c, n)
+
+        monkeypatch.setattr(discrepancy, "_bands", recorded_bands)
+        monkeypatch.setattr(discrepancy, "_band_maximum", recorded_maximum)
+        monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
+        assert list(_boundary_discrepancies(primes, 3, 110)) == reference[2:110]
+        rows = [(seen[i - 1], seen[i]) for i in range(1, len(seen)) if isinstance(seen[i], tuple)]
+        assert len(rows) == 108
+        low_points = 0
+        for m, (floor, (a, b, c, n)) in enumerate(rows, 3):
+            ps = primes[:m]
+            q = np.repeat(ps, [p // 2 for p in ps])
+            j = np.concatenate([np.arange(1, p // 2 + 1) for p in ps])
+            order = np.argsort(j / q)  # faithful: distinct values, small denominators
+            j, q = j[order], q[order]
+            w = n * j - np.arange(j.size) * q  # q u, exact
+            high, low = w >= floor * q, q - w >= floor * q
+            want = np.flatnonzero(high | low)
+            low_points += int(low.sum())
+            assert n == sum(p - 1 for p in ps)
+            got = sorted(zip(a, b, c), key=lambda t: t[0] / t[1])
+            assert got == list(zip(j[want].tolist(), q[want].tolist(), want.tolist()))
+        if width:
+            assert low_points  # the low band held points
+
+    @pytest.mark.parametrize("bucket_points", [1, 3, 10**9])
+    def test_bucket_size_changes_only_the_work(self, primes, reference, monkeypatch, bucket_points):
+        # 10**9 leaves two buckets, so the filter passes almost every point
+        monkeypatch.setattr(discrepancy, "_BUCKET_POINTS", bucket_points)
+        assert list(_boundary_discrepancies(primes, 3, 150)) == reference[2:150]
+
+    def test_short_slices(self, primes, reference, monkeypatch):
+        # merges and float passes cross many slice boundaries
+        monkeypatch.setattr(discrepancy, "_SLICE", 7)
+        assert list(_boundary_discrepancies(primes, 1, 60)) == reference[:60]
 
     def test_matches_oracle_and_recount(self, primes):
         for m, dv in enumerate(_boundary_discrepancies(primes, 1, 12), 1):
