@@ -179,7 +179,7 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
     else:
         if args.n is None:
             raise UsageError("--family requires --n")
-        # a mixed-denominator prefix costs one sort per prefix, O(n^2 log n)
+        # the rank sweep costs O(n * distinct values) plus one _confirm per prefix
         _check_sweep_limit("--n", args.n, args.sweep_limit)
         family = SequenceFamily(args.family)
         fracs = generate_prefix(family, args.n, _family_table(family, args.n))

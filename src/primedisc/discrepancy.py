@@ -302,14 +302,42 @@ def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np
     return maxima, values[best >> 1], best & 1 == 0
 
 
+def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
+    """D_k* for k = 1..N of any points, from one ranking of their distinct values.
+
+    Ranks come from floats while every denominator is at most _FLOAT_SAFE_DEN,
+    else from one exact sort. As in _grid_sweep, count holds #{y <= v_t} ("at")
+    and #{y < v_t} ("left") at each distinct value v_t. It is constant between
+    consecutive distinct values, where |c - k x| is below its value at one end,
+    so a value not yet in the prefix never beats or ties one that is. Floats
+    |count - k v_t| (error about k 2^-52) only pick the candidates of _confirm.
+    """
+    if max(b for _, b in pairs) <= _FLOAT_SAFE_DEN:
+        values = np.divide(*np.array(pairs, dtype=np.int64).T)
+    else:
+        values = np.array([Fraction(a, b) for a, b in pairs])
+    values, first, slots = np.unique(values, return_index=True, return_inverse=True)
+    reps = [pairs[i] for i in first.tolist()]
+    step = np.repeat(values.astype(np.float64), 2)
+    count = np.zeros_like(step)  # integers, exact in float64 below 2^53
+    dev = np.empty_like(step)
+    for k, t in enumerate(slots.tolist(), 1):
+        count[2 * t :] += 1
+        count[2 * t + 1] -= 1
+        np.abs(np.subtract(count, np.multiply(step, k, out=dev), out=dev), out=dev)
+        near = (dev >= dev.max() - k * _FILTER_MARGIN).nonzero()[0].tolist()
+        cand = [(*reps[i >> 1], int(count[i]), "left" if i & 1 else "at") for i in near]
+        yield _confirm(cand, k)
+
+
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
     """Exact D_k* for every prefix k = 1..N, in input order.
 
     A shared denominator p takes the integer sweep over the distinct
-    numerators (O(distinct) per prefix) while p * N < 2^63 keeps it exact;
-    otherwise, and for mixed denominators, each prefix gets one sorted
-    evaluation (quadratic, meant for modest N). Each record satisfies
-    weighted == k * disc.exact identically.
+    numerators while p * N < 2^63 keeps it exact; any other input takes the
+    rank sweep over its distinct values. Neither sorts per prefix: both cost
+    O(distinct values) per prefix. Each record satisfies weighted == k *
+    disc.exact identically.
     """
     pairs = _point_pairs(points)
     n = len(pairs)
@@ -322,11 +350,8 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
             _reduced_value(m, k * p, j, p, "at" if at else "left")
             for k, m, j, at in zip(ks, maxima.tolist(), witness.tolist(), at_side.tolist())
         ]
-    elif p > _FLOAT_SAFE_DEN:
-        values = [_star_discrepancy_exact(pairs[:k]) for k in ks]
     else:
-        num, den = np.array(pairs, dtype=np.int64).T
-        values = [star_discrepancy_arrays(num[:k], den[:k]) for k in ks]
+        values = _rank_sweep(pairs)
     records: list[ScanRecord] = []
     for k, dv in zip(ks, values):
         g = gcd(dv.num * k, dv.den)

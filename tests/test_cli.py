@@ -371,6 +371,10 @@ PINNED = [
     ("scan --prime 211 --n 50", 0, "560c21fa402969249f1009a7ab47a567c2d0ae94166b522306f2e386e5f6c3fd"),
     ("scan --family omega --n 120", 0, "ee2f1ed3d6f6ab43a0d750a026c98b8df39556ca886373a4500c3f09f8ea17f1"),
     ("scan --family eta --n 120", 0, "b05c7aefb98ff8e2e9b4cd644e929ae8ae878ca39a7e078161d3bf579238bfac"),
+    # the every-prefix benchmark's scan, and a prefix of mixed prime blocks,
+    # both recorded before the rank sweep replaced the per-prefix sort
+    ("scan --family omega --n 2000", 0, "125c7a7bbd14f7d825ed7f67a16fca2e6f81a11458728b8fcc3e8a5119fa83e8"),
+    ("scan --family prime-increasing --n 400", 0, "9bd625abe4af3a312f041707dbe8376b7595b2686ae36ebdb05e2aca74319c13"),
     ("bounds --pmax 150", 0, "5aeb132e6108b3a038b627f6ba66ecb2a5f735cf9c5fa3c4c524ec4c81435358"),
     ("bounds --pmax 150 --ordering increasing", 0, "a7bf67a86f3d2a97889a90cf4729d64e2ea8d430f7d6129c8d9811368a56fd58"),
     ("bounds --pmin 50 --pmax 150", 0, "54c8d7a938f54f31dbf2906c673aa16dd174d25a0b34266cd8136ba2c160dd0d"),

@@ -378,6 +378,55 @@ class TestPrefixScan:
             assert_witness_reproduces(pts[: r.k], r.disc)
             assert r.weighted == r.k * r.disc.exact
 
+    @pytest.mark.parametrize(
+        "case", ["den 10^30", "one float, two rationals", "p * N >= 2^63"]
+    )
+    def test_huge_denominators_against_oracle(self, case):
+        big = 10**30
+        rng = np.random.default_rng(30)
+        if case == "den 10^30":
+            pts = [(int(a) * 10**12 + 1, big) for a in rng.integers(1, 10**18, size=150)]
+        elif case == "one float, two rationals":
+            assert 5 * 10**29 / big == (5 * 10**29 + 1) / big
+            pts = [(5 * 10**29 + 1, big), (1, 2), (5 * 10**29, big), (1, 3), (2, 5)]
+            pts += [(3, 4), (5 * 10**29, big), (2, 4), (5 * 10**29 + 1, big), (6, 7)]
+        else:
+            den = 1 << 61
+            pts = [(1, den), (den - 1, den), (den >> 1, den), (3, den), (den >> 1, den)]
+            assert den * len(pts) >= 1 << 63
+        for r in prefix_scan(pts):
+            assert r.disc == star_discrepancy_oracle(pts[: r.k])
+            assert_witness_reproduces(pts[: r.k], r.disc)
+            assert r.weighted == r.k * r.disc.exact
+
+    def test_no_per_prefix_evaluation(self, monkeypatch):
+        # every input off the grid takes the rank sweep, never the evaluators
+        def refuse(*args):
+            raise AssertionError("per-prefix evaluation")
+
+        monkeypatch.setattr(discrepancy, "star_discrepancy_arrays", refuse)
+        monkeypatch.setattr(discrepancy, "_star_discrepancy_exact", refuse)
+        big, den = 10**30, 1 << 61
+        for pts in (
+            [(2, 3), (1, 2), (3, 7), (2, 4), (1, 3), (6, 7)],
+            [(2, 3), (1, big), (big - 1, big), (1, 2), (12345, big)],
+            [(5, den), (den - 5, den), (5, den), (1, den), (7, den)],
+        ):
+            for r in prefix_scan(pts):
+                assert r.disc == star_discrepancy_oracle(pts[: r.k])
+
+    def test_mixed_multisets_against_per_prefix_evaluation(self):
+        # repeated values, also under different denominators (1/2 and 2/4);
+        # sizes up to 300, mostly small, keep the per-prefix reference cheap
+        rng = np.random.default_rng(88)
+        for _ in range(100):
+            size = min(int(rng.geometric(1 / 40)), 300)
+            den = rng.integers(2, 61, size=size)
+            num = rng.integers(1, den)
+            for r in prefix_scan(list(zip(num.tolist(), den.tolist()))):
+                want = star_discrepancy_arrays(num[: r.k], den[: r.k])
+                assert (r.disc, r.weighted) == (want, r.k * want.exact)
+
     def test_common_denominator_multisets_against_oracle(self):
         # repeated numerators exercise the sweep beyond permutation blocks
         rng = np.random.default_rng(2024)
