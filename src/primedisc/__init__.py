@@ -8,11 +8,9 @@ of boundary discrepancies.
 
 from .asymptotics import (
     TheoremRow,
-    lambert_identity_residual,
     lambert_w,
     m_asymptotic,
     scaled_discrepancy,
-    theorem_csv_lines,
     verify_theorem,
 )
 from .discrepancy import (
@@ -31,12 +29,10 @@ from .discrepancy import (
     weighted_prefix_maxima,
 )
 from .errors import CapacityError, TableTooSmallError
-from .modmath import mod_inverse
 from .primes import (
     PrimeTable,
     block_index_of,
     build_prime_table,
-    cumulative_P,
     is_prime,
     pnt_ratio,
     sieve_primes,
@@ -50,11 +46,8 @@ from .sequences import (
     SequenceFamily,
     block_numerators,
     dump_lines,
-    element_at,
     generate_block,
     generate_prefix,
-    iter_family,
-    locate,
     parse_dump,
     prefix_arrays,
 )
@@ -78,18 +71,12 @@ __all__ = [
     "block_max_weighted",
     "block_numerators",
     "build_prime_table",
-    "cumulative_P",
     "dump_lines",
-    "element_at",
     "generate_block",
     "generate_prefix",
     "is_prime",
-    "iter_family",
-    "lambert_identity_residual",
     "lambert_w",
-    "locate",
     "m_asymptotic",
-    "mod_inverse",
     "nw_bound",
     "parse_dump",
     "pnt_ratio",
@@ -103,7 +90,6 @@ __all__ = [
     "star_discrepancy_oracle",
     "sum_ratio",
     "table_covering",
-    "theorem_csv_lines",
     "triangle_bound",
     "verify_theorem",
     "weighted_prefix_maxima",

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .discrepancy import DiscrepancyValue, _boundary_discrepancies
 from .errors import TableTooSmallError
-from .primes import PrimeTable, cumulative_P, m_asymptotic  # noqa: F401 (re-export)
+from .primes import PrimeTable, m_asymptotic  # noqa: F401 (re-export)
 
 _RESIDUAL_TOL = 1e-12
 
@@ -60,15 +59,6 @@ def lambert_w(x: float) -> float:
     if abs(w * math.exp(w) - x) > _RESIDUAL_TOL * max(1.0, abs(x)):
         raise ArithmeticError(f"Halley iteration did not converge for x={x}")
     return w
-
-
-def lambert_identity_residual(x: float) -> float:
-    """Relative defect of e^W(x) = x / W(x); tiny wherever W is accurate."""
-    if x == 0.0:
-        raise ValueError("the identity is undefined at x = 0")
-    w = lambert_w(x)
-    ratio = x / w
-    return abs(math.exp(w) - ratio) / max(1.0, abs(ratio))
 
 
 def scaled_discrepancy(n: int, disc) -> float:
@@ -120,7 +110,7 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     sweep = _boundary_discrepancies(table.primes, m_lo, m_hi)
     for m, dv in zip(range(m_lo, m_hi + 1), sweep):
         p = table.primes[m - 1]
-        n = cumulative_P(table, m)
+        n = table.cumulative[m]
         if dv.num * 2 * p < dv.den:
             raise ArithmeticError(
                 f"D_N* < 1/(2 p_m) at m={m}; discrepancy engine inconsistency"
@@ -137,10 +127,3 @@ def theorem_csv_row(r: TheoremRow) -> str:
         f"{r.m},{r.n},{r.p},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},"
         f"{scaled},{r.lower_num},{r.lower_den}"
     )
-
-
-def theorem_csv_lines(rows: Iterable[TheoremRow]) -> Iterator[str]:
-    """Render theorem rows as CSV with the standard header."""
-    yield THEOREM_CSV_HEADER
-    for r in rows:
-        yield theorem_csv_row(r)

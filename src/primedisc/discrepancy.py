@@ -152,14 +152,19 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
 _SLICE = 1 << 16
 
 
-def _deviations(val: np.ndarray) -> np.ndarray:
-    # u_i = n x_(i) - i over sorted values: u is n times the "left" deviation
-    # at x_(i) and 1 - u is n times the "at" deviation there; i is subtracted
-    # in slices, so no second n-length array is ever held
-    u = val * val.size
+def _deviations(val: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, u) slice by slice, u = n x_(i) - i for i = i0, i0 + 1, ...
+
+    val holds sorted values and n the size of the whole multiset. Over a
+    whole multiset u is n times the "left" deviation at x_(i) and 1 - u is n
+    times the "at" deviation there. The boundary store passes its distinct
+    values of (0, 1/2] with n counting both halves, so i = #{y < x_(i)}
+    still. No n-length deviation array is ever held.
+    """
     for lo in range(0, val.size, _SLICE):
-        u[lo : lo + _SLICE] -= np.arange(lo, min(lo + _SLICE, val.size))
-    return u
+        u = val[lo : lo + _SLICE] * n
+        u -= np.arange(lo, lo + u.size)
+        yield lo, u
 
 
 def _representatives(
@@ -183,19 +188,23 @@ def _representatives(
 
 
 def _eval_sorted(val: np.ndarray, num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Sorted-multiset formula: float scan of u, then exact confirmation.
+    """Sorted-multiset formula: two float passes over u, then exact confirmation.
+
+    The first pass finds the maximum, the second the near-maximal indices.
 
     val holds the values num / den sorted; num and den, in any order, are
     read only to name each candidate value exactly.
     """
     n = val.size
-    u = _deviations(val)
-    cut = max(float(u.max()), 1.0 - float(u.min())) - n * _FILTER_MARGIN
+    top = max(max(float(u.max()), 1.0 - float(u.min())) for _, u in _deviations(val, n))
+    cut = top - n * _FILTER_MARGIN
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    at = np.flatnonzero(u <= 1.0 - cut)
-    left = np.flatnonzero(u >= cut)
-    del u
+    at, left = [], []
+    for lo, u in _deviations(val, n):
+        at.append(lo + np.flatnonzero(u <= 1.0 - cut))
+        left.append(lo + np.flatnonzero(u >= cut))
+    at, left = np.concatenate(at), np.concatenate(left)
     a, b = _representatives(val[np.concatenate([at, left])], num, den)
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
@@ -530,17 +539,6 @@ class _LowerHalfStore:
             hi, t_hi = lo, t_lo
         self.size += val.size
 
-    def deviations(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(i0, u) slice by slice, u = n x_(i) - i for i = i0, i0 + 1, ...
-
-        n is the size of the whole multiset; the values are distinct and all
-        of (0, 1/2], so i = #{y < x_(i)}.
-        """
-        for lo in range(0, self.size, _SLICE):
-            u = self._val[lo : min(lo + _SLICE, self.size)] * n
-            u -= np.arange(lo, lo + u.size)
-            yield lo, u
-
 
 def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> DiscrepancyValue:
     # exact max of max(u, 1 - u) over the tracked points a/b <= 1/2 with counts
@@ -637,7 +635,7 @@ def _boundary_discrepancies(
             store.merge(pending)
             pending.clear()
             margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
-            top = max(max(u.max(), 1.0 - u.min()) for _, u in store.deviations(n))
+            top = max(max(u.max(), 1.0 - u.min()) for _, u in _deviations(store.val, n))
             floor = math.floor(top - margin) - _BAND_WIDTH
             # bucket k = floor(x scale) holds [k / scale, (k + 1) / scale): a
             # power of two keeps x * scale and the edges exact, so the stale
@@ -645,7 +643,7 @@ def _boundary_discrepancies(
             scale = 2 << max(store.size // _BUCKET_POINTS, 1).bit_length()
             edge_count = np.zeros(scale // 2 + 2, dtype=np.int64)
             tracked = []
-            for lo, u in store.deviations(n):
+            for lo, u in _deviations(store.val, n):
                 near = (u >= floor - margin) | (u <= 1 - floor + margin)
                 tracked.append(lo + np.flatnonzero(near))
                 k = (store.val[lo : lo + u.size] * scale).astype(np.int64)

@@ -9,7 +9,7 @@ index queries are binary searches, not regenerations.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +124,6 @@ def table_covering(n: int) -> PrimeTable:
     return table
 
 
-def cumulative_P(table: PrimeTable, m: int) -> int:
-    """P(m) for 0 <= m <= M."""
-    if not 0 <= m <= len(table):
-        raise ValueError(f"m={m} outside [0, {len(table)}]")
-    return table.cumulative[m]
-
-
 def block_index_of(table: PrimeTable, n: int) -> int:
     """The unique m with P(m) <= n < P(m+1), found by binary search."""
     if n < 1:
@@ -143,19 +136,6 @@ def block_index_of(table: PrimeTable, n: int) -> int:
             required=required_blocks_estimate(n),
         )
     return bisect_right(table.cumulative, n) - 1
-
-
-def smallest_block_covering(table: PrimeTable, n: int) -> int:
-    """The smallest m with P(m) >= n (the block that finishes covering n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > table.coverage:
-        raise TableTooSmallError(
-            f"n={n} exceeds P(M)={table.coverage} with M={len(table)} blocks; "
-            f"about {required_blocks_estimate(n)} blocks are required",
-            required=required_blocks_estimate(n),
-        )
-    return bisect_left(table.cumulative, n)
 
 
 def pnt_ratio(table: PrimeTable, m: int) -> float:

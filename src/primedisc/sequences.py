@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import TableTooSmallError
-from .primes import PrimeTable, is_prime, required_blocks_estimate, smallest_block_covering
+from .primes import PrimeTable, is_prime, required_blocks_estimate
 
 
 @total_ordering
@@ -75,14 +75,6 @@ class Frac:
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
-    @property
-    def value(self) -> float:
-        return self.num / self.den
-
-    def reduced(self) -> tuple[int, int]:
-        g = gcd(self.num, self.den)
-        return self.num // g, self.den // g
-
 
 class Ordering(Enum):
     INVERSIVE = "inversive"
@@ -105,10 +97,6 @@ class BlockSpec:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"block denominator {self.p} is not prime")
-
-    @property
-    def size(self) -> int:
-        return self.p - 1
 
 
 def block_numerators(q: int, ordering: Ordering) -> np.ndarray:
@@ -159,51 +147,6 @@ def generate_block(spec: BlockSpec) -> list[Frac]:
     return [Frac(v, spec.p) for v in block_numerators(spec.p, spec.ordering)]
 
 
-def _block_ordering(
-    family: SequenceFamily, table: PrimeTable | None, n: int = 1
-) -> Ordering:
-    """Each family's block ordering; the one place that decides which families
-    need a prime table (all but omega) and whether it covers n elements.
-    """
-    if family is SequenceFamily.OMEGA:
-        return Ordering.INCREASING
-    if table is None:
-        raise ValueError(f"family {family.value!r} requires a prime table")
-    if table.coverage < n:
-        raise TableTooSmallError(
-            f"table covers {table.coverage} elements with M={len(table)} blocks; "
-            f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
-            required=required_blocks_estimate(n),
-        )
-    return Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
-
-
-def _family_blocks(
-    family: SequenceFamily, table: PrimeTable | None, n: int = 1
-) -> Iterator[tuple[int, Ordering]]:
-    """Yield (denominator, ordering) in sequence order after the table check.
-
-    Omega never stops; prime-backed families raise TableTooSmallError once
-    the table is exhausted rather than ending silently.
-    """
-    ordering = _block_ordering(family, table, n)
-    for q in count(2) if family is SequenceFamily.OMEGA else table.primes:
-        yield q, ordering
-    raise TableTooSmallError(
-        f"prime table exhausted after M={len(table)} blocks "
-        f"(P(M)={table.coverage}); build a larger table"
-    )
-
-
-def iter_family(
-    family: SequenceFamily, table: PrimeTable | None = None
-) -> Iterator[Frac]:
-    """Stream the sequence one element at a time, resumable like any iterator."""
-    for q, ordering in _family_blocks(family, table):
-        for v in block_numerators(q, ordering):
-            yield Frac(v, q)
-
-
 def generate_prefix(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
 ) -> list[Frac]:
@@ -218,16 +161,31 @@ def prefix_arrays(
     """(numerators, denominators) of the first n elements as int64 arrays.
 
     The one prefix generator; generate_prefix is its list view, and the
-    array discrepancy engines take its output directly.
+    array discrepancy engines take its output directly. It is also the one
+    place that decides which families need a prime table (all but omega)
+    and whether it covers n elements.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _block_ordering(family, table, n)  # raises before allocating unless the table covers n
+    if family is SequenceFamily.OMEGA:
+        ordering, denominators = Ordering.INCREASING, count(2)
+    elif table is None:
+        raise ValueError(f"family {family.value!r} requires a prime table")
+    elif table.coverage < n:
+        # raised before allocating: the arrays below are sized n
+        raise TableTooSmallError(
+            f"table covers {table.coverage} elements with M={len(table)} blocks; "
+            f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
+            required=required_blocks_estimate(n),
+        )
+    else:
+        ordering = Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
+        denominators = table.primes
     # filled in place: a list of per-block pieces would hold the prefix twice
     num = np.empty(n, dtype=np.int64)
     den = np.empty(n, dtype=np.int64)
     got = 0
-    for q, ordering in _family_blocks(family, table, n):
+    for q in denominators:
         take = min(q - 1, n - got)
         num[got : got + take] = block_numerators(q, ordering)[:take]
         den[got : got + take] = q
@@ -235,38 +193,6 @@ def prefix_arrays(
         if got == n:
             break
     return num, den
-
-
-def locate(
-    family: SequenceFamily, n: int, table: PrimeTable | None = None
-) -> tuple[int, int]:
-    """(block index, 1-based offset) of global position n.
-
-    Inverse of the block layout: the element at position n is the offset-th
-    entry of the named block. Binary search over the cumulative sizes for
-    prime families, closed form for omega.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if family is SequenceFamily.OMEGA:
-        # block t has size t, so T(t) = t(t+1)/2 positions end with block t;
-        # T(t-1) < n <= T(t) is exactly (2t-1)^2 <= 8n-7 < (2t+1)^2
-        t = (isqrt(8 * n - 7) + 1) // 2
-        return t, n - (t - 1) * t // 2
-    _block_ordering(family, table, n)  # raises unless the table covers n
-    m = smallest_block_covering(table, n)
-    return m, n - table.cumulative[m - 1]
-
-
-def element_at(
-    family: SequenceFamily, n: int, table: PrimeTable | None = None
-) -> Frac:
-    """The n-th element (1-based) without generating the whole prefix."""
-    m, offset = locate(family, n, table)
-    q = m + 1 if family is SequenceFamily.OMEGA else table.primes[m - 1]
-    if _block_ordering(family, table) is Ordering.INVERSIVE:
-        return Frac(pow(offset, -1, q), q)
-    return Frac(offset, q)
 
 
 def dump_lines(

@@ -9,11 +9,10 @@ import pytest
 from primedisc.asymptotics import (
     THEOREM_CSV_HEADER,
     TheoremRow,
-    lambert_identity_residual,
     lambert_w,
     m_asymptotic,
     scaled_discrepancy,
-    theorem_csv_lines,
+    theorem_csv_row,
     verify_theorem,
 )
 from primedisc.discrepancy import DiscrepancyValue, star_discrepancy_oracle
@@ -73,12 +72,11 @@ class TestLambertW:
 
 class TestLambertIdentityResidual:
     def test_tiny_on_samples(self):
+        # relative defect of e^W(x) = x / W(x), the identity in its other form
         for x in (-0.3, -0.25, 0.5, 1.0, math.e, 100.0, 1e8):
-            assert lambert_identity_residual(x) <= 1e-12
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            lambert_identity_residual(0.0)
+            w = lambert_w(x)
+            ratio = x / w
+            assert abs(math.exp(w) - ratio) / max(1.0, abs(ratio)) <= 1e-12
 
 
 class TestMAsymptotic:
@@ -159,9 +157,10 @@ class TestVerifyTheorem:
 
 class TestTheoremCsv:
     def test_header_and_shape(self, table10):
-        lines = list(theorem_csv_lines(verify_theorem(table10, 1, 5)))
-        assert lines[0] == THEOREM_CSV_HEADER
-        assert len(lines) == 6
-        assert lines[1].endswith(",1,4")  # m=1 scaled empty, lower = 1/4
-        parts = lines[2].split(",")
+        lines = [theorem_csv_row(r) for r in verify_theorem(table10, 1, 5)]
+        assert len(lines) == 5
+        width = len(THEOREM_CSV_HEADER.split(","))
+        assert all(len(line.split(",")) == width for line in lines)
+        assert lines[0].endswith(",1,4")  # m=1 scaled empty, lower = 1/4
+        parts = lines[1].split(",")
         assert parts[0] == "2" and parts[3] == "1" and parts[4] == "3"

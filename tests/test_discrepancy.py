@@ -28,6 +28,7 @@ from primedisc.discrepancy import (
     _band_maximum,
     _boundary_discrepancies,
     _confirm,
+    _deviations,
     _LowerHalfStore,
     _star_discrepancy_exact,
 )
@@ -294,8 +295,9 @@ class TestStarDiscrepancyArrays:
         assert star_discrepancy_arrays(num, 2 * n) == star_discrepancy_oracle(pts)
 
     def test_holds_no_index_array(self):
-        # sorted values and one deviation array (16 bytes per point) on top
-        # of the inputs; a sort order would add 8 bytes per point more
+        # the sorted values (8 bytes per point) and fixed-size slices on top
+        # of the inputs; a sort order or an n-length deviation array would
+        # add 8 bytes per point more
         rng = np.random.default_rng(5)
         n = 1 << 20
         den = rng.integers(2, 1 << 20, size=n)
@@ -306,7 +308,7 @@ class TestStarDiscrepancyArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * n
+        assert peak < 12 * n
 
     def test_big_denominator_fallback(self):
         big = (1 << 27) + 29
@@ -748,7 +750,7 @@ class TestLowerHalfStore:
         monkeypatch.setattr(discrepancy, "_SLICE", 2)
         store = _LowerHalfStore(4)
         store.merge([5, 3])
-        got = np.concatenate([u for _, u in store.deviations(6)])
+        got = np.concatenate([u for _, u in _deviations(store.val, 6)])
         want = [6 * Fraction(1, 5) - 0, 6 * Fraction(1, 3) - 1, 6 * Fraction(2, 5) - 2]
         assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-12)
 

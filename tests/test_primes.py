@@ -10,11 +10,9 @@ from primedisc.errors import CapacityError, TableTooSmallError
 from primedisc.primes import (
     block_index_of,
     build_prime_table,
-    cumulative_P,
     is_prime,
     pnt_ratio,
     sieve_primes,
-    smallest_block_covering,
     sum_ratio,
     table_covering,
 )
@@ -83,16 +81,10 @@ class TestBuildTable:
 
 class TestCumulativeP:
     def test_examples(self, table10):
-        assert cumulative_P(table10, 0) == 0
-        assert cumulative_P(table10, 1) == 1
-        assert cumulative_P(table10, 4) == 13
-        assert cumulative_P(table10, 10) == 119
-
-    def test_out_of_range(self, table10):
-        with pytest.raises(ValueError):
-            cumulative_P(table10, -1)
-        with pytest.raises(ValueError):
-            cumulative_P(table10, 11)
+        assert table10.cumulative[0] == 0
+        assert table10.cumulative[1] == 1
+        assert table10.cumulative[4] == 13
+        assert table10.cumulative[10] == 119
 
 
 class TestBlockIndexOf:
@@ -125,19 +117,6 @@ class TestBlockIndexOf:
         table = build_prime_table(100)
         m = block_index_of(table, n)
         assert table.cumulative[m] <= n < table.cumulative[m + 1]
-
-
-class TestSmallestBlockCovering:
-    def test_boundary_and_interior(self, table10):
-        assert smallest_block_covering(table10, 1) == 1
-        assert smallest_block_covering(table10, 2) == 2
-        assert smallest_block_covering(table10, 7) == 3
-        assert smallest_block_covering(table10, 8) == 4
-        assert smallest_block_covering(table10, 119) == 10
-
-    def test_rejects_uncovered(self, table10):
-        with pytest.raises(TableTooSmallError):
-            smallest_block_covering(table10, 120)
 
 
 class TestTableCovering:

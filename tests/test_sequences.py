@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from hypothesis import given, strategies as st
 
 import primedisc.sequences as sequences
 from primedisc.errors import TableTooSmallError
-from primedisc.modmath import mod_inverse
 from primedisc.primes import is_prime, sieve_primes
 from primedisc.sequences import (
     BlockSpec,
@@ -19,11 +16,8 @@ from primedisc.sequences import (
     SequenceFamily,
     block_numerators,
     dump_lines,
-    element_at,
     generate_block,
     generate_prefix,
-    iter_family,
-    locate,
     parse_dump,
     prefix_arrays,
 )
@@ -48,10 +42,8 @@ class TestFrac:
     def test_keeps_unreduced_fields(self):
         f = Frac(2, 4)
         assert (f.num, f.den) == (2, 4)
-        assert f.reduced() == (1, 2)
         assert str(f) == "2/4"
         assert repr(f) == "Frac(2, 4)"
-        assert f.value == 0.5
 
     @pytest.mark.parametrize("num,den", [(0, 5), (5, 5), (6, 5), (1, 1), (1, 0), (-1, 3)])
     def test_rejects_outside_open_unit_interval(self, num, den):
@@ -91,9 +83,6 @@ class TestFrac:
 
 
 class TestBlockSpec:
-    def test_size(self):
-        assert BlockSpec(7, Ordering.INVERSIVE).size == 6
-
     @pytest.mark.parametrize("p", [1, 4, 9, 15])
     def test_rejects_nonprime(self, p):
         with pytest.raises(ValueError):
@@ -155,9 +144,9 @@ class TestInversiveGenerator:
             assert got.dtype == np.int64
             assert np.array_equal(got, fermat_inverses(p)), p
 
-    def test_primes_below_2000_against_mod_inverse(self):
+    def test_primes_below_2000_against_pow(self):
         for p in (int(p) for p in sieve_primes(2000)):
-            want = [mod_inverse(j, p) for j in range(1, p)]
+            want = [pow(j, -1, p) for j in range(1, p)]
             assert block_numerators(p, Ordering.INVERSIVE).tolist() == want, p
 
     @pytest.mark.parametrize("p", [1048573, 1048583, 1048609])
@@ -166,7 +155,7 @@ class TestInversiveGenerator:
         got = block_numerators(p, Ordering.INVERSIVE)
         assert np.array_equal(got, fermat_inverses(p))
         j = np.random.default_rng(p).integers(1, p, size=2000)
-        assert got[j - 1].tolist() == [mod_inverse(int(x), p) for x in j]
+        assert got[j - 1].tolist() == [pow(int(x), -1, p) for x in j]
 
     def test_refuses_q_squared_beyond_int64_before_any_work(self, monkeypatch):
         q = 3037000507  # the first prime with q^2 >= 2^63
@@ -213,14 +202,8 @@ class TestGeneratePrefix:
 
     @pytest.mark.parametrize("family", [ETA, PRIME_INC])
     def test_every_entry_point_requires_a_table(self, family):
-        for call in (
-            lambda: prefix_arrays(family, 3),
-            lambda: locate(family, 3),
-            lambda: element_at(family, 3),
-            lambda: next(iter_family(family)),
-        ):
-            with pytest.raises(ValueError, match="requires a prime table"):
-                call()
+        with pytest.raises(ValueError, match="requires a prime table"):
+            prefix_arrays(family, 3)
 
     def test_table_too_small(self, table10):
         with pytest.raises(TableTooSmallError):
@@ -249,75 +232,6 @@ class TestPrefixArrays:
         # the arrays are allocated whole: a 16 PB request must still fail on the table
         with pytest.raises(TableTooSmallError):
             prefix_arrays(ETA, 10**15, table10)
-
-
-class TestIterFamily:
-    def test_streaming_matches_prefix(self, table10):
-        streamed = list(islice(iter_family(ETA, table10), 13))
-        assert streamed == generate_prefix(ETA, 13, table10)
-
-    def test_omega_streams_without_table(self):
-        assert len(list(islice(iter_family(OMEGA), 25))) == 25
-
-    def test_exhaustion_raises(self, table10):
-        it = iter_family(ETA, table10)
-        for _ in range(table10.coverage):
-            next(it)
-        with pytest.raises(TableTooSmallError):
-            next(it)
-
-
-class TestLocate:
-    def test_eta_examples(self, table10):
-        assert locate(ETA, 4, table10) == (3, 1)
-        assert locate(ETA, 1, table10) == (1, 1)
-        assert locate(ETA, 2, table10) == (2, 1)
-        assert locate(ETA, 7, table10) == (3, 4)
-        assert locate(ETA, 23, table10) == (5, 10)
-
-    def test_omega_examples(self):
-        assert locate(OMEGA, 1) == (1, 1)
-        assert locate(OMEGA, 6) == (3, 3)
-        assert locate(OMEGA, 7) == (4, 1)
-        assert locate(OMEGA, 10) == (4, 4)
-
-    def test_rejects_nonpositive(self, table10):
-        with pytest.raises(ValueError):
-            locate(ETA, 0, table10)
-        with pytest.raises(ValueError):
-            locate(OMEGA, 0)
-
-    def test_table_too_small(self, table10):
-        with pytest.raises(TableTooSmallError):
-            locate(ETA, 120, table10)
-
-    def test_boundary_covered(self, table10):
-        assert locate(ETA, 119, table10) == (10, 28)
-
-    @staticmethod
-    def _assert_omega_block(n):
-        # block t ends at T(t) = t(t+1)/2, so T(t-1) < n <= T(t)
-        t, offset = locate(OMEGA, n)
-        assert (t - 1) * t // 2 < n <= t * (t + 1) // 2
-        assert offset == n - (t - 1) * t // 2
-
-    def test_omega_closed_form_small(self):
-        for n in range(1, 100_001):
-            self._assert_omega_block(n)
-
-    def test_omega_closed_form_near_1e18(self):
-        k = isqrt(2 * 10**18)
-        ends = [j * (j + 1) // 2 for j in (k - 1, k, k + 1)]
-        for n in [10**18 - 1, 10**18, 10**18 + 1] + [e + d for e in ends for d in (-1, 0, 1)]:
-            self._assert_omega_block(n)
-
-    @pytest.mark.parametrize("family", [ETA, OMEGA, PRIME_INC])
-    def test_element_at_matches_prefix(self, family, table10):
-        table = None if family is OMEGA else table10
-        pre = generate_prefix(family, 60, table)
-        for n in range(1, 61):
-            got = element_at(family, n, table)
-            assert (got.num, got.den) == (pre[n - 1].num, pre[n - 1].den)
 
 
 class TestDumpParse:
