@@ -1,9 +1,11 @@
-"""Lambert W, prime-sum growth ratios, and the boundary discrepancy sweep.
+"""Lambert W, the scaled discrepancy, and the theorem rows at block boundaries.
 
 The block count m needed for N elements grows like 2 sqrt(N / ln N); the
 inverse direction runs through the principal branch of Lambert W, which is
 implemented here with a Halley iteration and verified against the defining
-identity W e^W = x rather than against tabulated values.
+identity W e^W = x rather than against tabulated values. The boundary
+sweep behind the rows lives in discrepancy.py and the prime-sum growth
+ratios in primes.py.
 """
 
 from __future__ import annotations

@@ -133,6 +133,8 @@ def _cmd_gen(args: argparse.Namespace) -> list[str]:
 
 def _cmd_disc(args: argparse.Namespace) -> list[str]:
     if args.input is not None:
+        if args.n is not None:
+            raise UsageError("--n applies only with --family, not with --input")
         with open(args.input) as fh:
             fracs = parse_dump(fh)
         if not fracs:
@@ -166,7 +168,7 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
         if not is_prime(args.prime):
             raise UsageError(f"--prime {args.prime} is not a prime")
         _check_sweep_limit("--prime", args.prime, args.sweep_limit)
-        ordering = Ordering(args.ordering)
+        ordering = Ordering(args.ordering or "inversive")
         nums = block_numerators(args.prime, ordering)
         points = [(int(a), args.prime) for a in nums]
         if args.n is not None:
@@ -179,6 +181,8 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
     else:
         if args.n is None:
             raise UsageError("--family requires --n")
+        if args.ordering is not None:
+            raise UsageError("--ordering applies only with --prime, not with --family")
         # the rank sweep costs O(n * distinct values) plus one _confirm per prefix
         _check_sweep_limit("--n", args.n, args.sweep_limit)
         family = SequenceFamily(args.family)
@@ -284,7 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_scan.add_mutually_exclusive_group(required=True)
     src.add_argument("--prime", type=_positive_int)
     src.add_argument("--family", choices=families)
-    p_scan.add_argument("--ordering", choices=orderings, default="inversive")
+    p_scan.add_argument(
+        "--ordering", choices=orderings, default=None, help="--prime only (default inversive)"
+    )
     p_scan.add_argument("--n", type=_positive_int, default=None)
     p_scan.add_argument(
         "--sweep-limit",

@@ -128,24 +128,26 @@ def _reduced_value(vnum: int, vden: int, wn: int, wd: int, side: str) -> Discrep
 def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
     # exact winner among candidates (a, b, count, side): "at" is the deviation
     # count/n - a/b at r = a/b, "left" is a/b - count/n as r -> a/b from below.
-    # The one tie rule of every engine: the smallest threshold wins, "at"
-    # before "left", as in the oracle and the grid sweep. Below _FLOAT_SAFE_DEN
-    # the float a / b orders and ties exactly as the fraction does
-    if max((t[1] for t in cand), default=0) <= _FLOAT_SAFE_DEN:
-        order = sorted(cand, key=lambda t: (t[0] / t[1], t[3]))
-    else:
-        order = sorted(cand, key=lambda t: (Fraction(t[0], t[1]), t[3]))
-    best: tuple[int, int, int, int, str] | None = None
-    for a, b, count, side in order:
-        vnum = count * b - a * n if side == "at" else a * n - count * b
-        if vnum < 0:
+    # The one tie rule of every engine: the largest value wins, then the
+    # smallest threshold, then "at" before "left", as in the oracle and the
+    # grid sweep. One pass of integer cross-multiplication, in any order
+    best: tuple[int, int, int, str] | None = None
+    for a, b, count, side in cand:
+        v = count * b - a * n if side == "at" else a * n - count * b
+        if v < 0:
             continue
-        vden = b * n
-        if best is None or vnum * best[1] > best[0] * vden:
-            best = (vnum, vden, a, b, side)
+        if best is not None:
+            bv, ba, bb, bside = best
+            # > 0 when v / (b n) beats bv / (bb n), or ties it from a smaller
+            # threshold a/b, or from the same threshold "at" against "left"
+            beats = v * bb - bv * b or ba * b - a * bb or (side, bside) == ("at", "left")
+            if beats <= 0:
+                continue
+        best = (v, a, b, side)
     if best is None:
         raise ArithmeticError("no nonnegative candidate; engine inconsistency")
-    return _reduced_value(*best)
+    v, a, b, side = best
+    return _reduced_value(v, b * n, a, b, side)
 
 
 # slice length of the passes that would otherwise hold a second n-length array
@@ -187,14 +189,30 @@ def _representatives(
     raise ArithmeticError("candidate value missing from its multiset; engine inconsistency")
 
 
-def _eval_sorted(val: np.ndarray, num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Sorted-multiset formula: two float passes over u, then exact confirmation.
+def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
+    # arbitrary-precision fallback: exact sort, every candidate confirmed
+    ordered = sorted(pairs, key=lambda ab: Fraction(ab[0], ab[1]))
+    cand = [(a, b, i + 1, "at") for i, (a, b) in enumerate(ordered)]
+    cand += [(a, b, i, "left") for i, (a, b) in enumerate(ordered)]
+    return _confirm(cand, len(ordered))
 
-    The first pass finds the maximum, the second the near-maximal indices.
 
-    val holds the values num / den sorted; num and den, in any order, are
-    read only to name each candidate value exactly.
+def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
+    """Exact D_N* from parallel integer numerator/denominator arrays.
+
+    The one sorted-multiset evaluator: star_discrepancy, triangle_bound and
+    BlockAccumulator feed it. It sorts the values num / den, finds the
+    maximum deviation in one float pass and the near-maximal indices in a
+    second, and confirms those exactly; num and den, in input order, are
+    read only to name each candidate value. Falls back to exact sorting when
+    a denominator is too large for faithful float order. Non-integer arrays
+    are rejected rather than truncated.
     """
+    num, den = _checked_arrays(num, den)
+    if int(den.max()) > _FLOAT_SAFE_DEN:
+        return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
+    val = num / den
+    val.sort()
     n = val.size
     top = max(max(float(u.max()), 1.0 - float(u.min())) for _, u in _deviations(val, n))
     cut = top - n * _FILTER_MARGIN
@@ -209,29 +227,6 @@ def _eval_sorted(val: np.ndarray, num: np.ndarray, den: np.ndarray) -> Discrepan
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
     return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
-
-
-def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
-    # arbitrary-precision fallback: exact sort, every candidate confirmed
-    ordered = sorted(pairs, key=lambda ab: Fraction(ab[0], ab[1]))
-    cand = [(a, b, i + 1, "at") for i, (a, b) in enumerate(ordered)]
-    cand += [(a, b, i, "left") for i, (a, b) in enumerate(ordered)]
-    return _confirm(cand, len(ordered))
-
-
-def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Exact D_N* from parallel integer numerator/denominator arrays.
-
-    The one sorted evaluator: star_discrepancy and prefix_scan feed it. Falls
-    back to exact sorting when a denominator is too large for faithful float
-    order. Non-integer arrays are rejected rather than truncated.
-    """
-    num, den = _checked_arrays(num, den)
-    if int(den.max()) > _FLOAT_SAFE_DEN:
-        return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
-    val = num / den
-    val.sort()
-    return _eval_sorted(val, num, den)
 
 
 def _evaluate(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
@@ -431,42 +426,35 @@ def triangle_bound(blocks: Sequence[Sequence]) -> tuple[Fraction, DiscrepancyVal
 
 
 class BlockAccumulator:
-    """Growing sorted multiset of whole blocks with on-demand exact D_N*.
+    """Growing multiset of whole blocks with on-demand exact D_N*.
 
-    A batch of points merges into the sorted arrays in O(N + batch) and the
-    discrepancy of the current multiset is evaluated without regenerating
-    the prefix: the plain merge-and-evaluate path, against which the tests
-    check the boundary sweep. Only float-safe denominators are accepted so
-    the float order stays exact.
+    add_block validates a batch and keeps it as given, in O(batch);
+    star_discrepancy evaluates the concatenation of every batch with
+    star_discrepancy_arrays, in O(N log N). This is the plain
+    merge-and-evaluate path against which the tests check the boundary
+    sweep. Only float-safe denominators are accepted so the float order
+    stays exact.
     """
 
     def __init__(self) -> None:
-        self._val = np.empty(0, dtype=np.float64)
-        self._num = np.empty(0, dtype=np.int64)
-        self._den = np.empty(0, dtype=np.int64)
-
-    @property
-    def n(self) -> int:
-        return self._val.size
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.n = 0
 
     def add_block(self, numerators: np.ndarray, den: int) -> None:
-        """Merge the multiset {a/den : a in numerators}; order inside is irrelevant."""
+        """Add the multiset {a/den : a in numerators}; order inside is irrelevant."""
         new_num, new_den = _checked_arrays(numerators, den)
         if new_den.max() > _FLOAT_SAFE_DEN:
             raise ValueError(f"denominator {den} too large for the float-sorted engine")
-        new_val = new_num / new_den
-        order = np.argsort(new_val, kind="stable")
-        new_val = new_val[order]
-        pos = np.searchsorted(self._val, new_val)
-        self._val = np.insert(self._val, pos, new_val)
-        self._num = np.insert(self._num, pos, new_num[order])
-        self._den = np.insert(self._den, pos, new_den[order])
+        # copies: a caller reusing its arrays must not change the multiset
+        self._blocks.append((new_num.copy(), new_den.copy()))
+        self.n += new_num.size
 
     def star_discrepancy(self) -> DiscrepancyValue:
-        """Exact D_N* of everything merged so far."""
+        """Exact D_N* of everything added so far."""
         if self.n == 0:
             raise ValueError("empty multiset")
-        return _eval_sorted(self._val, self._num, self._den)
+        num, den = (np.concatenate(parts) for parts in zip(*self._blocks))
+        return star_discrepancy_arrays(num, den)
 
 
 # a rebuild tracks every point whose u lies within this many units of the
@@ -557,13 +545,11 @@ def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> Discre
     return _confirm(cand, n)
 
 
-def _bands(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, floor: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # the exact band test of points a/b with counts c, b u = n a - c b: masks
-    # of the high band u >= floor and of the low band u <= 1 - floor
+def _bands(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, floor: int) -> np.ndarray:
+    # the exact band test of points a/b with counts c, b u = n a - c b: the
+    # mask of the points in the high band u >= floor or the low band u <= 1 - floor
     w = n * a - c * b
-    return w >= floor * b, b - w >= floor * b
+    return (w >= floor * b) | (b - w >= floor * b)
 
 
 def _boundary_discrepancies(
@@ -630,7 +616,7 @@ def _boundary_discrepancies(
             a = np.concatenate([a, j])
             b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
             c = np.concatenate([c, cj])
-            keep = np.logical_or(*_bands(a, b, c, n, floor))
+            keep = _bands(a, b, c, n, floor)
         if a is None or not keep.any():
             store.merge(pending)
             pending.clear()
@@ -652,7 +638,7 @@ def _boundary_discrepancies(
             c = np.concatenate(tracked)
             b = store.den[c].astype(np.int64)
             a = np.rint(store.val[c] * b).astype(np.int64)
-            keep = np.logical_or(*_bands(a, b, c, n, floor))
+            keep = _bands(a, b, c, n, floor)
         a, b, c = a[keep], b[keep], c[keep]
         yield _band_maximum(a, b, c, n)
 

@@ -111,6 +111,15 @@ class TestDisc:
         code, _, _ = run(capsys, "disc", "--input", "x", "--family", "eta")
         assert code == 2
 
+    def test_input_with_n_is_usage_error(self, capsys, tmp_path):
+        # --n sizes a --family prefix; a dump is read whole, so it is refused
+        dump = tmp_path / "eta.txt"
+        dump.write_text("".join(f"{x}\n" for x in ETA7))
+        code, out, err = run(capsys, "disc", "--input", str(dump), "--n", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
+        assert "--n" in err
+
 
 class TestScan:
     def test_prime_block(self, capsys):
@@ -137,6 +146,15 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--prime", "7", "--n", "3")
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("ordering", ["increasing", "inversive"])
+    def test_family_with_ordering_is_usage_error(self, capsys, ordering):
+        # --ordering orders a --prime block; a family fixes its own order
+        argv = ["scan", "--family", "eta", "--n", "6", "--ordering", ordering]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
+        assert "--ordering" in err
 
     def test_n_beyond_block_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--prime", "5", "--n", "9")

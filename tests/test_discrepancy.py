@@ -778,8 +778,9 @@ class TestBandMaximum:
 class TestConfirm:
     @pytest.mark.parametrize("seed", range(30))
     def test_float_order_matches_fraction_order(self, seed):
-        # the same candidates scaled past 2^26 take the Fraction-keyed order;
-        # value, witness and side must agree, ties and equal values included
+        # the same candidates scaled past 2^26, where floats no longer order
+        # the thresholds faithfully: value, witness and side must agree,
+        # ties and equal values included
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         cand = []
@@ -794,6 +795,32 @@ class TestConfirm:
         big = (1 << 26) + 1
         scaled = [(a * big, b * big, count, side) for a, b, count, side in cand]
         assert _confirm(cand, n) == _confirm(scaled, n)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_candidate_order_is_irrelevant(self, seed):
+        # about half the candidates tie the maximum w / n at thresholds x / n
+        # under several representations, 1/4 and 2/8 among them, on both
+        # sides; the same list scaled past 2^26 too. Every shuffle must pick
+        # the same winner
+        rng = np.random.default_rng(seed)
+        n = 4 * int(rng.integers(1, 4))
+        w = int(rng.integers(1, n // 2))
+        cand = []
+        for x, side in [(n // 4, "at"), (n // 4, "left")] * 2 + [
+            (int(rng.integers(1, n)), ["at", "left"][int(rng.integers(2))])
+            for _ in range(int(rng.integers(1, 25)))
+        ]:
+            dev = w if rng.integers(2) else int(rng.integers(0, w))
+            count = x + dev if side == "at" else x - dev
+            if 0 <= count <= n:
+                k = int(rng.integers(1, 4))
+                cand.append((x * k, n * k, count, side))
+        cand += [(1, 4, n // 4 + w, "at"), (2, 8, n // 4 + w, "at")]
+        big = (1 << 26) + 1
+        for cands in (cand, [(a * big, b * big, count, side) for a, b, count, side in cand]):
+            want = _confirm(cands, n)
+            for _ in range(20):
+                assert _confirm([cands[i] for i in rng.permutation(len(cands))], n) == want
 
     def test_smallest_threshold_then_at_before_left(self):
         # every candidate is worth 1/4; 2/8 "at" and 1/4 "left" share the
@@ -857,10 +884,10 @@ class TestBoundarySweep:
         kept = []
         bands = discrepancy._bands
 
-        def recorded(*args):
-            hi, lo = bands(*args)
-            kept.append((bool(hi.any()), bool(lo.any())))
-            return hi, lo
+        def recorded(a, b, c, n, floor):
+            w = n * a - c * b  # b u, as in _bands
+            kept.append((bool((w >= floor * b).any()), bool((b - w >= floor * b).any())))
+            return bands(a, b, c, n, floor)
 
         monkeypatch.setattr(discrepancy, "_bands", recorded)
         monkeypatch.setattr(discrepancy, "_BAND_WIDTH", 0)
