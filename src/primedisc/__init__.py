@@ -46,7 +46,6 @@ from .sequences import (
     SequenceFamily,
     block_numerators,
     dump_lines,
-    generate_block,
     generate_prefix,
     parse_dump,
     prefix_arrays,
@@ -72,7 +71,6 @@ __all__ = [
     "block_numerators",
     "build_prime_table",
     "dump_lines",
-    "generate_block",
     "generate_prefix",
     "is_prime",
     "lambert_w",

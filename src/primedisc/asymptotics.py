@@ -19,6 +19,16 @@ from .primes import PrimeTable, m_asymptotic  # noqa: F401 (re-export)
 
 _RESIDUAL_TOL = 1e-12
 
+# above 2^1000, near the float maximum, w e^w - x and the Halley step would
+# overflow; they are taken at a scale of 2^-16, exact in binary, so no bit changes
+_TOP, _TOP_SCALE = 2.0**1000, 2.0**-16
+
+
+def _residual(w: float, x: float) -> float:
+    """|w e^w - x|, finite for every finite x >= -1/e and its W."""
+    s = _TOP_SCALE if x > _TOP else 1.0
+    return abs(w * (math.exp(w) * s) - x * s) / s
+
 
 def lambert_w(x: float) -> float:
     """Principal-branch W(x) for x >= -1/e by Halley iteration.
@@ -48,9 +58,10 @@ def lambert_w(x: float) -> float:
         w = -1.0 + q * (1.0 + q * (-1.0 / 3.0 + q * (11.0 / 72.0)))
     else:
         w = x
+    s = _TOP_SCALE if x > _TOP else 1.0
     for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
+        ew = math.exp(w) * s
+        f = w * ew - x * s
         if f == 0.0:
             break
         wp1 = w + 1.0
@@ -58,7 +69,7 @@ def lambert_w(x: float) -> float:
         w -= step
         if abs(step) <= 1e-15 * (1.0 + abs(w)):
             break
-    if abs(w * math.exp(w) - x) > _RESIDUAL_TOL * max(1.0, abs(x)):
+    if _residual(w, x) > _RESIDUAL_TOL * max(1.0, abs(x)):
         raise ArithmeticError(f"Halley iteration did not converge for x={x}")
     return w
 

@@ -18,8 +18,11 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .asymptotics import (
     THEOREM_CSV_HEADER,
+    _residual,
     lambert_w,
     m_asymptotic,
     theorem_csv_row,
@@ -48,7 +51,6 @@ from .sequences import (
     SequenceFamily,
     block_numerators,
     dump_lines,
-    generate_prefix,
     parse_dump,
     prefix_arrays,
 )
@@ -113,7 +115,7 @@ def _w_and_residual(x: float) -> tuple[float, float]:
         w = lambert_w(x)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return w, abs(w * math.exp(w) - x)
+    return w, _residual(w, x)
 
 
 def _check_sweep_limit(flag: str, p: int, limit: int) -> None:
@@ -169,15 +171,11 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
             raise UsageError(f"--prime {args.prime} is not a prime")
         _check_sweep_limit("--prime", args.prime, args.sweep_limit)
         ordering = Ordering(args.ordering or "inversive")
-        nums = block_numerators(args.prime, ordering)
-        points = [(int(a), args.prime) for a in nums]
-        if args.n is not None:
-            if args.n > len(points):
-                raise UsageError(
-                    f"--n {args.n} exceeds the block size {len(points)}"
-                )
-            points = points[: args.n]
-        records = prefix_scan(points)
+        num = block_numerators(args.prime, ordering)
+        if args.n is not None and args.n > num.size:
+            raise UsageError(f"--n {args.n} exceeds the block size {num.size}")
+        num = num[: args.n]
+        den = np.full(num.size, args.prime)
     else:
         if args.n is None:
             raise UsageError("--family requires --n")
@@ -186,8 +184,8 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
         # the rank sweep costs O(n * distinct values) plus one _confirm per prefix
         _check_sweep_limit("--n", args.n, args.sweep_limit)
         family = SequenceFamily(args.family)
-        fracs = generate_prefix(family, args.n, _family_table(family, args.n))
-        records = prefix_scan(fracs)
+        num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
+    records = prefix_scan(list(zip(num.tolist(), den.tolist())))
     return list(scan_csv_lines(records))
 
 
@@ -244,6 +242,8 @@ def _cmd_asym(args: argparse.Namespace) -> list[str]:
         lines = ["x,w,residual"]
         for i in range(count):
             x = lo + (hi - lo) * i / (count - 1)
+            if math.isinf(x):  # (hi - lo) * i overflowed near the float maximum
+                x = lo + (hi - lo) * (i / (count - 1))
             w, residual = _w_and_residual(x)
             lines.append(f"{x:.17g},{w:.17g},{residual:.17g}")
         return lines

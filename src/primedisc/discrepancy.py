@@ -229,14 +229,6 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
 
 
-def _evaluate(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
-    # validated pairs -> exact D_N*; a denominator beyond float safety (it
-    # may not even fit in int64) takes the exact path before any array
-    if max(b for _, b in pairs) > _FLOAT_SAFE_DEN:
-        return _star_discrepancy_exact(pairs)
-    return star_discrepancy_arrays(*np.array(pairs, dtype=np.int64).T)
-
-
 def star_discrepancy(points: Sequence) -> DiscrepancyValue:
     """Exact D_N* of a nonempty multiset of fractions in (0, 1).
 
@@ -244,7 +236,11 @@ def star_discrepancy(points: Sequence) -> DiscrepancyValue:
     (order matters only to prefixes, see prefix_scan). Accepts Frac objects
     or (num, den) pairs.
     """
-    return _evaluate(_point_pairs(points))
+    pairs = _point_pairs(points)
+    # a denominator beyond float safety, even beyond int64, takes the exact path
+    if max(b for _, b in pairs) > _FLOAT_SAFE_DEN:
+        return _star_discrepancy_exact(pairs)
+    return star_discrepancy_arrays(*np.array(pairs, dtype=np.int64).T)
 
 
 def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
@@ -404,22 +400,20 @@ def nw_bound(p: int, k: int) -> float:
     return (2.0 * math.sqrt(p) + 1.0) * (math.log(p) + 1.0 / 3.0) ** 2 + k / p
 
 
-def triangle_bound(blocks: Sequence[Sequence]) -> tuple[Fraction, DiscrepancyValue]:
+def triangle_bound(blocks: Sequence[tuple]) -> tuple[Fraction, DiscrepancyValue]:
     """Concatenation bound sum_j N_j D*(block_j) / N next to the exact D_N*.
 
-    Returns (bound, exact); raises ArithmeticError if exact ever exceeded
-    the bound, which a correct engine makes impossible.
+    Each block is a (numerators, den) pair under the star_discrepancy_arrays
+    contract, den one integer or one per numerator. Returns (bound, exact);
+    raises ArithmeticError if exact ever exceeded the bound, which a correct
+    engine makes impossible.
     """
     if not blocks:
         raise ValueError("blocks must be nonempty")
-    weighted_sum = Fraction(0)
-    pieces: list[tuple[int, int]] = []
-    for block in blocks:
-        pairs = _point_pairs(block)
-        weighted_sum += len(pairs) * _evaluate(pairs).exact
-        pieces.extend(pairs)
-    bound = weighted_sum / len(pieces)
-    exact = _evaluate(pieces)
+    checked = [_checked_arrays(num, den) for num, den in blocks]
+    weighted_sum = sum(num.size * star_discrepancy_arrays(num, den).exact for num, den in checked)
+    exact = star_discrepancy_arrays(*(np.concatenate(parts) for parts in zip(*checked)))
+    bound = weighted_sum / sum(num.size for num, _ in checked)
     if exact.exact > bound:
         raise ArithmeticError("triangle inequality violated; engine inconsistency")
     return bound, exact

@@ -142,11 +142,6 @@ def _primitive_root(q: int) -> int:
     return next(g for g in count(1) if all(pow(g, (q - 1) // f, q) != 1 for f in factors))
 
 
-def generate_block(spec: BlockSpec) -> list[Frac]:
-    """The block of spec as a list of fractions in sequence order."""
-    return [Frac(v, spec.p) for v in block_numerators(spec.p, spec.ordering)]
-
-
 def generate_prefix(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
 ) -> list[Frac]:

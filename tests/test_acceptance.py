@@ -36,11 +36,9 @@ from primedisc.primes import (
     table_covering,
 )
 from primedisc.sequences import (
-    BlockSpec,
     Ordering,
     SequenceFamily,
     block_numerators,
-    generate_block,
     prefix_arrays,
 )
 
@@ -294,7 +292,7 @@ def test_criterion_10_triangle_inequality():
         for _ in range(count):
             p = int(primes[rng.integers(len(primes))])
             ordering = Ordering.INVERSIVE if rng.integers(2) else Ordering.INCREASING
-            blocks.append(generate_block(BlockSpec(p, ordering)))
+            blocks.append((block_numerators(p, ordering), p))
         bound, exact = triangle_bound(blocks)
         if exact.exact > bound:
             ok = False

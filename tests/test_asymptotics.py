@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ class TestLambertW:
         scipy_special = pytest.importorskip("scipy.special")
         shifted = np.geomspace(1e-6, 1e10 + 1 / math.e, 120)
         xs = list(shifted - 1 / math.e) + [-0.3, -0.25, -0.1, 0.5, 2.0]
+        xs += [3e307, 5.5e307, 1e308, sys.float_info.max]
         for x in xs:
             ours = lambert_w(float(x))
             ref = float(scipy_special.lambertw(float(x)).real)
@@ -68,6 +70,14 @@ class TestLambertW:
     def test_large_argument(self):
         w = lambert_w(1e15)
         assert w * math.exp(w) == pytest.approx(1e15, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e300, 2.0**1000, 3e307, 5.5e307, 1e308, sys.float_info.max])
+    def test_top_of_float_range(self, x):
+        # W e^W overflows a float here, so the residual contract is checked
+        # in exact rationals
+        w = lambert_w(x)
+        residual = abs(Fraction(w) * Fraction(math.exp(w)) - Fraction(x))
+        assert residual <= Fraction(1e-12) * Fraction(x)
 
 
 class TestLambertIdentityResidual:

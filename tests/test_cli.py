@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ import primedisc.cli as cli
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
 
 
@@ -185,7 +188,7 @@ class TestScan:
         def no_prefix(*args):
             raise AssertionError("prefix generated before the limit check")
 
-        monkeypatch.setattr(cli, "generate_prefix", no_prefix)
+        monkeypatch.setattr(cli, "prefix_arrays", no_prefix)
         code, out, err = run(capsys, "scan", "--family", "eta", "--n", "41", "--sweep-limit", "40")
         assert (code, out) == (2, "")
         assert "--n 41 exceeds the sweep limit 40" in err
@@ -259,6 +262,22 @@ class TestAsym:
         payload = json.loads(out)
         assert payload["w"] == pytest.approx(0.5671432904097838, rel=1e-14)
         assert payload["residual"] <= 1e-12
+
+    @pytest.mark.parametrize("x", ["3e307", "1e308", "1.7976931348623157e308"])
+    def test_top_of_float_range(self, capsys, x):
+        # W e^W overflows a float here; neither W nor its residual may
+        code, out, _ = run(capsys, "asym", "--x", x)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["w"] == pytest.approx(703.0, abs=2.0)
+        assert payload["residual"] <= 1e-12 * float(x)
+
+    def test_grid_to_the_top_of_the_float_range(self, capsys):
+        # (HI - LO) * i overflows for the last point unless it is regrouped
+        code, out, _ = run(capsys, "asym", "--grid", "1e307", "1e308", "3")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("1e+308,702.64136203410")
+        assert "inf" not in out and "nan" not in out
 
     def test_domain_violation_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "asym", "--x", "-5.0")
@@ -362,8 +381,11 @@ class TestDeterminism:
     )
     def test_byte_identical_runs(self, argv):
         cmd = [sys.executable, "-m", "primedisc.cli", *argv]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        # the subprocess does not inherit pytest's pythonpath setting
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty

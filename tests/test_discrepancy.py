@@ -39,12 +39,21 @@ from primedisc.sequences import (
     Ordering,
     SequenceFamily,
     block_numerators,
-    generate_block,
     generate_prefix,
 )
 
 INV = Ordering.INVERSIVE
 INC = Ordering.INCREASING
+
+
+def block_pairs(p: int, ordering: Ordering) -> list[tuple[int, int]]:
+    """One block as (num, den) pairs in sequence order."""
+    return [(a, p) for a in block_numerators(p, ordering).tolist()]
+
+
+def block_arrays(p: int, ordering: Ordering) -> tuple[np.ndarray, int]:
+    """One block as the (numerators, den) pair of triangle_bound."""
+    return block_numerators(p, ordering), p
 
 
 def count_at_or_below(points, witness: Fraction) -> int:
@@ -137,7 +146,6 @@ class TestStarDiscrepancy:
             star_discrepancy,
             star_discrepancy_oracle,
             prefix_scan,
-            lambda pts: triangle_bound([pts]),
         ],
     )
     def test_non_integer_pairs_rejected(self, engine):
@@ -322,8 +330,9 @@ class TestStarDiscrepancyArrays:
         star_discrepancy_arrays,
         lambda num, den: BlockAccumulator().add_block(num, den),
         weighted_prefix_maxima,
+        lambda num, den: triangle_bound([(num, den)]),
     ],
-    ids=["star_discrepancy_arrays", "add_block", "weighted_prefix_maxima"],
+    ids=["star_discrepancy_arrays", "add_block", "weighted_prefix_maxima", "triangle_bound"],
 )
 @pytest.mark.parametrize("num", [np.array([[1, 2]]), np.array([[1], [2]]), np.array(1)])
 def test_non_1d_numerators_rejected(engine, num):
@@ -335,28 +344,27 @@ def test_non_1d_numerators_rejected(engine, num):
 
 class TestPrefixScan:
     def test_inversive_block_five(self):
-        recs = prefix_scan(generate_block(BlockSpec(5, INV)))
+        recs = prefix_scan(block_pairs(5, INV))
         assert [r.weighted for r in recs] == [
             Fraction(4, 5), Fraction(4, 5), Fraction(6, 5), Fraction(4, 5)
         ]
 
     def test_increasing_block_five(self):
-        recs = prefix_scan(generate_block(BlockSpec(5, INC)))
+        recs = prefix_scan(block_pairs(5, INC))
         assert [r.weighted for r in recs] == [
             Fraction(4, 5), Fraction(6, 5), Fraction(6, 5), Fraction(4, 5)
         ]
 
     def test_weighted_equals_k_times_disc(self):
-        recs = prefix_scan(generate_block(BlockSpec(13, INV)))
+        recs = prefix_scan(block_pairs(13, INV))
         for r in recs:
             assert r.weighted == r.k * r.disc.exact
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
     @pytest.mark.parametrize("ordering", [INV, INC])
     def test_fast_path_matches_general_engine(self, p, ordering):
-        block = generate_block(BlockSpec(p, ordering))
-        pts = [(f.num, f.den) for f in block]
-        recs = prefix_scan(block)
+        pts = block_pairs(p, ordering)
+        recs = prefix_scan(pts)
         for r in recs:
             direct = star_discrepancy(pts[: r.k])
             assert (r.disc.num, r.disc.den) == (direct.num, direct.den)
@@ -536,16 +544,16 @@ class TestPrefixScan:
             prefix_scan([])
 
     def test_order_matters_for_prefixes(self):
-        inv = prefix_scan(generate_block(BlockSpec(5, INV)))
-        inc = prefix_scan(generate_block(BlockSpec(5, INC)))
+        inv = prefix_scan(block_pairs(5, INV))
+        inc = prefix_scan(block_pairs(5, INC))
         assert [r.weighted for r in inv] != [r.weighted for r in inc]
 
 
 class TestWeightedPrefixMaxima:
     @pytest.mark.parametrize("p,ordering", [(5, INV), (5, INC), (13, INC), (31, INV)])
     def test_matches_scan_records(self, p, ordering):
-        block = generate_block(BlockSpec(p, ordering))
-        nums = [f.num for f in block]
+        block = block_pairs(p, ordering)
+        nums = [a for a, _ in block]
         maxima = weighted_prefix_maxima(nums, p)
         recs = prefix_scan(block)
         for r, m in zip(recs, maxima.tolist()):
@@ -618,22 +626,21 @@ class TestNwBound:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 97])
     def test_certifies_small_inversive_blocks(self, p):
-        block = generate_block(BlockSpec(p, INV))
-        maxima = weighted_prefix_maxima([f.num for f in block], p)
+        maxima = weighted_prefix_maxima(block_numerators(p, INV).tolist(), p)
         for k, m in enumerate(maxima.tolist(), start=1):
             assert m / p <= nw_bound(p, k) - 1e-9
 
 
 class TestTriangleBound:
     def test_two_block_example(self):
-        e3 = generate_block(BlockSpec(3, INV))
-        e5 = generate_block(BlockSpec(5, INV))
+        e3 = block_arrays(3, INV)
+        e5 = block_arrays(5, INV)
         bound, exact = triangle_bound([e3, e5])
         assert bound == Fraction(11, 45)
         assert exact.exact == Fraction(1, 5)
 
     def test_single_block_is_tight(self):
-        e5 = generate_block(BlockSpec(5, INV))
+        e5 = block_arrays(5, INV)
         bound, exact = triangle_bound([e5])
         assert bound == exact.exact
 
@@ -643,9 +650,7 @@ class TestTriangleBound:
         for _ in range(50):
             count = int(rng.integers(1, 5))
             blocks = [
-                generate_block(
-                    BlockSpec(int(rng.choice(primes)), INV if rng.integers(2) else INC)
-                )
+                block_arrays(int(rng.choice(primes)), INV if rng.integers(2) else INC)
                 for _ in range(count)
             ]
             bound, exact = triangle_bound(blocks)
@@ -654,8 +659,43 @@ class TestTriangleBound:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             triangle_bound([])
-        with pytest.raises(ValueError):
-            triangle_bound([[]])
+        with pytest.raises(ValueError, match="nonempty"):
+            triangle_bound([(np.array([], dtype=np.int64), 5)])
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ((np.array([1.0, 2.0]), 3), "integer arrays"),
+            ((np.array([1, 2]), 3.0), "integer arrays"),
+            ((np.array([1, 3]), 3), "strictly inside"),
+            ((np.array([1, 2]), np.array([3, 2])), "strictly inside"),
+            ((np.array([1, 2]), 10**30), "integer arrays"),  # den beyond int64
+            ([Frac(1, 3), Frac(2, 3)], "integer arrays"),  # a Frac list, not a block
+        ],
+    )
+    def test_rejects_invalid_block(self, block, message):
+        with pytest.raises(ValueError, match=message):
+            triangle_bound([block_arrays(5, INV), block])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_point_denominators_and_exact_path_against_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # 1/2 = 2/4 = 3/6 = 6/12 in one block, then seeded mixed denominators
+        blocks = [(np.array([1, 2, 3, 6]), np.array([2, 4, 6, 12]))]
+        for _ in range(int(rng.integers(1, 5))):
+            den = rng.integers(2, 13, size=int(rng.integers(1, 40)))
+            blocks.append((rng.integers(1, den), den))
+        if seed % 2:
+            big = (1 << 26) + 15  # the whole concatenation takes the exact path
+            blocks.append((rng.integers(1, big, size=int(rng.integers(1, 10))), big))
+        pieces = [
+            list(zip(num.tolist(), np.broadcast_to(den, num.shape).tolist()))
+            for num, den in blocks
+        ]
+        bound, exact = triangle_bound(blocks)
+        n = sum(len(pts) for pts in pieces)
+        assert bound == sum(len(pts) * star_discrepancy_oracle(pts).exact for pts in pieces) / n
+        assert exact == star_discrepancy_oracle([pt for pts in pieces for pt in pts])
 
 
 class TestBlockAccumulator:
@@ -983,7 +1023,7 @@ class TestBoundarySweep:
 
 class TestScanCsv:
     def test_header_and_rows(self):
-        recs = prefix_scan(generate_block(BlockSpec(5, INV)))
+        recs = prefix_scan(block_pairs(5, INV))
         lines = list(scan_csv_lines(recs))
         assert lines[0] == SCAN_CSV_HEADER
         assert lines[1].startswith("1,4,5,0.8")
