@@ -16,6 +16,7 @@ precision integers before it may win.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -275,6 +276,10 @@ def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
     )
 
 
+# slots per row block of the grid sweep: 512 KiB of int32 lanes stay in L2
+_CELLS = 1 << 17
+
+
 def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per prefix k: p * k * D_k*, its witness numerator j and whether side is "at".
 
@@ -283,23 +288,38 @@ def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np
     two occupied numerators c is constant and |p c - k j| is convex in j, so
     the maximum and the smallest tied witness sit at an occupied numerator:
     the sweep visits only the distinct numerators v_t, O(distinct) per prefix.
-    The int64 arithmetic is exact while p * len(nums) < 2^63.
+    Every slot and increment lies in (-p N, p N], N = len(nums): int32 lanes
+    while p N < 2^31, int64 above. A prefix is the last one minus v plus one
+    window of a fixed array, two numpy calls; rows of consecutive prefixes,
+    up to _CELLS slots, share one argmax and one argmin.
     """
     values, slots = np.unique(nums, return_inverse=True)
-    # dev[2t] = p c(v_t) - k v_t ("at" v_t), dev[2t + 1] = p c(v_{t-1}) - k v_t
-    # ("left" v_t): the first maximum of |dev| is the smallest j, "at" before
-    # "left", the tie rule of every engine
-    step = np.repeat(values, 2)
-    dev = np.zeros(step.size, dtype=np.int64)
-    mag = np.empty_like(dev)
-    maxima, best = np.empty((2, slots.size), dtype=np.int64)
-    for k, t in enumerate(slots.tolist()):
-        dev[2 * t :] += p
-        dev[2 * t + 1] -= p
-        dev -= step
-        i = int(np.abs(dev, out=mag).argmax())
-        maxima[k], best[k] = mag[i], i
-    return maxima, values[best >> 1], best & 1 == 0
+    n, w = slots.size, 2 * values.size
+    lane = np.int32 if p * n < 1 << 31 else np.int64
+    rows = max(1, min(n, _CELLS // w))
+    # slot 2t = p c(v_t) - k v_t ("at" v_t), 2t + 1 = p c(v_{t-1}) - k v_t
+    # ("left" v_t): the first maximum of |slot| is the smallest j, "at" before
+    # "left", the tie rule of every engine. Inserting v_t adds p to slot 2t
+    # and to every slot from 2t + 2 on
+    step = np.repeat(values, 2).astype(lane)
+    window = np.full(w, p, dtype=lane)
+    window[1] = 0
+    block = np.zeros((rows, w), dtype=lane)
+    flat, offsets = block.reshape(-1), np.arange(0, rows * w, w)
+    lines, starts = list(block), (2 * slots).tolist()
+    ends = []
+    for k in range(0, n, rows):
+        # row i follows row i - 1, row 0 the last row of the block before; a
+        # last, short block also sweeps stale rows, cut off below
+        for i, s in enumerate(starts[k : k + rows]):
+            np.subtract(lines[i - 1], step, out=lines[i])
+            lines[i][s:] += window[: w - s]
+        idx = np.stack([block.argmax(axis=1), block.argmin(axis=1)])
+        ends.append((idx, flat.take(idx + offsets)))
+    (hi, lo), (top, bottom) = (np.hstack(x)[:, :n].astype(np.int64) for x in zip(*ends))
+    low = top + bottom < (lo < hi)  # |bottom| is larger, or equal at a smaller index
+    best = np.where(low, lo, hi)
+    return np.where(low, -bottom, top), values[best >> 1], best & 1 == 0
 
 
 def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
@@ -362,9 +382,10 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
 def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
-    The sweep behind prefix_scan's common-denominator path, returning only
-    the scaled integer maxima; meant for whole-block bound checks. Refuses
-    p * len(nums) >= 2^63, where the int64 sweep would overflow.
+    The grid sweep behind prefix_scan's common-denominator path (int32 lanes
+    while p * len(nums) < 2^31), returning only the scaled integer maxima;
+    meant for whole-block bound checks. Refuses p * len(nums) >= 2^63, where
+    int64 lanes would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
     if int(p) * nums.size >= 1 << 63:
@@ -403,14 +424,23 @@ def nw_bound(p: int, k: int) -> float:
 def triangle_bound(blocks: Sequence[tuple]) -> tuple[Fraction, DiscrepancyValue]:
     """Concatenation bound sum_j N_j D*(block_j) / N next to the exact D_N*.
 
-    Each block is a (numerators, den) pair under the star_discrepancy_arrays
-    contract, den one integer or one per numerator. Returns (bound, exact);
+    Each block is a (numerators, den) tuple under the star_discrepancy_arrays
+    contract, den one integer or one per numerator; any other block (a list
+    of (num, den) pairs among them) is refused. Returns (bound, exact);
     raises ArithmeticError if exact ever exceeded the bound, which a correct
     engine makes impossible.
     """
     if not blocks:
         raise ValueError("blocks must be nonempty")
-    checked = [_checked_arrays(num, den) for num, den in blocks]
+    checked = []
+    for j, block in enumerate(blocks):
+        try:
+            # a list of two (num, den) pairs must not pass for one block
+            if not (isinstance(block, tuple) and len(block) == 2):
+                raise ValueError("expected a (numerators, den) tuple of integer arrays")
+            checked.append(_checked_arrays(*block))
+        except ValueError as e:
+            raise ValueError(f"block {j} {reprlib.repr(block)}: {e}") from None
     weighted_sum = sum(num.size * star_discrepancy_arrays(num, den).exact for num, den in checked)
     exact = star_discrepancy_arrays(*(np.concatenate(parts) for parts in zip(*checked)))
     bound = weighted_sum / sum(num.size for num, _ in checked)

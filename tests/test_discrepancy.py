@@ -32,7 +32,7 @@ from primedisc.discrepancy import (
     _LowerHalfStore,
     _star_discrepancy_exact,
 )
-from primedisc.primes import build_prime_table
+from primedisc.primes import build_prime_table, sieve_primes
 from primedisc.sequences import (
     BlockSpec,
     Frac,
@@ -81,6 +81,39 @@ def scan_digest(records) -> str:
             f"{r.weighted_num},{r.weighted_den}\n".encode()
         )
     return h.hexdigest()
+
+
+BLOCK_DIGESTS = [
+    (13, INV, "6128659d634d4aa257823c29608809bf7c16e2273746c5a628a618189aefa793"),
+    (13, INC, "d971cea3cc3ebe75bf5548309930bad3b01a7b723c4bd267db05c44bd5e666aa"),
+    (101, INV, "c260b99d2620656618d79affe45aa6f8a2386c0447a17616df52ae2636b41fcc"),
+    (101, INC, "9f0b94bbc6ae6a3bb3591a2f9f14229181dc217ad86a8c79217b10d101f74d65"),
+    (1009, INV, "02594330a28dabebeaee652ad1a4fe1f33a2c6f19d06ca1406ff5c889a2173e6"),
+    (1009, INC, "0dcba61ac5f4b0ab16296b9786e1638f6576c115df977262244590daa8a23a5e"),
+]
+
+MULTISET_DIGESTS = [
+    (1, 3, 40, "a0fafffecd9787d7e4d716653d016a82bec4e307cf5d636fc9cdba1afa068e92"),
+    (2, 100, 400, "48f0002db9657ee1574169bc5fd2836b3005f03b5e1909c5c5179a1fb03c044f"),
+    (3, 1009, 3000, "f31c926ebbb1166736af23dd6b20b3b7772307a8deeb42df14a103a9656a7c65"),
+]
+
+
+def per_prefix_int64_sweep(nums, p):
+    """The grid sweep as one int64 pass per step and prefix: the reference of
+    the row-block kernel, which must match it bit for bit."""
+    values, slots = np.unique(nums, return_inverse=True)
+    step = np.repeat(values, 2)
+    dev = np.zeros(step.size, dtype=np.int64)
+    mag = np.empty_like(dev)
+    maxima, best = np.empty((2, slots.size), dtype=np.int64)
+    for k, t in enumerate(slots.tolist()):
+        dev[2 * t :] += p
+        dev[2 * t + 1] -= p
+        dev -= step
+        i = int(np.abs(dev, out=mag).argmax())
+        maxima[k], best[k] = mag[i], i
+    return maxima, values[best >> 1], best & 1 == 0
 
 
 def random_multiset(rng, max_size=60, max_den=30):
@@ -451,17 +484,7 @@ class TestPrefixScan:
 
     # sha256 of every record (value, witness, side, weighted), pinned to the
     # output of the two separate sweeps that preceded the shared kernel
-    @pytest.mark.parametrize(
-        "p,ordering,digest",
-        [
-            (13, INV, "6128659d634d4aa257823c29608809bf7c16e2273746c5a628a618189aefa793"),
-            (13, INC, "d971cea3cc3ebe75bf5548309930bad3b01a7b723c4bd267db05c44bd5e666aa"),
-            (101, INV, "c260b99d2620656618d79affe45aa6f8a2386c0447a17616df52ae2636b41fcc"),
-            (101, INC, "9f0b94bbc6ae6a3bb3591a2f9f14229181dc217ad86a8c79217b10d101f74d65"),
-            (1009, INV, "02594330a28dabebeaee652ad1a4fe1f33a2c6f19d06ca1406ff5c889a2173e6"),
-            (1009, INC, "0dcba61ac5f4b0ab16296b9786e1638f6576c115df977262244590daa8a23a5e"),
-        ],
-    )
+    @pytest.mark.parametrize("p,ordering,digest", BLOCK_DIGESTS)
     def test_block_records_pinned(self, p, ordering, digest):
         nums = [int(a) for a in block_numerators(p, ordering)]
         records = prefix_scan([(a, p) for a in nums])
@@ -470,14 +493,7 @@ class TestPrefixScan:
             int(r.weighted * p) for r in records
         ]
 
-    @pytest.mark.parametrize(
-        "seed,den,size,digest",
-        [
-            (1, 3, 40, "a0fafffecd9787d7e4d716653d016a82bec4e307cf5d636fc9cdba1afa068e92"),
-            (2, 100, 400, "48f0002db9657ee1574169bc5fd2836b3005f03b5e1909c5c5179a1fb03c044f"),
-            (3, 1009, 3000, "f31c926ebbb1166736af23dd6b20b3b7772307a8deeb42df14a103a9656a7c65"),
-        ],
-    )
+    @pytest.mark.parametrize("seed,den,size,digest", MULTISET_DIGESTS)
     def test_multiset_records_pinned(self, seed, den, size, digest):
         nums = np.random.default_rng(seed).integers(1, den, size=size).tolist()
         assert len(set(nums)) < size  # repeats present
@@ -586,6 +602,51 @@ class TestWeightedPrefixMaxima:
         )
 
 
+class TestGridSweep:
+    @pytest.mark.slow
+    def test_matches_per_prefix_int64_loop(self):
+        # every prime up to 2000 in both orderings, in int32 lanes as given and
+        # in int64 lanes as c nums / c p: the same points, slots c times as
+        # large, and p N c >= 2^31
+        for p in sieve_primes(2000).tolist():
+            for ordering in (INV, INC):
+                nums = block_numerators(p, ordering)
+                maxima, witness, at_side = per_prefix_int64_sweep(nums, p)
+                c = -(-(1 << 31) // (p * nums.size))
+                for scale in (1, c):
+                    got = discrepancy._grid_sweep(nums * scale, p * scale)
+                    assert got[0].dtype == np.int64
+                    assert np.array_equal(got[0], maxima * scale), (p, ordering, scale)
+                    assert np.array_equal(got[1], witness * scale), (p, ordering, scale)
+                    assert np.array_equal(got[2], at_side), (p, ordering, scale)
+
+    @pytest.mark.parametrize("p", [(1 << 25) - 1, (1 << 25) + 1025])
+    def test_int32_lane_edge(self, p):
+        # 64 sparse numerators just below p. At p N = 2^31 - 64 the slots fit
+        # int32 lanes (2^31 +- 1 are odd, so no p gives them with N = 64). At
+        # p N = 2^31 + 65600 every numerator v exceeds 2^25, so a "left" slot
+        # -64 v passes -2^31 and only int64 lanes hold it
+        nums = np.random.default_rng(31).permutation(p - 1 - 3 * np.arange(64))
+        pts = [(a, p) for a in nums.tolist()]
+        maxima = weighted_prefix_maxima(nums, p)
+        assert maxima.dtype == np.int64
+        for r, m in zip(prefix_scan(pts), maxima.tolist()):
+            want = star_discrepancy_oracle(pts[: r.k])
+            assert r.disc == want
+            assert m == r.k * p * want.exact
+
+    @pytest.mark.parametrize("cells", [1, 1 << 40], ids=["one-row", "all-rows"])
+    def test_block_size_changes_only_the_work(self, monkeypatch, cells):
+        # one prefix per row block, and every prefix in one block
+        monkeypatch.setattr(discrepancy, "_CELLS", cells)
+        for seed, den, size, digest in MULTISET_DIGESTS:
+            nums = np.random.default_rng(seed).integers(1, den, size=size).tolist()
+            assert scan_digest(prefix_scan([(a, den) for a in nums])) == digest
+        p, ordering, digest = BLOCK_DIGESTS[4]
+        assert ordering == INV
+        assert scan_digest(prefix_scan(block_pairs(p, ordering))) == digest
+
+
 class TestBlockMaxWeighted:
     def test_inversive_five(self):
         assert block_max_weighted(BlockSpec(5, INV)) == (Fraction(6, 5), 3)
@@ -671,6 +732,9 @@ class TestTriangleBound:
             ((np.array([1, 2]), np.array([3, 2])), "strictly inside"),
             ((np.array([1, 2]), 10**30), "integer arrays"),  # den beyond int64
             ([Frac(1, 3), Frac(2, 3)], "integer arrays"),  # a Frac list, not a block
+            # two pairs once passed for numerators (1, 3) over denominators (2, 5)
+            ([(1, 3), (2, 5)], r"block 1 .*: expected a \(numerators, den\) tuple"),
+            ([(1, 3), (2, 5), (1, 2)], r"block 1 .*: expected a \(numerators, den\) tuple"),
         ],
     )
     def test_rejects_invalid_block(self, block, message):
