@@ -6,13 +6,7 @@ prefix sweeps against their analytic budgets, and the asymptotic scaling
 of boundary discrepancies.
 """
 
-from .asymptotics import (
-    TheoremRow,
-    lambert_w,
-    m_asymptotic,
-    scaled_discrepancy,
-    verify_theorem,
-)
+from .asymptotics import TheoremRow, lambert_w, scaled_discrepancy, verify_theorem
 from .discrepancy import (
     DEFAULT_SWEEP_LIMIT,
     BlockAccumulator,
@@ -21,7 +15,6 @@ from .discrepancy import (
     block_max_weighted,
     nw_bound,
     prefix_scan,
-    scan_csv_lines,
     star_discrepancy,
     star_discrepancy_arrays,
     star_discrepancy_oracle,
@@ -34,6 +27,7 @@ from .primes import (
     block_index_of,
     build_prime_table,
     is_prime,
+    m_asymptotic,
     pnt_ratio,
     sieve_primes,
     sum_ratio,
@@ -45,9 +39,7 @@ from .sequences import (
     Ordering,
     SequenceFamily,
     block_numerators,
-    dump_lines,
     generate_prefix,
-    parse_dump,
     prefix_arrays,
 )
 
@@ -70,18 +62,15 @@ __all__ = [
     "block_max_weighted",
     "block_numerators",
     "build_prime_table",
-    "dump_lines",
     "generate_prefix",
     "is_prime",
     "lambert_w",
     "m_asymptotic",
     "nw_bound",
-    "parse_dump",
     "pnt_ratio",
     "prefix_arrays",
     "prefix_scan",
     "scaled_discrepancy",
-    "scan_csv_lines",
     "sieve_primes",
     "star_discrepancy",
     "star_discrepancy_arrays",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .discrepancy import DiscrepancyValue, _boundary_discrepancies
 from .errors import TableTooSmallError
-from .primes import PrimeTable, m_asymptotic  # noqa: F401 (re-export)
+from .primes import PrimeTable
 
 _RESIDUAL_TOL = 1e-12
 
@@ -98,9 +98,6 @@ class TheoremRow:
     lower_den: int
 
 
-THEOREM_CSV_HEADER = "m,N,p_m,disc_num,disc_den,disc_float,scaled,lower_num,lower_den"
-
-
 def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     """Exact D_N* at every block boundary N = P(m) for m in [m_lo, m_hi].
 
@@ -131,12 +128,3 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
         scaled = scaled_discrepancy(n, dv) if n >= 2 else None
         rows.append(TheoremRow(m, n, p, dv, scaled, 1, 2 * p))
     return rows
-
-
-def theorem_csv_row(r: TheoremRow) -> str:
-    """One theorem row as CSV (17 significant digits for floats)."""
-    scaled = "" if r.scaled is None else f"{r.scaled:.17g}"
-    return (
-        f"{r.m},{r.n},{r.p},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},"
-        f"{scaled},{r.lower_num},{r.lower_den}"
-    )

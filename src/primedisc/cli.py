@@ -20,40 +20,27 @@ from typing import Iterable
 
 import numpy as np
 
-from .asymptotics import (
-    THEOREM_CSV_HEADER,
-    _residual,
-    lambert_w,
-    m_asymptotic,
-    theorem_csv_row,
-    verify_theorem,
-)
+from .asymptotics import _residual, lambert_w, verify_theorem
 from .discrepancy import (
+    _FLOAT_SAFE_DEN,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
     block_max_weighted,
     nw_bound,
     prefix_scan,
-    scan_csv_lines,
     star_discrepancy,
     star_discrepancy_arrays,
 )
 from .primes import (
     build_prime_table,
     is_prime,
+    m_asymptotic,
     pnt_ratio,
     sieve_primes,
     sum_ratio,
     table_covering,
 )
-from .sequences import (
-    Ordering,
-    SequenceFamily,
-    block_numerators,
-    dump_lines,
-    parse_dump,
-    prefix_arrays,
-)
+from .sequences import Frac, Ordering, SequenceFamily, block_numerators, prefix_arrays
 
 
 class UsageError(Exception):
@@ -94,14 +81,35 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             fh.write("\n")
 
 
+def _parse_dump(lines: Iterable[str]) -> list[Frac]:
+    """Parse num/den dump lines, skipping blanks and '#' comments; a bad line's
+    ValueError names its 1-based number (a fraction outside (0, 1) included)."""
+    out: list[Frac] = []
+    for i, raw in enumerate(lines, start=1):
+        s = raw.strip()
+        if not s or s.startswith("#"):
+            continue
+        try:
+            num_s, sep, den_s = s.partition("/")
+            if not sep:
+                raise ValueError("expected num/den")
+            out.append(Frac(int(num_s), int(den_s)))
+        except ValueError as exc:
+            raise ValueError(f"line {i}: cannot parse fraction {s!r}: {exc}") from exc
+    return out
+
+
 def _family_table(family: SequenceFamily, n: int):
     if family is SequenceFamily.OMEGA:
         return None
     return table_covering(n)
 
 
+_GROWTH_HEADER = "pnt_ratio,sum_ratio,m_est"
+
+
 def _growth_cells(table, m: int) -> str:
-    """The pnt_ratio,sum_ratio,m_est cells of block m, blank for m = 1 (N = 1)."""
+    """The _GROWTH_HEADER cells of block m, blank for m = 1 (N = 1)."""
     if m < 2:
         return ",,"
     return (
@@ -129,16 +137,19 @@ def _check_sweep_limit(flag: str, p: int, limit: int) -> None:
 def _cmd_gen(args: argparse.Namespace) -> list[str]:
     family = SequenceFamily(args.family)
     num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
-    pairs = zip(num.tolist(), den.tolist())
-    return list(dump_lines(pairs, family, args.n, header=args.header))
+    header = [f"# family={family.value} N={args.n}"] if args.header else []
+    return header + [f"{a}/{b}" for a, b in zip(num.tolist(), den.tolist())]
 
 
 def _cmd_disc(args: argparse.Namespace) -> list[str]:
     if args.input is not None:
         if args.n is not None:
             raise UsageError("--n applies only with --family, not with --input")
-        with open(args.input) as fh:
-            fracs = parse_dump(fh)
+        try:
+            with open(args.input) as fh:
+                fracs = _parse_dump(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.input}: {exc}") from None
         if not fracs:
             raise ValueError(f"{args.input}: no fractions found")
         n = len(fracs)
@@ -186,7 +197,10 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
         family = SequenceFamily(args.family)
         num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
     records = prefix_scan(list(zip(num.tolist(), den.tolist())))
-    return list(scan_csv_lines(records))
+    return ["k,disc_num,disc_den,disc_float,weighted_num,weighted_den"] + [
+        f"{r.k},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},{r.weighted_num},{r.weighted_den}"
+        for r in records
+    ]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> list[str]:
@@ -201,10 +215,7 @@ def _cmd_bounds(args: argparse.Namespace) -> list[str]:
         lines = ["p,argmax_k,max_num,max_den,max_float,eighth_num,eighth_den,meets_eighth"]
     for p in primes:
         max_frac, arg_k = block_max_weighted(BlockSpec(p, ordering), args.sweep_limit)
-        head = (
-            f"{p},{arg_k},{max_frac.numerator},{max_frac.denominator},"
-            f"{float(max_frac):.17g}"
-        )
+        head = f"{p},{arg_k},{max_frac.numerator},{max_frac.denominator},{float(max_frac):.17g}"
         if ordering is Ordering.INVERSIVE:
             nw = nw_bound(p, arg_k)
             ok = float(max_frac) <= nw
@@ -212,20 +223,25 @@ def _cmd_bounds(args: argparse.Namespace) -> list[str]:
         else:
             eighth = Fraction(p - 1, 8)
             ok = max_frac >= eighth
-            lines.append(
-                f"{head},{eighth.numerator},{eighth.denominator},{str(ok).lower()}"
-            )
+            lines.append(f"{head},{eighth.numerator},{eighth.denominator},{str(ok).lower()}")
     return lines
 
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     m_lo, m_hi = _parse_range(args.m)
+    # p_m > m ln m (Rosser), so past this p_HI exceeds what the sweep admits;
+    # refused before the table, which costs about 115 B per prime
+    if m_hi * math.log(m_hi) > _FLOAT_SAFE_DEN:
+        raise ValueError(f"HI={m_hi}: p_HI > HI ln HI > {_FLOAT_SAFE_DEN}, the denominator limit")
     # one spare block keeps the boundary N = P(m_hi) strictly bracketed
     table = build_prime_table(m_hi + 1)
-    rows = verify_theorem(table, m_lo, m_hi)
-    lines = [THEOREM_CSV_HEADER + ",pnt_ratio,sum_ratio,m_est"]
-    for r in rows:
-        lines.append(f"{theorem_csv_row(r)},{_growth_cells(table, r.m)}")
+    lines = ["m,N,p_m,disc_num,disc_den,disc_float,scaled,lower_num,lower_den," + _GROWTH_HEADER]
+    for r in verify_theorem(table, m_lo, m_hi):
+        scaled = "" if r.scaled is None else f"{r.scaled:.17g}"
+        lines.append(
+            f"{r.m},{r.n},{r.p},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},{scaled},"
+            f"{r.lower_num},{r.lower_den},{_growth_cells(table, r.m)}"
+        )
     return lines
 
 
@@ -249,7 +265,7 @@ def _cmd_asym(args: argparse.Namespace) -> list[str]:
         return lines
     m_lo, m_hi = _parse_range(args.m_range)
     table = build_prime_table(m_hi)
-    lines = ["m,p_m,P_m,pnt_ratio,sum_ratio,m_est"]
+    lines = [f"m,p_m,P_m,{_GROWTH_HEADER}"]
     for m in range(m_lo, m_hi + 1):
         p = table.primes[m - 1]
         lines.append(f"{m},{p},{table.cumulative[m]},{_growth_cells(table, m)}")

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .primes import is_prime
+from .primes import _integer, is_prime
 from .sequences import BlockSpec, Frac, block_numerators
 
 DEFAULT_SWEEP_LIMIT = 30_000
@@ -35,8 +35,6 @@ _FLOAT_SAFE_DEN = 1 << 26
 # float candidates sit within ~1e-15 of their exact values, so anything this
 # close to the float maximum is confirmed exactly
 _FILTER_MARGIN = 1e-12
-
-SCAN_CSV_HEADER = "k,disc_num,disc_den,disc_float,weighted_num,weighted_den"
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,6 @@ class DiscrepancyValue:
     @property
     def witness(self) -> Fraction:
         return Fraction(self.witness_num, self.witness_den)
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den} (~{self.approx:.6g})"
 
 
 @dataclass(frozen=True)
@@ -414,6 +409,7 @@ def block_max_weighted(
 
 def nw_bound(p: int, k: int) -> float:
     """(2 sqrt(p) + 1)(ln p + 1/3)^2 + k/p, the inversive-block budget for k * D_k*."""
+    k = _integer(k)
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not 1 <= k <= p - 1:
@@ -665,13 +661,3 @@ def _boundary_discrepancies(
             keep = _bands(a, b, c, n, floor)
         a, b, c = a[keep], b[keep], c[keep]
         yield _band_maximum(a, b, c, n)
-
-
-def scan_csv_lines(records: Iterable[ScanRecord]) -> Iterator[str]:
-    """Render scan records as CSV (17 significant digits for floats)."""
-    yield SCAN_CSV_HEADER
-    for r in records:
-        yield (
-            f"{r.k},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},"
-            f"{r.weighted_num},{r.weighted_den}"
-        )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -19,8 +20,17 @@ from .errors import CapacityError, TableTooSmallError
 INT64_MAX = 2**63 - 1
 
 
+def _integer(value) -> int:
+    """operator.index(value): numpy integers pass, floats and strings are refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check."""
+    n = _integer(n)
     if n < 2:
         return False
     if n < 4:
@@ -37,6 +47,7 @@ def is_prime(n: int) -> bool:
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit in ascending order (Eratosthenes, numpy flags)."""
+    limit = _integer(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
@@ -92,6 +103,7 @@ class PrimeTable:
 
 def build_prime_table(m_count: int) -> PrimeTable:
     """Sieve the first m_count primes and precompute their running totals."""
+    m_count = _integer(m_count)
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
     limit = _nth_prime_limit(m_count)
@@ -114,6 +126,7 @@ def build_prime_table(m_count: int) -> PrimeTable:
 
 def table_covering(n: int) -> PrimeTable:
     """A table sized so that P(M) > n, grown from the asymptotic estimate."""
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = required_blocks_estimate(n)
@@ -126,6 +139,7 @@ def table_covering(n: int) -> PrimeTable:
 
 def block_index_of(table: PrimeTable, n: int) -> int:
     """The unique m with P(m) <= n < P(m+1), found by binary search."""
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n >= table.coverage:
@@ -140,6 +154,7 @@ def block_index_of(table: PrimeTable, n: int) -> int:
 
 def pnt_ratio(table: PrimeTable, m: int) -> float:
     """p_m / (m ln m), the prime-number-theorem ratio (tends to 1)."""
+    m = _integer(m)
     if m < 2:
         raise ValueError("m must be >= 2 (ln m must be positive)")
     if m > len(table):
@@ -149,6 +164,7 @@ def pnt_ratio(table: PrimeTable, m: int) -> float:
 
 def sum_ratio(table: PrimeTable, m: int) -> float:
     """P(m) / ((m^2 / 2) ln m), the cumulative-sum ratio (tends to 1)."""
+    m = _integer(m)
     if m < 2:
         raise ValueError("m must be >= 2 (ln m must be positive)")
     if m > len(table):

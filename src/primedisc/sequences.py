@@ -21,12 +21,11 @@ from functools import total_ordering
 from itertools import count
 from math import gcd
 from operator import index
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import TableTooSmallError
-from .primes import PrimeTable, is_prime, required_blocks_estimate
+from .primes import PrimeTable, _integer, is_prime, required_blocks_estimate
 
 
 @total_ordering
@@ -105,7 +104,7 @@ def block_numerators(q: int, ordering: Ordering) -> np.ndarray:
     Inversive order requires a prime q with q^2 < 2^63; increasing order
     accepts any q >= 2 (omega uses composite denominators too).
     """
-    q = index(q)
+    q = _integer(q)
     if q < 2:
         raise ValueError("denominator must be >= 2")
     if ordering is Ordering.INCREASING:
@@ -189,37 +188,3 @@ def prefix_arrays(
             break
     return num, den
 
-
-def dump_lines(
-    fracs: Iterable,
-    family: SequenceFamily | None = None,
-    n: int | None = None,
-    header: bool = False,
-) -> Iterator[str]:
-    """Render Frac objects or (num, den) pairs (written as given) as num/den lines."""
-    if header:
-        yield f"# family={family.value if family else '?'} N={n if n is not None else '?'}"
-    for f in fracs:
-        num, den = (f.num, f.den) if isinstance(f, Frac) else f
-        yield f"{num}/{den}"
-
-
-def parse_dump(lines: Iterable[str]) -> list[Frac]:
-    """Parse num/den lines; blank lines and '#' comments are skipped.
-
-    Raises ValueError naming the 1-based line number of the first bad line,
-    including fractions outside (0, 1) or with a zero denominator.
-    """
-    out: list[Frac] = []
-    for i, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        try:
-            num_s, sep, den_s = s.partition("/")
-            if not sep:
-                raise ValueError("expected num/den")
-            out.append(Frac(int(num_s), int(den_s)))
-        except ValueError as exc:
-            raise ValueError(f"line {i}: cannot parse fraction {s!r}: {exc}") from exc
-    return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primedisc.asymptotics import lambert_w, m_asymptotic, verify_theorem
+from primedisc.asymptotics import lambert_w, verify_theorem
 from primedisc.discrepancy import (
     nw_bound,
     star_discrepancy,
@@ -30,6 +30,7 @@ from primedisc.discrepancy import (
 from primedisc.primes import (
     block_index_of,
     build_prime_table,
+    m_asymptotic,
     pnt_ratio,
     sieve_primes,
     sum_ratio,

@@ -7,18 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primedisc.asymptotics import (
-    THEOREM_CSV_HEADER,
-    TheoremRow,
-    lambert_w,
-    m_asymptotic,
-    scaled_discrepancy,
-    theorem_csv_row,
-    verify_theorem,
-)
+from primedisc.asymptotics import TheoremRow, lambert_w, scaled_discrepancy, verify_theorem
 from primedisc.discrepancy import DiscrepancyValue, star_discrepancy_oracle
 from primedisc.errors import TableTooSmallError
-from primedisc.primes import build_prime_table
+from primedisc.primes import build_prime_table, m_asymptotic
 from primedisc.sequences import SequenceFamily, generate_prefix
 
 
@@ -164,13 +156,3 @@ class TestVerifyTheorem:
         with pytest.raises(TableTooSmallError):
             verify_theorem(table10, 1, 11)
 
-
-class TestTheoremCsv:
-    def test_header_and_shape(self, table10):
-        lines = [theorem_csv_row(r) for r in verify_theorem(table10, 1, 5)]
-        assert len(lines) == 5
-        width = len(THEOREM_CSV_HEADER.split(","))
-        assert all(len(line.split(",")) == width for line in lines)
-        assert lines[0].endswith(",1,4")  # m=1 scaled empty, lower = 1/4
-        parts = lines[1].split(",")
-        assert parts[0] == "2" and parts[3] == "1" and parts[4] == "3"

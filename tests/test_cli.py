@@ -12,6 +12,8 @@ import pytest
 import primedisc.cli as cli
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
+from primedisc.primes import build_prime_table
+from primedisc.sequences import SequenceFamily, generate_prefix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
@@ -73,15 +75,16 @@ class TestDisc:
         assert lines[0] == "n,disc_num,disc_den,disc_float,witness_num,witness_den,side"
         assert lines[1].startswith("7,1,5,0.2")
 
-    def test_input_round_trip(self, capsys, tmp_path):
-        dump = tmp_path / "omega.txt"
-        code, _, _ = run(capsys, "gen", "--family", "omega", "--n", "9", "--out", str(dump))
-        assert code == 0
-        code, via_file, _ = run(capsys, "disc", "--input", str(dump))
-        assert code == 0
-        code, via_family, _ = run(capsys, "disc", "--family", "omega", "--n", "9")
-        assert code == 0
-        assert json.loads(via_file) == json.loads(via_family)
+    @pytest.mark.parametrize("family", [f.value for f in SequenceFamily])
+    @pytest.mark.parametrize("header", [[], ["--header"]])
+    def test_input_round_trip(self, capsys, tmp_path, family, header):
+        # gen [--header] --out F, then disc --input F, equals disc --family
+        dump = tmp_path / f"{family}.txt"
+        argv = ["gen", "--family", family, "--n", "300", *header, "--out", str(dump)]
+        assert run(capsys, *argv)[0] == 0
+        via_file = run(capsys, "disc", "--input", str(dump))
+        assert via_file[0] == 0
+        assert via_file == run(capsys, "disc", "--family", family, "--n", "300")
 
     def test_malformed_line_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -105,6 +108,14 @@ class TestDisc:
         code, _, _ = run(capsys, "disc", "--input", str(tmp_path / "nope.txt"))
         assert code == 1
 
+    @pytest.mark.parametrize("data", [b"\xff1/2\n", b"1/2\n1/3\n\xfe\n"])
+    def test_undecodable_bytes_name_the_file(self, capsys, tmp_path, data):
+        dump = tmp_path / "binary.txt"
+        dump.write_bytes(data)
+        code, out, err = run(capsys, "disc", "--input", str(dump))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {dump}: 'utf-8' codec can't decode byte")
+
     def test_family_requires_n(self, capsys):
         code, _, err = run(capsys, "disc", "--family", "eta")
         assert code == 2
@@ -122,6 +133,55 @@ class TestDisc:
         assert (code, out) == (2, "")
         assert err.startswith("usage error:")
         assert "--n" in err
+
+
+class TestDumpParse:
+    """The dump format: gen writes it, disc --input reads it through _parse_dump."""
+
+    def gen(self, capsys, family, n, *flags):
+        code, out, _ = run(capsys, "gen", "--family", family, "--n", str(n), *flags)
+        assert code == 0
+        return out.splitlines()
+
+    def test_round_trip(self, capsys):
+        back = cli._parse_dump(self.gen(capsys, "eta", 13))
+        want = generate_prefix(SequenceFamily.ETA, 13, build_prime_table(10))
+        assert [(f.num, f.den) for f in back] == [(f.num, f.den) for f in want]
+
+    def test_header_line(self, capsys):
+        assert self.gen(capsys, "omega", 1, "--header") == ["# family=omega N=1", "1/2"]
+
+    def test_round_trip_preserves_duplicates(self, capsys):
+        # 2/4 stays 2/4 next to 1/2: the dump keeps construction denominators
+        lines = self.gen(capsys, "omega", 9, "--header")
+        back = cli._parse_dump(lines)
+        assert [str(f) for f in back] == lines[1:]
+        assert [str(f) for f in back] == [str(f) for f in generate_prefix(SequenceFamily.OMEGA, 9)]
+
+    def test_skips_blanks_and_comments(self, capsys, tmp_path):
+        assert [str(f) for f in cli._parse_dump(["# hi", "", "  1/2  ", "# bye"])] == ["1/2"]
+        dump = tmp_path / "commented.txt"
+        dump.write_text("# hi\n\n  1/2  \n# bye\n")
+        code, out, _ = run(capsys, "disc", "--input", str(dump))
+        assert code == 0
+        assert json.loads(out)["n"] == 1
+
+    @pytest.mark.parametrize(
+        "bad", ["3/0", "abc", "1/2/3", "5/4", "0/4", "1:2", "/3", "1/"]
+    )
+    def test_rejects_malformed(self, capsys, tmp_path, bad):
+        dump = tmp_path / "bad.txt"
+        dump.write_text(bad + "\n")
+        code, out, err = run(capsys, "disc", "--input", str(dump))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line 1: cannot parse fraction {bad!r}: ")
+
+    def test_error_counts_raw_lines(self, capsys, tmp_path):
+        dump = tmp_path / "bad.txt"
+        dump.write_text("# c\n\n1/2\n9/8\n")
+        code, _, err = run(capsys, "disc", "--input", str(dump))
+        assert code == 1
+        assert err == "error: line 4: cannot parse fraction '9/8': 9/8 is not strictly inside (0, 1)\n"
 
 
 class TestScan:
@@ -203,6 +263,18 @@ class TestScan:
         assert out == run(capsys, "scan", "--family", "eta", "--n", "40")[1]
 
 
+class TestScanCsv:
+    def test_header_and_rows(self, capsys):
+        code, out, _ = run(capsys, "scan", "--prime", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "k,disc_num,disc_den,disc_float,weighted_num,weighted_den"
+        assert lines[1].startswith("1,4,5,0.8")
+        assert len(lines) == 5
+        for line in lines[1:]:
+            assert len(line.split(",")) == 6
+
+
 class TestBounds:
     def test_inversive_row_count(self, capsys):
         code, out, _ = run(capsys, "bounds", "--pmax", "10")
@@ -253,6 +325,35 @@ class TestVerify:
         for bad in ("5", "5..", "a..b", "5..3"):
             code, _, _ = run(capsys, "verify", "--m", bad)
             assert code == 2
+
+    def test_row_width(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m", "1..5")
+        assert code == 0
+        lines = out.splitlines()
+        width = len(lines[0].split(","))
+        assert width == 12
+        assert all(len(line.split(",")) == width for line in lines[1:])
+        assert lines[1].endswith(",1,4,,,")  # m=1: scaled and growth cells empty, lower = 1/4
+        parts = lines[2].split(",")
+        assert parts[0] == "2" and parts[3] == "1" and parts[4] == "3"
+
+    @pytest.mark.parametrize(
+        "hi,refused",
+        # HI ln HI crosses 2^26 between these two; p_m > m ln m puts p_HI past
+        # the sweep's largest denominator from there on
+        [("4387822", False), ("4387823", True), ("100000000", True)],
+    )
+    def test_hopeless_hi_refused_before_the_table(self, capsys, monkeypatch, hi, refused):
+        def no_table(m_count):
+            raise ValueError("table built")
+
+        monkeypatch.setattr(cli, "build_prime_table", no_table)
+        code, out, err = run(capsys, "verify", "--m", f"1..{hi}")
+        assert (code, out) == (1, "")
+        if refused:
+            assert f"HI={hi}" in err and str(1 << 26) in err
+        else:
+            assert err == "error: table built\n"
 
 
 class TestAsym:

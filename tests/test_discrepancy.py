@@ -13,13 +13,11 @@ from hypothesis import given, settings, strategies as st
 import primedisc.discrepancy as discrepancy
 from primedisc.discrepancy import (
     DEFAULT_SWEEP_LIMIT,
-    SCAN_CSV_HEADER,
     BlockAccumulator,
     DiscrepancyValue,
     block_max_weighted,
     nw_bound,
     prefix_scan,
-    scan_csv_lines,
     star_discrepancy,
     star_discrepancy_arrays,
     star_discrepancy_oracle,
@@ -1084,13 +1082,3 @@ class TestBoundarySweep:
         with pytest.raises(ValueError, match="too large"):
             next(_boundary_discrepancies([2, (1 << 26) + 15], 1, 2))
 
-
-class TestScanCsv:
-    def test_header_and_rows(self):
-        recs = prefix_scan(block_pairs(5, INV))
-        lines = list(scan_csv_lines(recs))
-        assert lines[0] == SCAN_CSV_HEADER
-        assert lines[1].startswith("1,4,5,0.8")
-        assert len(lines) == 5
-        for line in lines[1:]:
-            assert len(line.split(",")) == 6

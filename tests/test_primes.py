@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from primedisc.discrepancy import nw_bound
 from primedisc.errors import CapacityError, TableTooSmallError
 from primedisc.primes import (
     block_index_of,
@@ -16,6 +17,7 @@ from primedisc.primes import (
     sum_ratio,
     table_covering,
 )
+from primedisc.sequences import BlockSpec, Ordering, block_numerators
 
 
 def trial_division_primes(count: int) -> list[int]:
@@ -163,3 +165,35 @@ class TestNumpyCrossCheck:
         primes = np.array(table.primes, dtype=np.int64)
         csum = np.concatenate([[0], np.cumsum(primes - 1)])
         assert csum.tolist() == list(table.cumulative)
+
+
+TABLE10 = build_prime_table(10)
+
+
+@pytest.mark.parametrize(
+    "call,value",
+    [
+        (lambda: is_prime(7.5), "7.5"),  # once read as prime
+        (lambda: is_prime(2.5), "2.5"),
+        (lambda: nw_bound(7.5, 2), "7.5"),  # once a budget of 35.98
+        (lambda: nw_bound(7, 2.5), "2.5"),
+        (lambda: BlockSpec(5.0, Ordering.INCREASING), "5.0"),  # once accepted
+        (lambda: block_index_of(TABLE10, 5.5), "5.5"),  # once block 2
+        (lambda: block_numerators(7.0, Ordering.INCREASING), "7.0"),
+        (lambda: sieve_primes(10.5), "10.5"),
+        (lambda: build_prime_table(4.0), "4.0"),
+        (lambda: table_covering(9.5), "9.5"),
+        (lambda: pnt_ratio(TABLE10, 2.5), "2.5"),
+        (lambda: sum_ratio(TABLE10, "3"), "'3'"),
+    ],
+)
+def test_non_integer_arguments_refused(call, value):
+    # floats and strings are refused by operator.index, never truncated
+    with pytest.raises(ValueError, match=f"^{value} is not an integer$"):
+        call()
+
+
+def test_numpy_integers_accepted():
+    assert is_prime(np.int64(7)) and not is_prime(np.int32(9))
+    assert block_index_of(TABLE10, np.int64(5)) == block_index_of(TABLE10, 5)
+    assert nw_bound(np.int64(7), np.int64(2)) == nw_bound(7, 2)

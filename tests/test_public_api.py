@@ -1,7 +1,8 @@
 """The package's exported names and the README's library example.
 
-A name dropped from a module but left in __all__, or a README example that
-still calls a removed function, fails here rather than in a user's session.
+A name dropped from a module but left in __all__, a public name added or
+removed without notice, or a README example that still calls a removed
+function, fails here rather than in a user's session.
 """
 
 from __future__ import annotations
@@ -14,6 +15,48 @@ import pytest
 import primedisc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every public name; adding or removing one is an edit here and a CHANGES.md line
+PUBLIC = [
+    "BlockAccumulator",
+    "BlockSpec",
+    "CapacityError",
+    "DEFAULT_SWEEP_LIMIT",
+    "DiscrepancyValue",
+    "Frac",
+    "Ordering",
+    "PrimeTable",
+    "ScanRecord",
+    "SequenceFamily",
+    "TableTooSmallError",
+    "TheoremRow",
+    "block_index_of",
+    "block_max_weighted",
+    "block_numerators",
+    "build_prime_table",
+    "generate_prefix",
+    "is_prime",
+    "lambert_w",
+    "m_asymptotic",
+    "nw_bound",
+    "pnt_ratio",
+    "prefix_arrays",
+    "prefix_scan",
+    "scaled_discrepancy",
+    "sieve_primes",
+    "star_discrepancy",
+    "star_discrepancy_arrays",
+    "star_discrepancy_oracle",
+    "sum_ratio",
+    "table_covering",
+    "triangle_bound",
+    "verify_theorem",
+    "weighted_prefix_maxima",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(primedisc.__all__) == PUBLIC
 
 
 @pytest.mark.parametrize("name", primedisc.__all__)

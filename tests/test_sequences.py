@@ -15,9 +15,7 @@ from primedisc.sequences import (
     Ordering,
     SequenceFamily,
     block_numerators,
-    dump_lines,
     generate_prefix,
-    parse_dump,
     prefix_arrays,
 )
 
@@ -229,41 +227,3 @@ class TestPrefixArrays:
         with pytest.raises(TableTooSmallError):
             prefix_arrays(ETA, 10**15, table10)
 
-
-class TestDumpParse:
-    def test_round_trip(self, table10):
-        pre = generate_prefix(ETA, 13, table10)
-        lines = list(dump_lines(pre))
-        back = parse_dump(lines)
-        assert [(f.num, f.den) for f in back] == [(f.num, f.den) for f in pre]
-
-    def test_pairs_render_like_fracs(self, table10):
-        pre = generate_prefix(ETA, 13, table10)
-        pairs = [(f.num, f.den) for f in pre]
-        assert list(dump_lines(pairs, ETA, 13, header=True)) == list(
-            dump_lines(pre, ETA, 13, header=True)
-        )
-
-    def test_header_line(self):
-        lines = list(dump_lines([Frac(1, 2)], family=OMEGA, n=1, header=True))
-        assert lines == ["# family=omega N=1", "1/2"]
-
-    def test_round_trip_preserves_duplicates(self):
-        pre = generate_prefix(OMEGA, 9)
-        back = parse_dump(dump_lines(pre, family=OMEGA, n=9, header=True))
-        assert [str(f) for f in back] == [str(f) for f in pre]
-
-    def test_skips_blanks_and_comments(self):
-        got = parse_dump(["# hi", "", "  1/2  ", "# bye"])
-        assert [str(f) for f in got] == ["1/2"]
-
-    @pytest.mark.parametrize(
-        "bad", ["3/0", "abc", "1/2/3", "5/4", "0/4", "1:2", "/3", "1/"]
-    )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_dump([bad])
-
-    def test_error_counts_raw_lines(self):
-        with pytest.raises(ValueError, match="line 4"):
-            parse_dump(["# c", "", "1/2", "9/8"])
