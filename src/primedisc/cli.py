@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,6 +100,15 @@ def _parse_dump(lines: Iterable[str]) -> list[Frac]:
     return out
 
 
+def _utf8_lines(fh: Iterable[bytes], name: str) -> Iterator[str]:
+    # decoded one line at a time, so an undecodable byte is named by its line
+    for i, raw in enumerate(fh, start=1):
+        try:
+            yield raw.decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{name}: line {i}: not valid UTF-8") from None
+
+
 def _family_table(family: SequenceFamily, n: int):
     if family is SequenceFamily.OMEGA:
         return None
@@ -134,22 +144,30 @@ def _check_sweep_limit(flag: str, p: int, limit: int) -> None:
         )
 
 
-def _cmd_gen(args: argparse.Namespace) -> list[str]:
+# points per slice of the gen dump: lines are made a slice at a time
+_GEN_SLICE = 1 << 12
+
+
+def _cmd_gen(args: argparse.Namespace) -> Iterator[str]:
+    # the arrays are built before the first line, so an error ends the command
+    # before any output or --out file; the lines themselves are streamed
     family = SequenceFamily(args.family)
     num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
     header = [f"# family={family.value} N={args.n}"] if args.header else []
-    return header + [f"{a}/{b}" for a, b in zip(num.tolist(), den.tolist())]
+    lines = (
+        f"{a}/{b}"
+        for lo in range(0, num.size, _GEN_SLICE)
+        for a, b in zip(num[lo : lo + _GEN_SLICE].tolist(), den[lo : lo + _GEN_SLICE].tolist())
+    )
+    return chain(header, lines)
 
 
 def _cmd_disc(args: argparse.Namespace) -> list[str]:
     if args.input is not None:
         if args.n is not None:
             raise UsageError("--n applies only with --family, not with --input")
-        try:
-            with open(args.input) as fh:
-                fracs = _parse_dump(fh)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{args.input}: {exc}") from None
+        with open(args.input, "rb") as fh:
+            fracs = _parse_dump(_utf8_lines(fh, args.input))
         if not fracs:
             raise ValueError(f"{args.input}: no fractions found")
         n = len(fracs)
@@ -229,10 +247,14 @@ def _cmd_bounds(args: argparse.Namespace) -> list[str]:
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     m_lo, m_hi = _parse_range(args.m)
-    # p_m > m ln m (Rosser), so past this p_HI exceeds what the sweep admits;
-    # refused before the table, which costs about 115 B per prime
-    if m_hi * math.log(m_hi) > _FLOAT_SAFE_DEN:
-        raise ValueError(f"HI={m_hi}: p_HI > HI ln HI > {_FLOAT_SAFE_DEN}, the denominator limit")
+    # p_m > m (ln m + ln ln m - 1) for m >= 2 (Dusart), so past this p_HI
+    # exceeds what the sweep admits; refused before the table, which costs
+    # about 115 B per prime
+    if m_hi >= 2 and m_hi * (math.log(m_hi) + math.log(math.log(m_hi)) - 1) > _FLOAT_SAFE_DEN:
+        raise ValueError(
+            f"HI={m_hi}: p_HI > HI (ln HI + ln ln HI - 1) > {_FLOAT_SAFE_DEN}, "
+            "the denominator limit"
+        )
     # one spare block keeps the boundary N = P(m_hi) strictly bracketed
     table = build_prime_table(m_hi + 1)
     lines = ["m,N,p_m,disc_num,disc_den,disc_float,scaled,lower_num,lower_den," + _GROWTH_HEADER]

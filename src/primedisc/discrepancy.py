@@ -165,24 +165,42 @@ def _deviations(val: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, u
 
 
-def _representatives(
-    values: np.ndarray, num: np.ndarray, den: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # a pair (a, b) with a / b == x for each float x in values, found by
-    # recomputing num / den slice by slice: below _FLOAT_SAFE_DEN equal floats
-    # are equal rationals, so any match (1/2 or 2/4) names the same value
+def _representatives(values: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
+    # the reduced pair (a, b) with a / b == x for each float x in values, all
+    # values of fractions with denominators <= max_den <= _FLOAT_SAFE_DEN.
+    # Such an x lies within 2^-54 of a/b and xi = rint(x 2^62) / 2^62 within
+    # 2^-63 of x, so |xi - a/b| < 2^-53 <= 1 / (2 b^2) and a/b is a convergent
+    # of xi (Legendre). Distinct fractions with denominators <= 2^26 round to
+    # distinct floats, so a/b is the one convergent h/k with k <= max_den and
+    # h / k == x. One Euclid loop over the distinct targets finds it; the
+    # convergents of xi have denominators <= 2^62, so int64 lanes never overflow
     targets, where = np.unique(values, return_inverse=True)
-    a = np.zeros(targets.size, dtype=np.int64)  # 0 until found: numerators are >= 1
+    a = np.zeros(targets.size, dtype=np.int64)
     b = np.zeros_like(a)
-    for lo in range(0, num.size, _SLICE):
-        v = num[lo : lo + _SLICE] / den[lo : lo + _SLICE]
-        pos = np.searchsorted(targets, v).clip(max=targets.size - 1)
-        hit = np.flatnonzero(targets[pos] == v)
-        a[pos[hit]] = num[lo + hit]
-        b[pos[hit]] = den[lo + hit]
-        if a.all():
-            return a[where], b[where]
-    raise ArithmeticError("candidate value missing from its multiset; engine inconsistency")
+    lanes = np.arange(targets.size)
+    x = targets
+    # xi = 0 + r / r_prev: the convergent before the loop is h / k = 0 / 1
+    r_prev = np.full(x.size, 1 << 62, dtype=np.int64)
+    r = np.rint(x * float(1 << 62)).astype(np.int64)
+    h_prev, h = np.ones_like(r), np.zeros_like(r)
+    k_prev, k = np.zeros_like(r), np.ones_like(r)
+    while lanes.size:
+        q, rem = np.divmod(r_prev, r)
+        r_prev, r = r, rem
+        h_prev, h = h, q * h + h_prev
+        k_prev, k = k, q * k + k_prev
+        near = k <= max_den
+        hit = near & (h / k == x)
+        a[lanes[hit]] = h[hit]
+        b[lanes[hit]] = k[hit]
+        live = ~hit
+        # a lane past max_den, or at xi itself, without a hit names no value
+        if (live & (~near | (r == 0))).any():
+            raise ArithmeticError("candidate value missing from its multiset; engine inconsistency")
+        lanes, x, r_prev, r, h_prev, h, k_prev, k = (
+            v[live] for v in (lanes, x, r_prev, r, h_prev, h, k_prev, k)
+        )
+    return a[where], b[where]
 
 
 def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
@@ -199,27 +217,37 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     The one sorted-multiset evaluator: star_discrepancy, triangle_bound and
     BlockAccumulator feed it. It sorts the values num / den, finds the
     maximum deviation in one float pass and the near-maximal indices in a
-    second, and confirms those exactly; num and den, in input order, are
-    read only to name each candidate value. Falls back to exact sorting when
-    a denominator is too large for faithful float order. Non-integer arrays
-    are rejected rather than truncated.
+    second, which revisits only the slices whose extremes reach the cut, and
+    confirms those exactly. Each candidate value is named from its own float
+    by continued fractions, so num and den are read only for the input
+    check, the divide and the maximum denominator. Falls back to exact
+    sorting when a denominator is too large for faithful float order.
+    Non-integer arrays are rejected rather than truncated.
     """
     num, den = _checked_arrays(num, den)
-    if int(den.max()) > _FLOAT_SAFE_DEN:
+    max_den = int(den.max())
+    if max_den > _FLOAT_SAFE_DEN:
         return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
     val = num / den
     val.sort()
     n = val.size
-    top = max(max(float(u.max()), 1.0 - float(u.min())) for _, u in _deviations(val, n))
+    # (i0, max u, min u) per slice: only slices whose extremes reach the cut
+    # can hold a candidate, and only those are made again
+    extremes = [(lo, float(u.max()), float(u.min())) for lo, u in _deviations(val, n)]
+    top = max(max(hi, 1.0 - low) for _, hi, low in extremes)
     cut = top - n * _FILTER_MARGIN
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
     at, left = [], []
-    for lo, u in _deviations(val, n):
+    for lo, hi, low in extremes:
+        if hi < cut and low > 1.0 - cut:
+            continue
+        u = val[lo : lo + _SLICE] * n
+        u -= np.arange(lo, lo + u.size)
         at.append(lo + np.flatnonzero(u <= 1.0 - cut))
         left.append(lo + np.flatnonzero(u >= cut))
     at, left = np.concatenate(at), np.concatenate(left)
-    a, b = _representatives(val[np.concatenate([at, left])], num, den)
+    a, b = _representatives(val[np.concatenate([at, left])], max_den)
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
     return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)

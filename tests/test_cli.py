@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import primedisc.cli as cli
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 from primedisc.primes import build_prime_table
-from primedisc.sequences import SequenceFamily, generate_prefix
+from primedisc.sequences import SequenceFamily, generate_prefix, prefix_arrays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
@@ -51,6 +52,33 @@ class TestGen:
         assert code == 0
         assert out == ""
         assert target.read_text() == "\n".join(ETA7) + "\n"
+
+    def test_error_comes_before_the_out_file(self, capsys, monkeypatch, tmp_path):
+        def no_arrays(family, n, table):
+            raise ValueError("no arrays")
+
+        monkeypatch.setattr(cli, "prefix_arrays", no_arrays)
+        target = tmp_path / "dump.txt"
+        code, out, err = run(capsys, "gen", "--family", "omega", "--n", "7", "--out", str(target))
+        assert (code, out, err) == (1, "", "error: no arrays\n")
+        assert not target.exists()
+
+    def test_dump_is_streamed(self, tmp_path):
+        # the lines are made a slice at a time next to the (num, den) arrays,
+        # never all at once
+        n = 200_000
+        target = tmp_path / "omega.txt"
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--family", "omega", "--n", str(n), "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        num, den = prefix_arrays(SequenceFamily.OMEGA, n)
+        assert peak < 2 * (num.nbytes + den.nbytes)
+        lines = target.read_text().splitlines()
+        assert len(lines) == n and lines[-1] == f"{num[-1]}/{den[-1]}"
 
 
 class TestDisc:
@@ -108,13 +136,17 @@ class TestDisc:
         code, _, _ = run(capsys, "disc", "--input", str(tmp_path / "nope.txt"))
         assert code == 1
 
-    @pytest.mark.parametrize("data", [b"\xff1/2\n", b"1/2\n1/3\n\xfe\n"])
-    def test_undecodable_bytes_name_the_file(self, capsys, tmp_path, data):
+    @pytest.mark.parametrize(
+        "data,line",
+        [(b"\xff1/2\n", 1), (b"1/2\n1/3\n\xfe\n", 3), (b"1/2\n" * 5000 + b"\xff", 5001)],
+    )
+    def test_undecodable_bytes_name_the_file(self, capsys, tmp_path, data, line):
+        # the line, not a position within the decoder's buffer
         dump = tmp_path / "binary.txt"
         dump.write_bytes(data)
         code, out, err = run(capsys, "disc", "--input", str(dump))
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {dump}: 'utf-8' codec can't decode byte")
+        assert err == f"error: {dump}: line {line}: not valid UTF-8\n"
 
     def test_family_requires_n(self, capsys):
         code, _, err = run(capsys, "disc", "--family", "eta")
@@ -339,9 +371,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "hi,refused",
-        # HI ln HI crosses 2^26 between these two; p_m > m ln m puts p_HI past
-        # the sweep's largest denominator from there on
-        [("4387822", False), ("4387823", True), ("100000000", True)],
+        # HI (ln HI + ln ln HI - 1) crosses 2^26 between these two; Dusart's
+        # p_m > m (ln m + ln ln m - 1) puts p_HI past the sweep's largest
+        # denominator from there on
+        [("3967527", False), ("3967528", True), ("100000000", True)],
     )
     def test_hopeless_hi_refused_before_the_table(self, capsys, monkeypatch, hi, refused):
         def no_table(m_count):

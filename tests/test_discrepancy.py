@@ -28,6 +28,7 @@ from primedisc.discrepancy import (
     _confirm,
     _deviations,
     _LowerHalfStore,
+    _representatives,
     _star_discrepancy_exact,
 )
 from primedisc.primes import build_prime_table, sieve_primes
@@ -304,7 +305,7 @@ class TestStarDiscrepancyArrays:
 
     @pytest.fixture(params=[3, 1 << 16], ids=["slice3", "slice65536"])
     def slices(self, request, monkeypatch):
-        # short slices make the value matching cross many slice boundaries
+        # short slices make the candidate pass skip and revisit many slices
         monkeypatch.setattr(discrepancy, "_SLICE", request.param)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -325,7 +326,7 @@ class TestStarDiscrepancyArrays:
         acc.add_block(num, den)
         assert acc.star_discrepancy() == want
 
-    @pytest.mark.parametrize("n", [*range(1, 41), 97, 256])
+    @pytest.mark.parametrize("n", [*range(1, 41), 97, 256, 5003])
     def test_every_point_a_candidate(self, n, slices):
         # {(2i - 1) / (2n)}: u ties at every index, so all n values are
         # candidates on both sides
@@ -353,6 +354,104 @@ class TestStarDiscrepancyArrays:
         big = (1 << 27) + 29
         dv = star_discrepancy_arrays(np.array([1, big - 1]), np.array([big, big]))
         assert dv.exact == star_discrepancy_oracle([(1, big), (big - 1, big)]).exact
+
+    @pytest.mark.parametrize("slice_len", [16, 1 << 16])
+    @pytest.mark.parametrize("mid", [2, 3])
+    def test_maximum_in_a_middle_slice(self, monkeypatch, slice_len, mid):
+        # a centred grid (every u is 1/2) with a run of equal values in slice
+        # mid: only that slice reaches the cut, the others are skipped
+        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        n = 5 * slice_len + 3
+        num = np.arange(1, 2 * n, 2)
+        lo = mid * slice_len + slice_len // 3
+        num[lo : lo + 5] = num[lo + 2]
+        extremes = [(i0, u.max(), u.min()) for i0, u in _deviations(np.sort(num / (2 * n)), n)]
+        top = max(max(hi, 1.0 - low) for _, hi, low in extremes)
+        hot = [i0 for i0, hi, low in extremes if max(hi, 1.0 - low) > top - 0.25]
+        assert hot == [mid * slice_len]
+        dv = star_discrepancy_arrays(num, 2 * n)
+        if slice_len < 1 << 16:
+            assert dv == star_discrepancy_oracle([(a, 2 * n) for a in num.tolist()])
+        else:
+            # at the run's value v, "at" (lo + 5) / n - v and "left" v - lo / n
+            # are both 5 / 2n; "at" wins the tie
+            w = Fraction(int(num[lo]), 2 * n)
+            assert (dv.exact, dv.witness, dv.side) == (Fraction(5, 2 * n), w, "at")
+
+
+def slice_rescan_representatives(
+    values: np.ndarray, num: np.ndarray, den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluator's former naming pass, kept as a reference: an input pair
+    (a, b) with a / b == x for each float x in values, found by recomputing
+    num / den slice by slice (any match, 1/2 or 2/4, names the same value)."""
+    targets, where = np.unique(values, return_inverse=True)
+    a = np.zeros(targets.size, dtype=np.int64)  # 0 until found: numerators are >= 1
+    b = np.zeros_like(a)
+    for lo in range(0, num.size, 1 << 16):
+        v = num[lo : lo + (1 << 16)] / den[lo : lo + (1 << 16)]
+        pos = np.searchsorted(targets, v).clip(max=targets.size - 1)
+        hit = np.flatnonzero(targets[pos] == v)
+        a[pos[hit]] = num[lo + hit]
+        b[pos[hit]] = den[lo + hit]
+        if a.all():
+            return a[where], b[where]
+    raise ArithmeticError("candidate value missing from its multiset")
+
+
+def farey_neighbours(rng, b: int, count: int) -> list[tuple[int, int]]:
+    """count pairs a/b, c/d with b c - a d = 1 and d < b: values 1 / (b d)
+    apart, the closest two fractions with denominators <= b can be."""
+    out = []
+    while len(out) < 2 * count:
+        a = int(rng.integers(1, b))
+        if math.gcd(a, b) == 1:
+            d = -pow(a, -1, b) % b
+            out += [(a, b), ((1 + a * d) // b, d)]
+    return out
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_slice_rescan(self, seed):
+        # denominators up to 2^26, the float-safe limit, with its extremes,
+        # Farey neighbours near it and one value under several denominators
+        rng = np.random.default_rng(seed)
+        top = 1 << 26
+        den = rng.integers(2, top + 1, size=3000)
+        pts = list(zip(rng.integers(1, den).tolist(), den.tolist()))
+        pts += [(1, top), (top - 1, top), (1, 2), (2, 4), (3, 6), (1 << 25, top)]
+        pts += farey_neighbours(rng, top - int(rng.integers(0, 1000)), 50)
+        small = rng.integers(2, 60, size=200)
+        pts += list(zip(rng.integers(1, small).tolist(), small.tolist()))
+        num, den = (np.array(x, dtype=np.int64) for x in zip(*pts))
+        pick = rng.integers(0, num.size, size=2 * num.size)
+        values = num[pick] / den[pick]
+        a, b = _representatives(values, int(den.max()))
+        assert (a * den[pick] == num[pick] * b).all()
+        assert (np.gcd(a, b) == 1).all() and (a / b == values).all()
+        ref_a, ref_b = slice_rescan_representatives(values, num, den)
+        assert (a * ref_b == ref_a * b).all()
+
+    @pytest.mark.parametrize("max_den", [3, 7, 1 << 26])
+    def test_every_fraction_below_max_den(self, max_den):
+        # every reduced a/b with b <= max_den is named as itself
+        dens = range(2, min(max_den, 200) + 1)
+        pairs = [(a, b) for b in dens for a in range(1, b) if math.gcd(a, b) == 1]
+        num, den = np.array(pairs).T
+        a, b = _representatives(num / den, max_den)
+        assert a.tolist() == num.tolist() and b.tolist() == den.tolist()
+
+    @pytest.mark.parametrize(
+        "x,max_den",
+        [(1 / 3, 2), (2 / 7, 6), (np.nextafter(0.5, 1.0), 1 << 26), (2.0**-20 + 2.0**-72, 1 << 26)],
+    )
+    def test_no_convergent_under_max_den(self, x, max_den):
+        # 1/2 + 2^-53 is no value: every a/b != 1/2 with b <= 2^26 is 2^-27
+        # away. 2^-20 + 2^-72 rounds to xi = 2^-20 itself, whose expansion
+        # ends at 1 / 2^20 without a hit
+        with pytest.raises(ArithmeticError, match="candidate value missing"):
+            _representatives(np.array([0.5, x]), max_den)
 
 
 @pytest.mark.parametrize(
