@@ -41,7 +41,7 @@ from .primes import (
     sum_ratio,
     table_covering,
 )
-from .sequences import Frac, Ordering, SequenceFamily, block_numerators, prefix_arrays
+from .sequences import Ordering, SequenceFamily, block_numerators, prefix_arrays
 
 
 class UsageError(Exception):
@@ -82,10 +82,12 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             fh.write("\n")
 
 
-def _parse_dump(lines: Iterable[str]) -> list[Frac]:
-    """Parse num/den dump lines, skipping blanks and '#' comments; a bad line's
-    ValueError names its 1-based number (a fraction outside (0, 1) included)."""
-    out: list[Frac] = []
+def _parse_dump(lines: Iterable[str]) -> tuple[list[int], list[int]]:
+    """Parse num/den dump lines into numerator and denominator lists, skipping
+    blanks and '#' comments; a bad line's ValueError names its 1-based number
+    (a fraction outside (0, 1) included)."""
+    nums: list[int] = []
+    dens: list[int] = []
     for i, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -94,10 +96,14 @@ def _parse_dump(lines: Iterable[str]) -> list[Frac]:
             num_s, sep, den_s = s.partition("/")
             if not sep:
                 raise ValueError("expected num/den")
-            out.append(Frac(int(num_s), int(den_s)))
+            a, b = int(num_s), int(den_s)
+            if not 1 <= a < b:
+                raise ValueError(f"{a}/{b} is not strictly inside (0, 1)")
         except ValueError as exc:
             raise ValueError(f"line {i}: cannot parse fraction {s!r}: {exc}") from exc
-    return out
+        nums.append(a)
+        dens.append(b)
+    return nums, dens
 
 
 def _utf8_lines(fh: Iterable[bytes], name: str) -> Iterator[str]:
@@ -167,11 +173,15 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
         if args.n is not None:
             raise UsageError("--n applies only with --family, not with --input")
         with open(args.input, "rb") as fh:
-            fracs = _parse_dump(_utf8_lines(fh, args.input))
-        if not fracs:
+            nums, dens = _parse_dump(_utf8_lines(fh, args.input))
+        if not nums:
             raise ValueError(f"{args.input}: no fractions found")
-        n = len(fracs)
-        dv = star_discrepancy(fracs)
+        n = len(nums)
+        if max(dens) <= _FLOAT_SAFE_DEN:
+            dv = star_discrepancy_arrays(np.array(nums), np.array(dens))
+        else:
+            # beyond float safety, even beyond int64: the exact path
+            dv = star_discrepancy(list(zip(nums, dens)))
     else:
         if args.n is None:
             raise UsageError("--family requires --n")

@@ -306,43 +306,59 @@ _CELLS = 1 << 17
 def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per prefix k: p * k * D_k*, its witness numerator j and whether side is "at".
 
-    All points sit on the grid j/p, so p * k * D_k* = max_j max(|p c_j - k j|,
-    |p c_{j-1} - k j|) with c_j the running count of numerators <= j. Between
-    two occupied numerators c is constant and |p c - k j| is convex in j, so
-    the maximum and the smallest tied witness sit at an occupied numerator:
-    the sweep visits only the distinct numerators v_t, O(distinct) per prefix.
-    Every slot and increment lies in (-p N, p N], N = len(nums): int32 lanes
-    while p N < 2^31, int64 above. A prefix is the last one minus v plus one
-    window of a fixed array, two numpy calls; rows of consecutive prefixes,
-    up to _CELLS slots, share one argmax and one argmin.
+    All points sit on the grid j/p. With c(s) the running count of numerators
+    <= s, grid point s holds x(s) = p c(s) - k s: p k times the "at"
+    deviation at v is x(v), and at "left" v it is x(v - 1) - k. Between
+    consecutive prefix values c is constant and x falls strictly in s, so
+    max x sits at a prefix value and min x just below one, and no other grid
+    point reaches either. Hence p k D_k* is the larger of max x ("at" s) and
+    k - min x ("left" s + 1); a positive "left" or negative "at" deviation
+    is always strictly smaller. The sweep holds only the half grid
+    S = {v - 1, v : v a distinct numerator}, one slot per point of S, at
+    most 2 x (distinct numerators) and p for a whole block. Every slot lies
+    in (-p N, p N], N = len(nums): int32 lanes while p N < 2^31, int64
+    above. A prefix is the last one plus one window of a fixed array, one
+    numpy call; rows of consecutive prefixes, up to _CELLS slots, hold
+    p c(s) - k0 s with k0 fixed per row block, so the k s ramp comes off
+    once per block, before one argmax and one argmin.
     """
-    values, slots = np.unique(nums, return_inverse=True)
-    n, w = slots.size, 2 * values.size
+    nums = np.asarray(nums)
+    n = nums.size
+    # grid[where[n + i]] == nums[i]
+    grid, where = np.unique(np.concatenate([nums - 1, nums]), return_inverse=True)
+    w = grid.size
     lane = np.int32 if p * n < 1 << 31 else np.int64
     rows = max(1, min(n, _CELLS // w))
-    # slot 2t = p c(v_t) - k v_t ("at" v_t), 2t + 1 = p c(v_{t-1}) - k v_t
-    # ("left" v_t): the first maximum of |slot| is the smallest j, "at" before
-    # "left", the tie rule of every engine. Inserting v_t adds p to slot 2t
-    # and to every slot from 2t + 2 on
-    step = np.repeat(values, 2).astype(lane)
-    window = np.full(w, p, dtype=lane)
-    window[1] = 0
+    # inserting v adds p to every slot from v on: window[w - t:][:w] with t
+    # the index of v in grid
+    window = np.zeros(2 * w, dtype=lane)
+    window[w:] = p
+    starts = (w - where[n:]).tolist()
+    del where
+    ramp = np.multiply.outer(np.arange(1, rows + 1, dtype=lane), grid.astype(lane))
     block = np.zeros((rows, w), dtype=lane)
     flat, offsets = block.reshape(-1), np.arange(0, rows * w, w)
-    lines, starts = list(block), (2 * slots).tolist()
+    lines, add = list(block), np.add
     ends = []
     for k in range(0, n, rows):
-        # row i follows row i - 1, row 0 the last row of the block before; a
-        # last, short block also sweeps stale rows, cut off below
-        for i, s in enumerate(starts[k : k + rows]):
-            np.subtract(lines[i - 1], step, out=lines[i])
-            lines[i][s:] += window[: w - s]
-        idx = np.stack([block.argmax(axis=1), block.argmin(axis=1)])
-        ends.append((idx, flat.take(idx + offsets)))
-    (hi, lo), (top, bottom) = (np.hstack(x)[:, :n].astype(np.int64) for x in zip(*ends))
-    low = top + bottom < (lo < hi)  # |bottom| is larger, or equal at a smaller index
-    best = np.where(low, lo, hi)
-    return np.where(low, -bottom, top), values[best >> 1], best & 1 == 0
+        # each row follows the one before, row 0 the last row of the block before
+        part, prev = block[: n - k], lines[-1]
+        for line, s in zip(lines, starts[k : k + rows]):
+            add(prev, window[s : s + w], line)
+            prev = line
+        part -= ramp[: len(part)]
+        idx = np.stack([part.argmax(axis=1), part.argmin(axis=1)])
+        ends.append((idx, flat.take(idx + offsets[: len(part)])))
+    # the row buffers and every view of them go before the decode
+    del block, ramp, lines, flat, part, prev, line, starts
+    (hi, lo), (top, bottom) = (np.hstack(x).astype(np.int64) for x in zip(*ends))
+    # the first maximum and minimum are the smallest thresholds; "at" s
+    # against "left" s' + 1: the larger value, then the smaller threshold,
+    # then "at" before "left"
+    at, left = grid[hi], grid[lo] + 1
+    neg = np.arange(1, n + 1) - bottom
+    low = (neg > top) | ((neg == top) & (left < at))
+    return np.where(low, neg, top), np.where(low, left, at), ~low
 
 
 def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
@@ -373,6 +389,22 @@ def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
         yield _confirm(cand, k)
 
 
+def _grid_records(nums: list[int], p: int) -> list[ScanRecord]:
+    # D_k* = m / (k p), witness j / p and k D_k* = m / p from the grid sweep,
+    # reduced by gcds of int64 arrays (the caller keeps every k p < 2^63);
+    # the arrays go before the records are made
+    m, j, at_side = _grid_sweep(nums, p)
+    kp = np.arange(1, len(nums) + 1) * p
+    g, gj, gm = np.gcd(m, kp), np.gcd(j, p), np.gcd(m, p)
+    fractions = ((m, g), (kp, g), (j, gj), (p, gj), (m, gm), (p, gm))
+    columns = [(x // y).tolist() for x, y in fractions] + [at_side.tolist()]
+    del m, j, at_side, kp, g, gj, gm, fractions
+    return [
+        ScanRecord(k, DiscrepancyValue(a, b, c, d, "at" if at else "left"), e, f)
+        for k, a, b, c, d, e, f, at in zip(range(1, len(nums) + 1), *columns)
+    ]
+
+
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
     """Exact D_k* for every prefix k = 1..N, in input order.
 
@@ -384,19 +416,12 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
     """
     pairs = _point_pairs(points)
     n = len(pairs)
-    ks = range(1, n + 1)
     dens = {b for _, b in pairs}
     p = max(dens)
     if len(dens) == 1 and p * n < 1 << 63:
-        maxima, witness, at_side = _grid_sweep([a for a, _ in pairs], p)
-        values = [
-            _reduced_value(m, k * p, j, p, "at" if at else "left")
-            for k, m, j, at in zip(ks, maxima.tolist(), witness.tolist(), at_side.tolist())
-        ]
-    else:
-        values = _rank_sweep(pairs)
+        return _grid_records([a for a, _ in pairs], p)
     records: list[ScanRecord] = []
-    for k, dv in zip(ks, values):
+    for k, dv in enumerate(_rank_sweep(pairs), 1):
         g = gcd(dv.num * k, dv.den)
         records.append(ScanRecord(k, dv, dv.num * k // g, dv.den // g))
     return records
@@ -405,10 +430,12 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
 def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
-    The grid sweep behind prefix_scan's common-denominator path (int32 lanes
-    while p * len(nums) < 2^31), returning only the scaled integer maxima;
-    meant for whole-block bound checks. Refuses p * len(nums) >= 2^63, where
-    int64 lanes would overflow.
+    The grid sweep behind prefix_scan's common-denominator path, returning
+    only the scaled integer maxima; meant for whole-block bound checks. Each
+    prefix costs one slot per point of the half grid {v - 1, v : v a
+    distinct numerator}, p slots for a whole block, in int32 lanes while
+    p * len(nums) < 2^31. Refuses p * len(nums) >= 2^63, where int64 lanes
+    would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
     if int(p) * nums.size >= 1 << 63:
@@ -514,6 +541,21 @@ _BAND_WIDTH = 12
 _BUCKET_POINTS = 8
 
 
+# the first merge places the lower half in this many value ranges
+_FIRST_RANGES = 16
+
+
+def _block_points(ranges: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    # the values j / q and int32 denominators q, j = lo..hi, of each (q, lo, hi)
+    sizes = [hi - lo + 1 for _, lo, hi in ranges]
+    val = np.empty(sum(sizes))
+    at = 0
+    for (q, lo, hi), h in zip(ranges, sizes):
+        np.divide(np.arange(lo, hi + 1), q, out=val[at : at + h])
+        at += h
+    return val, np.repeat(np.array([q for q, _, _ in ranges], dtype=np.int32), sizes)
+
+
 class _LowerHalfStore:
     """Sorted values x = j/q <= 1/2 of whole blocks q, with int32 denominators.
 
@@ -537,25 +579,27 @@ class _LowerHalfStore:
         return self._den[: self.size]
 
     def merge(self, primes: Sequence[int]) -> None:
-        """Merge the lower halves of the blocks q in primes, distinct from those held."""
-        half = [q // 2 for q in primes]
-        val = np.empty(sum(half))
-        lo = 0
-        for q, h in zip(primes, half):
-            np.divide(np.arange(1, h + 1), q, out=val[lo : lo + h])
-            lo += h
-        order = np.argsort(val)  # the values are distinct: stability is moot
+        """Merge the lower halves of the blocks q in primes, distinct from those held.
+
+        Into an empty store the points go straight into place, one value
+        range (b / 2K, (b + 1) / 2K] at a time, b = 0..K-1, K = _FIRST_RANGES:
+        each range is gathered from every block and sorted, so no sort or
+        order array spans the whole run.
+        """
         if not self.size:
-            # the first merge sorts straight into place, one array at a time;
-            # the indices are in range, and mode="clip" makes take unbuffered
-            self.size = val.size
-            np.take(val, order, out=self._val[: self.size], mode="clip")
-            del val
-            den = np.repeat(np.array(primes, dtype=np.int32), half)
-            np.take(den, order, out=self._den[: self.size], mode="clip")
+            k = 2 * _FIRST_RANGES
+            for b in range(_FIRST_RANGES):
+                val, den = _block_points([(q, b * q // k + 1, (b + 1) * q // k) for q in primes])
+                order = np.argsort(val)  # the values are distinct: stability is moot
+                # the indices are in range, and mode="clip" makes take unbuffered
+                lo, self.size = self.size, self.size + val.size
+                np.take(val, order, out=self._val[lo : self.size], mode="clip")
+                np.take(den, order, out=self._den[lo : self.size], mode="clip")
             return
+        val, den = _block_points([(q, 1, q // 2) for q in primes])
+        order = np.argsort(val)
         val = val[order]
-        den = np.repeat(np.array(primes, dtype=np.int32), half)[order]
+        den = den[order]
         del order
         # new point t lands at pos[t] + t: the held points of a slice [lo, hi)
         # shift right by the t_lo new points below them, and going down from

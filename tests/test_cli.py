@@ -14,7 +14,7 @@ import primedisc.cli as cli
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 from primedisc.primes import build_prime_table
-from primedisc.sequences import SequenceFamily, generate_prefix, prefix_arrays
+from primedisc.sequences import Frac, SequenceFamily, generate_prefix, prefix_arrays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
@@ -132,6 +132,22 @@ class TestDisc:
         want = star_discrepancy_oracle(pts)
         assert (payload["disc_num"], payload["disc_den"]) == (want.num, want.den)
 
+    def test_input_is_parsed_into_integer_lists(self, capsys, tmp_path):
+        # two int lists, then two int64 arrays: about 76 bytes per dump line
+        # at the peak, where one Frac per line took about 190
+        n = 100_000
+        dump = tmp_path / "omega.txt"
+        assert run(capsys, "gen", "--family", "omega", "--n", str(n), "--out", str(dump))[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(["disc", "--input", str(dump)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == run(capsys, "disc", "--family", "omega", "--n", str(n))[1]
+        assert peak < 100 * n
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "disc", "--input", str(tmp_path / "nope.txt"))
         assert code == 1
@@ -176,9 +192,9 @@ class TestDumpParse:
         return out.splitlines()
 
     def test_round_trip(self, capsys):
-        back = cli._parse_dump(self.gen(capsys, "eta", 13))
+        nums, dens = cli._parse_dump(self.gen(capsys, "eta", 13))
         want = generate_prefix(SequenceFamily.ETA, 13, build_prime_table(10))
-        assert [(f.num, f.den) for f in back] == [(f.num, f.den) for f in want]
+        assert list(zip(nums, dens)) == [(f.num, f.den) for f in want]
 
     def test_header_line(self, capsys):
         assert self.gen(capsys, "omega", 1, "--header") == ["# family=omega N=1", "1/2"]
@@ -186,12 +202,12 @@ class TestDumpParse:
     def test_round_trip_preserves_duplicates(self, capsys):
         # 2/4 stays 2/4 next to 1/2: the dump keeps construction denominators
         lines = self.gen(capsys, "omega", 9, "--header")
-        back = cli._parse_dump(lines)
-        assert [str(f) for f in back] == lines[1:]
-        assert [str(f) for f in back] == [str(f) for f in generate_prefix(SequenceFamily.OMEGA, 9)]
+        back = [f"{a}/{b}" for a, b in zip(*cli._parse_dump(lines))]
+        assert back == lines[1:]
+        assert back == [str(f) for f in generate_prefix(SequenceFamily.OMEGA, 9)]
 
     def test_skips_blanks_and_comments(self, capsys, tmp_path):
-        assert [str(f) for f in cli._parse_dump(["# hi", "", "  1/2  ", "# bye"])] == ["1/2"]
+        assert cli._parse_dump(["# hi", "", "  1/2  ", "# bye"]) == ([1], [2])
         dump = tmp_path / "commented.txt"
         dump.write_text("# hi\n\n  1/2  \n# bye\n")
         code, out, _ = run(capsys, "disc", "--input", str(dump))
@@ -207,6 +223,54 @@ class TestDumpParse:
         code, out, err = run(capsys, "disc", "--input", str(dump))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: line 1: cannot parse fraction {bad!r}: ")
+
+    @pytest.mark.parametrize(
+        "bad", ["3/0", "abc", "1/2/3", "5/4", "0/4", "1:2", "/3", "1/", "-1/3", "2/2", " 7 / 5 "]
+    )
+    def test_reason_is_the_frac_reason(self, capsys, tmp_path, bad):
+        # the parser checks the integers itself; its reason stays the one a
+        # Frac built from them gives
+        num_s, sep, den_s = bad.strip().partition("/")
+        try:
+            if not sep:
+                raise ValueError("expected num/den")
+            Frac(int(num_s), int(den_s))
+        except ValueError as exc:
+            reason = str(exc)
+        dump = tmp_path / "bad.txt"
+        dump.write_text(f"1/2\n{bad}\n")
+        code, out, err = run(capsys, "disc", "--input", str(dump))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2: cannot parse fraction {bad.strip()!r}: {reason}\n"
+
+    def test_first_bad_line_is_named(self, capsys, tmp_path):
+        # a fraction outside (0, 1) before an unparsable line is the error
+        dump = tmp_path / "bad.txt"
+        dump.write_text("1/2\n4/3\nabc\n")
+        code, _, err = run(capsys, "disc", "--input", str(dump))
+        assert code == 1
+        assert err == "error: line 2: cannot parse fraction '4/3': 4/3 is not strictly inside (0, 1)\n"
+
+    def test_no_fractions(self, capsys, tmp_path):
+        dump = tmp_path / "empty.txt"
+        dump.write_text("# only a comment\n\n")
+        code, out, err = run(capsys, "disc", "--input", str(dump))
+        assert (code, out) == (1, "")
+        assert err == f"error: {dump}: no fractions found\n"
+
+    @pytest.mark.parametrize("den", [(1 << 26) + 1, (1 << 40) + 15, 10**30])
+    def test_exact_path_above_float_safety(self, capsys, tmp_path, den):
+        # one denominator above 2^26 sends the whole dump to the exact path
+        pts = [(1, den), (2, 3), (den - 1, den), (1, 2), (12345, den), (1, 3)]
+        dump = tmp_path / "big.txt"
+        dump.write_text("".join(f"{a}/{b}\n" for a, b in pts))
+        code, out, _ = run(capsys, "disc", "--input", str(dump))
+        assert code == 0
+        payload = json.loads(out)
+        want = star_discrepancy_oracle(pts)
+        got = (payload["disc_num"], payload["disc_den"], payload["witness_num"])
+        assert got == (want.num, want.den, want.witness_num)
+        assert (payload["witness_den"], payload["side"]) == (want.witness_den, want.side)
 
     def test_error_counts_raw_lines(self, capsys, tmp_path):
         dump = tmp_path / "bad.txt"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -717,12 +718,64 @@ class TestGridSweep:
                     assert np.array_equal(got[1], witness * scale), (p, ordering, scale)
                     assert np.array_equal(got[2], at_side), (p, ordering, scale)
 
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 17], ids=["one-row", "seven", "default"])
+    def test_matches_per_prefix_int64_loop_sampled(self, monkeypatch, cells):
+        # the shapes the sweep meets, each in int32 lanes and scaled into int64
+        # lanes: prefixes of whole blocks (scan --prime --n), a few numerators
+        # on a large grid, and a few numerators repeated many times
+        monkeypatch.setattr(discrepancy, "_CELLS", cells)
+        rng = np.random.default_rng(15)
+        primes = sieve_primes(3000)
+        cases = []
+        for _ in range(12):
+            p = int(rng.choice(primes))
+            for ordering in (INV, INC):
+                cases.append((block_numerators(p, ordering)[: int(rng.integers(1, p))], p))
+        for den in (1 << 20, 999_983):
+            cases.append((rng.integers(1, den, size=40), den))
+            cases.append((np.array([1, den - 1, 2, den - 2, den // 2]), den))
+        for den in (3, 10, 401):
+            pool = rng.integers(1, den, size=3)
+            cases.append((rng.choice(pool, size=300), den))
+            cases.append((np.full(50, den - 1), den))
+            cases.append((np.full(50, 1), den))
+        for nums, p in cases:
+            maxima, witness, at_side = per_prefix_int64_sweep(nums, p)
+            c = -(-(1 << 31) // (p * nums.size))
+            for scale in (1, c):
+                got = discrepancy._grid_sweep(nums * scale, p * scale)
+                assert np.array_equal(got[0], maxima * scale), (p, scale)
+                assert np.array_equal(got[1], witness * scale), (p, scale)
+                assert np.array_equal(got[2], at_side), (p, scale)
+
+    def test_every_small_grid_in_every_order(self):
+        # every multiset of up to 4 numerators on each grid j/p, p <= 7, in
+        # every input order, prefix by prefix against the oracle: pins the
+        # "at" and "left" decoding and the tie rule between the two sides
+        oracle = {}
+        for p in range(2, 8):
+            for size in range(1, 5):
+                for multiset in itertools.combinations_with_replacement(range(1, p), size):
+                    for order in set(itertools.permutations(multiset)):
+                        maxima, witness, at_side = discrepancy._grid_sweep(list(order), p)
+                        for k in range(1, size + 1):
+                            key = (p, tuple(sorted(order[:k])))
+                            if key not in oracle:
+                                oracle[key] = star_discrepancy_oracle([(a, p) for a in key[1]])
+                            want = oracle[key]
+                            assert Fraction(int(maxima[k - 1]), k * p) == want.exact, (p, order, k)
+                            assert Fraction(int(witness[k - 1]), p) == want.witness, (p, order, k)
+                            assert ("at" if at_side[k - 1] else "left") == want.side, (p, order, k)
+        sides = {dv.side for dv in oracle.values()}
+        assert sides == {"at", "left"}
+
     @pytest.mark.parametrize("p", [(1 << 25) - 1, (1 << 25) + 1025])
     def test_int32_lane_edge(self, p):
         # 64 sparse numerators just below p. At p N = 2^31 - 64 the slots fit
         # int32 lanes (2^31 +- 1 are odd, so no p gives them with N = 64). At
-        # p N = 2^31 + 65600 every numerator v exceeds 2^25, so a "left" slot
-        # -64 v passes -2^31 and only int64 lanes hold it
+        # p N = 2^31 + 65600 every numerator v exceeds 2^25 + 1, so at k = 64
+        # the slot s = v - 1 of the smallest v, with no numerator <= s, holds
+        # -64 s < -2^31 and only int64 lanes hold it
         nums = np.random.default_rng(31).permutation(p - 1 - 3 * np.arange(64))
         pts = [(a, p) for a in nums.tolist()]
         maxima = weighted_prefix_maxima(nums, p)
@@ -945,6 +998,34 @@ class TestLowerHalfStore:
         assert [Fraction(a, b) for a, b in zip(num.tolist(), store.den.tolist())] == [
             x for x, _ in held
         ]
+
+    @pytest.mark.parametrize("ranges", [1, 15, 16, 1000])
+    def test_first_merge_in_value_ranges(self, monkeypatch, ranges):
+        # range edges b / 2K fall on values of small blocks (1/3 = 10/30 for
+        # K = 15) and most ranges are empty for K = 1000; either way the store
+        # is the one sorted run
+        monkeypatch.setattr(discrepancy, "_FIRST_RANGES", ranges)
+        primes = [2, 3, 5, 7, 11, 13, 31, 101]
+        store = _LowerHalfStore(sum(q // 2 for q in primes))
+        store.merge(primes)
+        held = sorted((Fraction(j, q), q) for q in primes for j in range(1, q // 2 + 1))
+        assert store.val.tolist() == [float(x) for x, _ in held]
+        assert store.den.tolist() == [q for _, q in held]
+
+    def test_first_merge_memory(self):
+        # one value range is sorted at a time, so next to the 12-byte store
+        # the first merge holds about 20 / _FIRST_RANGES bytes per point, not
+        # the values and an order array of the whole run (16 bytes per point)
+        primes = sieve_primes(3000).tolist()
+        store = _LowerHalfStore(sum(q // 2 for q in primes))
+        tracemalloc.start()
+        try:
+            store.merge(primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.size > 200_000
+        assert peak < 4 * store.size
 
     def test_deviations_use_the_whole_multiset(self, monkeypatch):
         # u = N x - #{y < x} with N counting both halves, not the store size
