@@ -104,8 +104,10 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     At a boundary every block is complete, so the multiset {j/p_k : k <= m}
     alone determines D_N* and the inversive permutation never needs to be
     applied. The rows come from one certified lazy sweep over the blocks,
-    which stores only the lower half (0, 1/2] of the symmetric multiset and
-    merges and rescans it only when its two tracked bands run empty. Each
+    which stores only the values of the lower half (0, 1/2] of the
+    symmetric multiset, 8 bytes per point, and merges (one in-place sort)
+    and rescans them only when its two tracked bands run empty; tracked
+    points are named exactly from their floats. Each
     row is checked against its witness threshold r = 1 - 1/(2 p_m), which
     forces D_N* >= 1/(2 p_m); a row below that raises ArithmeticError
     (engine inconsistency).

@@ -541,91 +541,30 @@ _BAND_WIDTH = 12
 _BUCKET_POINTS = 8
 
 
-# the first merge places the lower half in this many value ranges
-_FIRST_RANGES = 16
+def _merge_lower_halves(store: np.ndarray, size: int, primes: Sequence[int]) -> int:
+    # writes the values j / q, 1 <= j <= q / 2, of each block q in primes
+    # after the sorted run store[:size], sorts the filled prefix in place and
+    # returns its length. Into an empty store the default sort takes any
+    # number of runs with no buffer; after that timsort ("stable") merges the
+    # one long held run with the short new ones in about one pass
+    j = np.arange(1, max(primes) // 2 + 1, dtype=np.float64)
+    at = size
+    for q in primes:
+        np.divide(j[: q // 2], q, out=store[at : at + q // 2])
+        at += q // 2
+    store[:at].sort(kind="stable" if size else None)
+    return at
 
 
-def _block_points(ranges: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    # the values j / q and int32 denominators q, j = lo..hi, of each (q, lo, hi)
-    sizes = [hi - lo + 1 for _, lo, hi in ranges]
-    val = np.empty(sum(sizes))
-    at = 0
-    for (q, lo, hi), h in zip(ranges, sizes):
-        np.divide(np.arange(lo, hi + 1), q, out=val[at : at + h])
-        at += h
-    return val, np.repeat(np.array([q for q, _, _ in ranges], dtype=np.int32), sizes)
-
-
-class _LowerHalfStore:
-    """Sorted values x = j/q <= 1/2 of whole blocks q, with int32 denominators.
-
-    The boundary sweep's store: by the symmetry x -> 1 - x of whole blocks
-    it holds half of the points, 12 bytes each, and the numerator of x is
-    rint(x q), exact while q < 2^26. Merges move the held points in place
-    within arrays sized once for every block the sweep will merge.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self._val = np.empty(capacity, dtype=np.float64)
-        self._den = np.empty(capacity, dtype=np.int32)
-        self.size = 0
-
-    @property
-    def val(self) -> np.ndarray:
-        return self._val[: self.size]
-
-    @property
-    def den(self) -> np.ndarray:
-        return self._den[: self.size]
-
-    def merge(self, primes: Sequence[int]) -> None:
-        """Merge the lower halves of the blocks q in primes, distinct from those held.
-
-        Into an empty store the points go straight into place, one value
-        range (b / 2K, (b + 1) / 2K] at a time, b = 0..K-1, K = _FIRST_RANGES:
-        each range is gathered from every block and sorted, so no sort or
-        order array spans the whole run.
-        """
-        if not self.size:
-            k = 2 * _FIRST_RANGES
-            for b in range(_FIRST_RANGES):
-                val, den = _block_points([(q, b * q // k + 1, (b + 1) * q // k) for q in primes])
-                order = np.argsort(val)  # the values are distinct: stability is moot
-                # the indices are in range, and mode="clip" makes take unbuffered
-                lo, self.size = self.size, self.size + val.size
-                np.take(val, order, out=self._val[lo : self.size], mode="clip")
-                np.take(den, order, out=self._den[lo : self.size], mode="clip")
-            return
-        val, den = _block_points([(q, 1, q // 2) for q in primes])
-        order = np.argsort(val)
-        val = val[order]
-        den = den[order]
-        del order
-        # new point t lands at pos[t] + t: the held points of a slice [lo, hi)
-        # shift right by the t_lo new points below them, and going down from
-        # the last slice each window covers only points already moved
-        pos = np.searchsorted(self.val, val)
-        hi, t_hi = self.size, val.size
-        for lo in range((self.size - 1) // _SLICE * _SLICE, -1, -_SLICE):
-            t_lo = int(np.searchsorted(pos, lo))
-            ins = pos[t_lo:t_hi] - lo + np.arange(t_hi - t_lo)
-            held = np.ones(hi - lo + t_hi - t_lo, dtype=bool)
-            held[ins] = False
-            for store, new in ((self._val, val), (self._den, den)):
-                window = np.empty(held.size, dtype=store.dtype)
-                window[ins] = new[t_lo:t_hi]
-                window[held] = store[lo:hi]
-                store[lo + t_lo : hi + t_hi] = window
-            hi, t_hi = lo, t_lo
-        self.size += val.size
-
-
-def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> DiscrepancyValue:
+def _band_maximum(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, w: np.ndarray, n: int
+) -> DiscrepancyValue:
     # exact max of max(u, 1 - u) over the tracked points a/b <= 1/2 with counts
-    # c = #{y < a/b}, floats picking the near-maximal ones: u / n is the "left"
-    # deviation at a/b and the "at" one at its mirror 1 - a/b, and (1 - u) / n
-    # the "at" deviation at a/b and the "left" one at 1 - a/b
-    u = (n * a - c * b) / b
+    # c = #{y < a/b} and w = b u = n a - c b, floats picking the near-maximal
+    # ones: u / n is the "left" deviation at a/b and the "at" one at its
+    # mirror 1 - a/b, and (1 - u) / n the "at" deviation at a/b and the "left"
+    # one at 1 - a/b
+    u = w / b
     cut = max(float(u.max()), 1.0 - float(u.min())) - n * 2.0**-30
     cand: list[tuple[int, int, int, str]] = []
     hi = u >= cut
@@ -637,10 +576,9 @@ def _band_maximum(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> Discre
     return _confirm(cand, n)
 
 
-def _bands(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, floor: int) -> np.ndarray:
-    # the exact band test of points a/b with counts c, b u = n a - c b: the
-    # mask of the points in the high band u >= floor or the low band u <= 1 - floor
-    w = n * a - c * b
+def _bands(w: np.ndarray, b: np.ndarray, floor: int) -> np.ndarray:
+    # the exact band test of points with denominators b and w = b u: the mask
+    # of the points in the high band u >= floor or the low band u <= 1 - floor
     return (w >= floor * b) | (b - w >= floor * b)
 
 
@@ -656,19 +594,26 @@ def _boundary_discrepancies(
     u(x) by p x - ceil(p x) + 1 - x, in (-x, 1 - x] with x <= 1/2, so it
     moves max(u, 1 - u) by less than 1.
 
-    A rebuild merges the pending blocks into a _LowerHalfStore, picks an
-    integer floor below the maximum by the band width in one float pass, and
-    tracks exactly the two bands: the high band u >= floor and the low band
-    u <= ceil = 1 - floor. Each block raises the floor and lowers the ceiling
-    by 1, so every untracked point stays strictly between them; once tracked
-    points that leave both bands are dropped, any survivor holds the maximum
-    and every point tying it, and the sweep rebuilds when both bands are
-    empty. A new point j/p gets its exact count from the stale store plus
-    the closed form floor(j q / p) for each pending block q, but only when
-    its u can reach a band: at each rebuild a bucket filter records the
-    stale count at the edges of equal value buckets, which brackets u(j/p)
-    in integers. Floats only choose what to track; values, witnesses and
-    the certification test are exact.
+    The store is one float64 array of the lower-half values, 8 bytes per
+    point, sized once for every block the sweep will merge. A rebuild writes
+    the pending blocks' values after the held run and sorts in place
+    (_merge_lower_halves). One float pass then keeps each slice's max u, min
+    u and bucket counts and picks an integer floor below the maximum by the
+    band width; only the slices whose extremes reach it are scanned again.
+    The sweep tracks exactly the two bands: the high band u >= floor and the
+    low band u <= ceil = 1 - floor. Each block raises the floor and lowers
+    the ceiling by 1, so every untracked point stays strictly between them;
+    once tracked points that leave both bands are dropped, any survivor
+    holds the maximum and every point tying it, and the sweep rebuilds when
+    both bands are empty. A tracked point's count c is its store index and
+    its a/b is named from its float by continued fractions
+    (_representatives), with the largest prime merged so far as the bound
+    on b, since blocks may come in any order. A new point j/p gets its exact
+    count from the stale store plus the closed form floor(j q / p) for each
+    pending block q, but only when its u can reach a band: at each rebuild a
+    bucket filter records the stale count at the edges of equal value
+    buckets, which brackets u(j/p) in integers. Floats only choose what to
+    track; values, witnesses and the certification test are exact.
     """
     primes = [int(p) for p in primes[:m_hi]]
     p_max = max(primes)
@@ -676,7 +621,8 @@ def _boundary_discrepancies(
         raise ValueError(f"denominator {p_max} too large for the float-sorted engine")
     if sum(p - 1 for p in primes) * p_max >= 1 << 63:
         raise OverflowError("N * p_m reaches 2^63; the exact counts need int64")
-    store = _LowerHalfStore(sum(p // 2 for p in primes))
+    store = np.empty(sum(p // 2 for p in primes))
+    size = max_den = 0
     pending: list[int] = []
     n = 0
     # tracked points a/b <= 1/2 with exact counts c, each in a band
@@ -695,41 +641,51 @@ def _boundary_discrepancies(
             # p u(j/p) = n j - p (j - 1) - p #{stale y < j/p} - p sum_q floor(j q / p)
             # over the r earlier pending blocks q, and with Q = sum q the last
             # term lies in [j Q - r (p - 1), j Q - r]: p does not divide j q
-            r = len(pending) - 1
-            base = n * j - p * (j - 1) - j * sum(pending[:-1])
+            q = np.array(pending[:-1], dtype=np.int64)
+            r = q.size
+            base = n * j - p * (j - 1) - j * int(q.sum())
             k = (x * scale).astype(np.int64)
             reach = (base + r * (p - 1) - p * edge_count[k] >= floor * p) | (
                 base + r - p * edge_count[k + 1] <= (1 - floor) * p
             )
             j, x = j[reach], x[reach]
-            cj = np.searchsorted(store.val, x) + (j - 1)
-            for q in pending[:-1]:
-                cj += j * q // p
+            cj = np.searchsorted(val, x) + (j - 1)
+            cj += (np.multiply.outer(j, q) // p).sum(axis=1)
             a = np.concatenate([a, j])
             b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
             c = np.concatenate([c, cj])
-            keep = _bands(a, b, c, n, floor)
+            w = n * a - c * b
+            keep = _bands(w, b, floor)
         if a is None or not keep.any():
-            store.merge(pending)
+            size = _merge_lower_halves(store, size, pending)
+            max_den = max(max_den, *pending)
             pending.clear()
+            val = store[:size]
             margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
-            top = max(max(u.max(), 1.0 - u.min()) for _, u in _deviations(store.val, n))
-            floor = math.floor(top - margin) - _BAND_WIDTH
             # bucket k = floor(x scale) holds [k / scale, (k + 1) / scale): a
             # power of two keeps x * scale and the edges exact, so the stale
             # count of an x in bucket k lies in [edge_count[k], edge_count[k + 1]]
-            scale = 2 << max(store.size // _BUCKET_POINTS, 1).bit_length()
+            scale = 2 << max(size // _BUCKET_POINTS, 1).bit_length()
             edge_count = np.zeros(scale // 2 + 2, dtype=np.int64)
-            tracked = []
-            for lo, u in _deviations(store.val, n):
-                near = (u >= floor - margin) | (u <= 1 - floor + margin)
-                tracked.append(lo + np.flatnonzero(near))
-                k = (store.val[lo : lo + u.size] * scale).astype(np.int64)
+            extremes = []
+            for lo, u in _deviations(val, n):
+                extremes.append((lo, float(u.max()), float(u.min())))
+                k = (val[lo : lo + u.size] * scale).astype(np.int64)
                 edge_count[k[0] + 1 : k[-1] + 2] += np.bincount(k - k[0])
             np.cumsum(edge_count, out=edge_count)
+            top = max(max(hi, 1.0 - low) for _, hi, low in extremes)
+            floor = math.floor(top - margin) - _BAND_WIDTH
+            tracked = []
+            for lo, hi, low in extremes:
+                if hi < floor - margin and low > 1 - floor + margin:
+                    continue
+                u = val[lo : lo + _SLICE] * n
+                u -= np.arange(lo, lo + u.size)
+                near = (u >= floor - margin) | (u <= 1 - floor + margin)
+                tracked.append(lo + np.flatnonzero(near))
             c = np.concatenate(tracked)
-            b = store.den[c].astype(np.int64)
-            a = np.rint(store.val[c] * b).astype(np.int64)
-            keep = _bands(a, b, c, n, floor)
-        a, b, c = a[keep], b[keep], c[keep]
-        yield _band_maximum(a, b, c, n)
+            a, b = _representatives(val[c], max_den)
+            w = n * a - c * b
+            keep = _bands(w, b, floor)
+        a, b, c, w = a[keep], b[keep], c[keep], w[keep]
+        yield _band_maximum(a, b, c, w, n)

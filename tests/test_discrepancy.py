@@ -28,7 +28,7 @@ from primedisc.discrepancy import (
     _boundary_discrepancies,
     _confirm,
     _deviations,
-    _LowerHalfStore,
+    _merge_lower_halves,
     _representatives,
     _star_discrepancy_exact,
 )
@@ -979,60 +979,66 @@ class TestBlockAccumulator:
         assert acc.star_discrepancy() == want
 
 
-class TestLowerHalfStore:
-    @pytest.mark.parametrize("slice_len", [3, 1 << 16])
-    def test_batches_merge_sorted(self, monkeypatch, slice_len):
-        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
-        batches = [[2, 13], [3], [5, 7, 11], [31], [17, 19, 23, 29]]
-        store = _LowerHalfStore(sum(q // 2 for batch in batches for q in batch))
-        held = []
-        for batch in batches:
-            store.merge(batch)
-            held += [(Fraction(j, q), q) for q in batch for j in range(1, q // 2 + 1)]
-            held.sort()
-            assert store.size == len(held)
-            assert store.val.tolist() == [float(x) for x, _ in held]
-            assert store.den.tolist() == [q for _, q in held]
-        assert store.den.dtype == np.int32
-        num = np.rint(store.val * store.den).astype(np.int64)
-        assert [Fraction(a, b) for a, b in zip(num.tolist(), store.den.tolist())] == [
-            x for x, _ in held
-        ]
+def lower_halves(primes):
+    # the values j / q, 1 <= j <= q / 2, of every block q, as sorted Fractions
+    return sorted(Fraction(j, q) for q in primes for j in range(1, q // 2 + 1))
 
-    @pytest.mark.parametrize("ranges", [1, 15, 16, 1000])
-    def test_first_merge_in_value_ranges(self, monkeypatch, ranges):
-        # range edges b / 2K fall on values of small blocks (1/3 = 10/30 for
-        # K = 15) and most ranges are empty for K = 1000; either way the store
-        # is the one sorted run
-        monkeypatch.setattr(discrepancy, "_FIRST_RANGES", ranges)
-        primes = [2, 3, 5, 7, 11, 13, 31, 101]
-        store = _LowerHalfStore(sum(q // 2 for q in primes))
-        store.merge(primes)
-        held = sorted((Fraction(j, q), q) for q in primes for j in range(1, q // 2 + 1))
-        assert store.val.tolist() == [float(x) for x, _ in held]
-        assert store.den.tolist() == [q for _, q in held]
+
+class TestMergeLowerHalves:
+    @pytest.mark.parametrize("slice_len", [3, 1 << 16])
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            [[2, 13], [3], [5, 7, 11], [31], [17, 19, 23, 29]],
+            [[31, 29], [23], [19, 17, 13, 11], [7, 5, 3, 2]],
+            [[101, 2, 53, 7], [97, 3], [5, 89, 11, 83, 13]],
+        ],
+        ids=["mixed", "descending", "large-first"],
+    )
+    def test_batches_leave_the_sorted_lower_halves(self, monkeypatch, slice_len, batches):
+        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        primes = [q for batch in batches for q in batch]
+        store = np.empty(sum(q // 2 for q in primes))
+        size = 0
+        for i, batch in enumerate(batches, 1):
+            size = _merge_lower_halves(store, size, batch)
+            held = lower_halves([q for batch in batches[:i] for q in batch])
+            assert size == len(held)
+            assert store[:size].tolist() == [float(x) for x in held]
 
     def test_first_merge_memory(self):
-        # one value range is sorted at a time, so next to the 12-byte store
-        # the first merge holds about 20 / _FIRST_RANGES bytes per point, not
-        # the values and an order array of the whole run (16 bytes per point)
+        # every value goes straight into the store and the sort needs no
+        # buffer: next to the 8-byte store only the numerators 1..p_max/2 of
+        # one block are held
         primes = sieve_primes(3000).tolist()
-        store = _LowerHalfStore(sum(q // 2 for q in primes))
+        store = np.empty(sum(q // 2 for q in primes))
         tracemalloc.start()
         try:
-            store.merge(primes)
+            size = _merge_lower_halves(store, 0, primes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert store.size > 200_000
-        assert peak < 4 * store.size
+        assert size == store.size > 200_000
+        assert peak < 8 * (max(primes) // 2) + 4096
+
+    def test_representatives_name_every_stored_value(self):
+        primes = build_prime_table(300).primes
+        store = np.empty(sum(q // 2 for q in primes))
+        size = _merge_lower_halves(store, 0, primes)
+        a, b = _representatives(store[:size], max(primes))
+        assert (a / b == store).all()
+        # (a, b) run over every (j, q) exactly once
+        q = np.repeat(primes, [q // 2 for q in primes])
+        j = np.concatenate([np.arange(1, q // 2 + 1) for q in primes])
+        order = np.lexsort((a, b))
+        assert b[order].tolist() == q.tolist() and a[order].tolist() == j.tolist()
 
     def test_deviations_use_the_whole_multiset(self, monkeypatch):
         # u = N x - #{y < x} with N counting both halves, not the store size
         monkeypatch.setattr(discrepancy, "_SLICE", 2)
-        store = _LowerHalfStore(4)
-        store.merge([5, 3])
-        got = np.concatenate([u for _, u in _deviations(store.val, 6)])
+        store = np.empty(3)
+        _merge_lower_halves(store, 0, [5, 3])
+        got = np.concatenate([u for _, u in _deviations(store, 6)])
         want = [6 * Fraction(1, 5) - 0, 6 * Fraction(1, 3) - 1, 6 * Fraction(2, 5) - 2]
         assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-12)
 
@@ -1054,7 +1060,7 @@ class TestBandMaximum:
         n = len(pts)
         a, b = (np.array(v, dtype=np.int64) for v in zip(*lower))
         c = np.array([count_below(pts, Fraction(x, y)) for x, y in lower], dtype=np.int64)
-        assert _band_maximum(a, b, c, n) == star_discrepancy_oracle(pts)
+        assert _band_maximum(a, b, c, n * a - c * b, n) == star_discrepancy_oracle(pts)
 
 
 class TestConfirm:
@@ -1148,13 +1154,13 @@ class TestBoundarySweep:
         self, primes, reference, monkeypatch, width, min_calls, max_calls
     ):
         calls = []
-        merge = _LowerHalfStore.merge
+        merge = discrepancy._merge_lower_halves
 
-        def counted(store, *args):
+        def counted(*args):
             calls.append(1)
-            merge(store, *args)
+            return merge(*args)
 
-        monkeypatch.setattr(_LowerHalfStore, "merge", counted)
+        monkeypatch.setattr(discrepancy, "_merge_lower_halves", counted)
         monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
         assert list(_boundary_discrepancies(primes, 1, 120)) == reference[:120]
         assert min_calls <= len(calls) <= max_calls
@@ -1166,10 +1172,10 @@ class TestBoundarySweep:
         kept = []
         bands = discrepancy._bands
 
-        def recorded(a, b, c, n, floor):
-            w = n * a - c * b  # b u, as in _bands
+        def recorded(w, b, floor):
+            # w = b u, as in _bands
             kept.append((bool((w >= floor * b).any()), bool((b - w >= floor * b).any())))
-            return bands(a, b, c, n, floor)
+            return bands(w, b, floor)
 
         monkeypatch.setattr(discrepancy, "_bands", recorded)
         monkeypatch.setattr(discrepancy, "_BAND_WIDTH", 0)
@@ -1195,6 +1201,18 @@ class TestBoundarySweep:
             want = merged_boundary_values(ps, m_lo, len(ps))
             assert list(_boundary_discrepancies(ps, m_lo, len(ps))) == want
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_block_sets(self, primes, monkeypatch, seed):
+        # random subsets of the first 120 primes in random order, from a
+        # random first row: a first merge of many runs, later stable merges,
+        # and naming after the largest prime arrived in an earlier merge
+        rng = np.random.default_rng(seed)
+        ps = rng.permutation(primes[:120])[: int(rng.integers(2, 121))].tolist()
+        m_lo = int(rng.integers(1, len(ps) + 1))
+        monkeypatch.setattr(discrepancy, "_BAND_WIDTH", int(rng.choice([0, 3, 12])))
+        want = merged_boundary_values(ps, m_lo, len(ps))
+        assert list(_boundary_discrepancies(ps, m_lo, len(ps))) == want
+
     @pytest.mark.parametrize("width", [0, 12, 40])
     def test_tracks_exactly_the_band_points(self, primes, reference, monkeypatch, width):
         # after every row the tracked set is every lower-half point with
@@ -1204,13 +1222,13 @@ class TestBoundarySweep:
         seen = []
         bands, band_maximum = discrepancy._bands, discrepancy._band_maximum
 
-        def recorded_bands(a, b, c, n, floor):
+        def recorded_bands(w, b, floor):
             seen.append(floor)
-            return bands(a, b, c, n, floor)
+            return bands(w, b, floor)
 
-        def recorded_maximum(a, b, c, n):
+        def recorded_maximum(a, b, c, w, n):
             seen.append((a.tolist(), b.tolist(), c.tolist(), n))
-            return band_maximum(a, b, c, n)
+            return band_maximum(a, b, c, w, n)
 
         monkeypatch.setattr(discrepancy, "_bands", recorded_bands)
         monkeypatch.setattr(discrepancy, "_band_maximum", recorded_maximum)
