@@ -14,6 +14,7 @@ from .discrepancy import (
     ScanRecord,
     block_max_weighted,
     nw_bound,
+    prefix_discrepancy,
     prefix_scan,
     star_discrepancy,
     star_discrepancy_arrays,
@@ -69,6 +70,7 @@ __all__ = [
     "nw_bound",
     "pnt_ratio",
     "prefix_arrays",
+    "prefix_discrepancy",
     "prefix_scan",
     "scaled_discrepancy",
     "sieve_primes",

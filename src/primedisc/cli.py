@@ -28,6 +28,7 @@ from .discrepancy import (
     BlockSpec,
     block_max_weighted,
     nw_bound,
+    prefix_discrepancy,
     prefix_scan,
     star_discrepancy,
     star_discrepancy_arrays,
@@ -186,9 +187,8 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
         if args.n is None:
             raise UsageError("--family requires --n")
         family = SequenceFamily(args.family)
-        num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
         n = args.n
-        dv = star_discrepancy_arrays(num, den)
+        dv = prefix_discrepancy(family, n, _family_table(family, n))
     fields = {
         "n": n,
         "disc_num": dv.num,

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .primes import _integer, is_prime
-from .sequences import BlockSpec, Frac, block_numerators
+from .primes import PrimeTable, _integer, is_prime
+from .sequences import BlockSpec, Frac, SequenceFamily, _prefix_blocks, block_numerators
 
 DEFAULT_SWEEP_LIMIT = 30_000
 
@@ -146,8 +146,9 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
     return _reduced_value(v, b * n, a, b, side)
 
 
-# slice length of the passes that would otherwise hold a second n-length array
-_SLICE = 1 << 16
+# slice length of the passes that would otherwise hold a second n-length
+# array; their few 128 KiB temporaries stay small next to 8 B per point
+_SLICE = 1 << 14
 
 
 def _deviations(val: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -211,25 +212,18 @@ def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
     return _confirm(cand, len(ordered))
 
 
-def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Exact D_N* from parallel integer numerator/denominator arrays.
-
-    The one sorted-multiset evaluator: star_discrepancy, triangle_bound and
-    BlockAccumulator feed it. It sorts the values num / den, finds the
-    maximum deviation in one float pass and the near-maximal indices in a
-    second, which revisits only the slices whose extremes reach the cut, and
-    confirms those exactly. Each candidate value is named from its own float
-    by continued fractions, so num and den are read only for the input
-    check, the divide and the maximum denominator. Falls back to exact
-    sorting when a denominator is too large for faithful float order.
-    Non-integer arrays are rejected rather than truncated.
-    """
-    num, den = _checked_arrays(num, den)
-    max_den = int(den.max())
+def _values_discrepancy(val: np.ndarray, max_den: int) -> DiscrepancyValue:
+    # exact D_N* of fractions with denominators <= max_den from their floats
+    # val, sorted here in place; near-maximal points are confirmed exactly,
+    # each named from its own float by continued fractions
     if max_den > _FLOAT_SAFE_DEN:
-        return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
-    val = num / den
+        raise ValueError(f"denominator {max_den} too large for the float-sorted engine")
     val.sort()
+    # the range check on the sorted ends: with b <= 2^26 and a correctly
+    # rounded a / b, 1 <= a <= b - 1 gives a value in [2^-26, 1 - 2^-26] and
+    # any other a gives one <= 0 or >= 1, so this is the check of every a / b
+    if not (val[0] > 0 and val[-1] < 1):
+        raise ValueError("every fraction must lie strictly inside (0, 1)")
     n = val.size
     # (i0, max u, min u) per slice: only slices whose extremes reach the cut
     # can hold a candidate, and only those are made again
@@ -251,6 +245,43 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
     return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
+
+
+def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
+    """Exact D_N* from parallel integer numerator/denominator arrays.
+
+    The one sorted-multiset evaluator: star_discrepancy, triangle_bound and
+    BlockAccumulator feed it, and prefix_discrepancy shares its float core
+    (_values_discrepancy). It checks num and den, divides them once and
+    hands the values to that core, so num and den are read only for the
+    check, the divide and the maximum denominator. Falls back to exact
+    sorting when a denominator is too large for faithful float order.
+    Non-integer arrays are rejected rather than truncated.
+    """
+    num, den = _checked_arrays(num, den)
+    max_den = int(den.max())
+    if max_den > _FLOAT_SAFE_DEN:
+        return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
+    return _values_discrepancy(num / den, max_den)
+
+
+def prefix_discrepancy(
+    family: SequenceFamily, n: int, table: PrimeTable | None = None
+) -> DiscrepancyValue:
+    """star_discrepancy_arrays(*prefix_arrays(family, n, table)), 8 B per point.
+
+    Same checks, errors, value, witness and side; the values are divided
+    block by block into one float64 array, with no n-length integer array.
+    """
+    blocks = _prefix_blocks(family, n, table)
+    val = np.empty(n)
+    lo = 0
+    for nums, q in blocks:
+        # correctly rounded, the same quotient as num / den
+        np.divide(nums, q, out=val[lo : lo + nums.size])
+        lo += nums.size
+    # every family's denominators increase: the last q is the largest
+    return _values_discrepancy(val, q)
 
 
 def star_discrepancy(points: Sequence) -> DiscrepancyValue:

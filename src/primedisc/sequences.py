@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
-from itertools import count
-from math import gcd
+from itertools import accumulate, count, repeat
+from math import gcd, isqrt
 from operator import index
+from typing import Iterator
 
 import numpy as np
 
@@ -114,13 +115,15 @@ def block_numerators(q: int, ordering: Ordering) -> np.ndarray:
         raise ValueError(f"inversive block {q} too large: q^2 must stay below 2^63")
     if not is_prime(q):
         raise ValueError(f"inversive order needs a prime denominator, got {q}")
-    # powers g^0 .. g^(q-2) of a primitive root g, doubling the table per
-    # step with products below q^2; then inv[g^k] = g^((-k) mod (q-1))
+    # powers g^0 .. g^(q-2) of a primitive root g as g^(a s + b) = (g^s)^a g^b,
+    # one outer product of giant and baby steps with s * s >= q - 1 and every
+    # product below q^2; then inv[g^k] = g^((-k) mod (q-1))
     n = q - 1
     g = _primitive_root(q)
-    pw = np.ones(1, dtype=np.int64)
-    while pw.size < n:
-        pw = np.concatenate([pw, pw[: n - pw.size] * pow(g, pw.size, q) % q])
+    s = isqrt(n - 1) + 1
+    baby = list(accumulate(repeat(g, s - 1), lambda x, y: x * y % q, initial=1))
+    giant = list(accumulate(repeat(baby[-1] * g % q, s - 1), lambda x, y: x * y % q, initial=1))
+    pw = (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % q).ravel()[:n]
     inv = np.empty(q, dtype=np.int64)
     inv[pw] = np.roll(pw[::-1], 1)
     return inv[1:]
@@ -149,15 +152,14 @@ def generate_prefix(
     return [Frac(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 
-def prefix_arrays(
+def _prefix_blocks(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(numerators, denominators) of the first n elements as int64 arrays.
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(numerators, q) of each block of the first n elements, the last block cut.
 
-    The one prefix generator; generate_prefix is its list view, and the
-    array discrepancy engines take its output directly. It is also the one
-    place that decides which families need a prime table (all but omega)
-    and whether it covers n elements.
+    The one block loop of the prefix front ends, and the one place that
+    decides which families need a prime table (all but omega) and whether it
+    covers n elements: at the call, before the caller allocates n of anything.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -166,7 +168,6 @@ def prefix_arrays(
     elif table is None:
         raise ValueError(f"family {family.value!r} requires a prime table")
     elif table.coverage < n:
-        # raised before allocating: the arrays below are sized n
         raise TableTooSmallError(
             f"table covers {table.coverage} elements with M={len(table)} blocks; "
             f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
@@ -175,16 +176,35 @@ def prefix_arrays(
     else:
         ordering = Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
         denominators = table.primes
+
+    def blocks() -> Iterator[tuple[np.ndarray, int]]:
+        left = n
+        for q in denominators:
+            yield block_numerators(q, ordering)[:left], q
+            left -= q - 1
+            if left <= 0:
+                return
+
+    return blocks()
+
+
+def prefix_arrays(
+    family: SequenceFamily, n: int, table: PrimeTable | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, denominators) of the first n elements as int64 arrays.
+
+    The blocks of _prefix_blocks, checked before the arrays are allocated,
+    in two arrays; generate_prefix is its list view, and the array
+    discrepancy engines take its output directly (prefix_discrepancy reads
+    the blocks themselves).
+    """
+    blocks = _prefix_blocks(family, n, table)
     # filled in place: a list of per-block pieces would hold the prefix twice
     num = np.empty(n, dtype=np.int64)
     den = np.empty(n, dtype=np.int64)
     got = 0
-    for q in denominators:
-        take = min(q - 1, n - got)
-        num[got : got + take] = block_numerators(q, ordering)[:take]
-        den[got : got + take] = q
-        got += take
-        if got == n:
-            break
+    for nums, q in blocks:
+        num[got : got + nums.size] = nums
+        den[got : got + nums.size] = q
+        got += nums.size
     return num, den
-

@@ -148,6 +148,20 @@ class TestDisc:
         assert capsys.readouterr().out == run(capsys, "disc", "--family", "omega", "--n", str(n))[1]
         assert peak < 100 * n
 
+    def test_family_holds_one_value_per_point(self, capsys):
+        # one float64 per point, filled block by block: the (num, den) int64
+        # arrays next to the values would take 24 bytes per point
+        n = 400_000
+        tracemalloc.start()
+        try:
+            code = main(["disc", "--family", "omega", "--n", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n"] == n
+        assert peak < 10 * n
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "disc", "--input", str(tmp_path / "nope.txt"))
         assert code == 1

@@ -18,6 +18,7 @@ from primedisc.discrepancy import (
     DiscrepancyValue,
     block_max_weighted,
     nw_bound,
+    prefix_discrepancy,
     prefix_scan,
     star_discrepancy,
     star_discrepancy_arrays,
@@ -31,7 +32,9 @@ from primedisc.discrepancy import (
     _merge_lower_halves,
     _representatives,
     _star_discrepancy_exact,
+    _values_discrepancy,
 )
+from primedisc.errors import TableTooSmallError
 from primedisc.primes import build_prime_table, sieve_primes
 from primedisc.sequences import (
     BlockSpec,
@@ -40,6 +43,7 @@ from primedisc.sequences import (
     SequenceFamily,
     block_numerators,
     generate_prefix,
+    prefix_arrays,
 )
 
 INV = Ordering.INVERSIVE
@@ -378,6 +382,93 @@ class TestStarDiscrepancyArrays:
             # are both 5 / 2n; "at" wins the tie
             w = Fraction(int(num[lo]), 2 * n)
             assert (dv.exact, dv.witness, dv.side) == (Fraction(5, 2 * n), w, "at")
+
+
+FAMILIES = list(SequenceFamily)
+
+
+class TestPrefixDiscrepancy:
+    """prefix_discrepancy against the two-array path it replaces on the CLI."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        table = build_prime_table(400)
+        assert table.coverage >= 300_000
+        return table
+
+    @staticmethod
+    def boundaries(family, table, m):
+        # P(m) of the family: the prime blocks of the table, or q = 2..m + 1
+        return table.cumulative[m] if family is not SequenceFamily.OMEGA else m * (m + 1) // 2
+
+    def check(self, family, n, table):
+        table = None if family is SequenceFamily.OMEGA else table
+        got = prefix_discrepancy(family, n, table)
+        assert got == star_discrepancy_arrays(*prefix_arrays(family, n, table))
+        if n <= 300:
+            assert got == star_discrepancy_oracle(generate_prefix(family, n, table))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_first_points_and_block_edges(self, family, table):
+        ns = {1, 2, 3}
+        for m in range(2, 41):
+            edge = self.boundaries(family, table, m)
+            ns |= {edge - 1, edge, edge + 1}
+        for n in sorted(ns):
+            self.check(family, n, table)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_seeded_lengths(self, family, seed, table):
+        rng = np.random.default_rng([17, seed])
+        for n in rng.integers(1, 300_001, size=2).tolist() + rng.integers(1, 301, size=3).tolist():
+            self.check(family, n, table)
+
+    def test_cut_block_in_short_slices(self, table, monkeypatch):
+        # a cut last block and many slices, several of them revisited
+        monkeypatch.setattr(discrepancy, "_SLICE", 7)
+        for family in FAMILIES:
+            self.check(family, 250, table)
+
+    @pytest.mark.parametrize(
+        "family,n,table,error",
+        [
+            (SequenceFamily.OMEGA, 0, None, ValueError),
+            (SequenceFamily.ETA, 0, None, ValueError),
+            (SequenceFamily.ETA, 5, None, ValueError),
+            (SequenceFamily.PRIME_INCREASING, 5, None, ValueError),
+            (SequenceFamily.ETA, 160, "table10", TableTooSmallError),
+            (SequenceFamily.PRIME_INCREASING, 10**15, "table10", TableTooSmallError),
+        ],
+    )
+    def test_same_errors_as_prefix_arrays(self, family, n, table, error, request):
+        table = request.getfixturevalue(table) if table else None
+        with pytest.raises(error) as want:
+            prefix_arrays(family, n, table)
+        with pytest.raises(error) as got:
+            prefix_discrepancy(family, n, table)
+        assert str(got.value) == str(want.value)
+
+
+class TestValuesCore:
+    """The float core behind star_discrepancy_arrays and prefix_discrepancy."""
+
+    @pytest.mark.parametrize(
+        "values", [[0.0, 0.25, 0.5], [0.5, 0.25, 1.0], [0.5, -0.25], [1.5, 0.5]]
+    )
+    def test_range_checked_on_the_sorted_ends(self, values):
+        with pytest.raises(ValueError, match=r"every fraction must lie strictly inside \(0, 1\)"):
+            _values_discrepancy(np.array(values), 4)
+
+    def test_refuses_denominators_beyond_float_safety(self):
+        big = discrepancy._FLOAT_SAFE_DEN + 1
+        with pytest.raises(ValueError, match="too large for the float-sorted engine"):
+            _values_discrepancy(np.array([1 / big]), big)
+
+    def test_sorts_in_place(self):
+        val = np.array([0.75, 0.25, 0.5])
+        assert _values_discrepancy(val, 4) == star_discrepancy_oracle([(3, 4), (1, 4), (2, 4)])
+        assert val.tolist() == [0.25, 0.5, 0.75]
 
 
 def slice_rescan_representatives(

@@ -41,6 +41,7 @@ PUBLIC = [
     "nw_bound",
     "pnt_ratio",
     "prefix_arrays",
+    "prefix_discrepancy",
     "prefix_scan",
     "scaled_discrepancy",
     "sieve_primes",
