@@ -42,7 +42,7 @@ from .primes import (
     sum_ratio,
     table_covering,
 )
-from .sequences import Ordering, SequenceFamily, block_numerators, prefix_arrays
+from .sequences import Ordering, SequenceFamily, _prefix_blocks, block_numerators, prefix_arrays
 
 
 class UsageError(Exception):
@@ -151,20 +151,21 @@ def _check_sweep_limit(flag: str, p: int, limit: int) -> None:
         )
 
 
-# points per slice of the gen dump: lines are made a slice at a time
+# points per slice of the gen dump: lines are made a slice of a block at a time
 _GEN_SLICE = 1 << 12
 
 
 def _cmd_gen(args: argparse.Namespace) -> Iterator[str]:
-    # the arrays are built before the first line, so an error ends the command
-    # before any output or --out file; the lines themselves are streamed
+    # _prefix_blocks checks at the call, so an error ends the command before
+    # any output or --out file; the lines are streamed block by block
     family = SequenceFamily(args.family)
-    num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
+    blocks = _prefix_blocks(family, args.n, _family_table(family, args.n))
     header = [f"# family={family.value} N={args.n}"] if args.header else []
     lines = (
-        f"{a}/{b}"
-        for lo in range(0, num.size, _GEN_SLICE)
-        for a, b in zip(num[lo : lo + _GEN_SLICE].tolist(), den[lo : lo + _GEN_SLICE].tolist())
+        f"{a}/{q}"
+        for nums, q in blocks
+        for lo in range(0, nums.size, _GEN_SLICE)
+        for a in nums[lo : lo + _GEN_SLICE].tolist()
     )
     return chain(header, lines)
 

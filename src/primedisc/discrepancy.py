@@ -20,12 +20,12 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .primes import PrimeTable, _integer, is_prime
-from .sequences import BlockSpec, Frac, SequenceFamily, _prefix_blocks, block_numerators
+from .sequences import BlockSpec, Frac, SequenceFamily, _prefix_plan, block_numerators
 
 DEFAULT_SWEEP_LIMIT = 30_000
 
@@ -161,9 +161,73 @@ def _deviations(val: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
     still. No n-length deviation array is ever held.
     """
     for lo in range(0, val.size, _SLICE):
-        u = val[lo : lo + _SLICE] * n
-        u -= np.arange(lo, lo + u.size)
-        yield lo, u
+        yield lo, _deviation(val, n, lo)
+
+
+def _deviation(val: np.ndarray, n: int, lo: int) -> np.ndarray:
+    # u of the slice of _deviations that starts at lo
+    u = val[lo : lo + _SLICE] * n
+    u -= np.arange(lo, lo + u.size)
+    return u
+
+
+# no steps, no indices, no cut points
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _series(
+    u: np.ndarray, lo: int, steps: Sequence[np.ndarray]
+) -> Iterator[tuple[int, np.ndarray | None]]:
+    # (shift, w) per series on the slice u of _deviations at lo: w = u minus
+    # #{p in steps : p <= l}, or None when no step falls inside the slice and
+    # w is u - shift
+    for st in steps:
+        i0, i1 = np.searchsorted(st, (lo, lo + u.size - 1), "right").tolist()
+        if i0 == i1:
+            yield i0, None
+        else:
+            # the count is i0 up to the first step inside, then one more per step
+            runs = np.diff(st[i0:i1], prepend=lo, append=lo + u.size)
+            w = np.repeat(np.arange(i0, i1 + 1, dtype=np.float64), runs)
+            yield i0, np.subtract(u, w, out=w)
+
+
+def _near_maximal(
+    val: np.ndarray, n: int, steps: Sequence[np.ndarray], threshold: Callable[[float], float]
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """The points of a sorted store near the maximum of max(w, 1 - w).
+
+    Series s is w(l) = n val[l] - l - #{p in steps[s] : p <= l}, for sorted
+    positions steps[s]: u of _deviations shifted by a step count. One float
+    pass keeps each slice's max and min of every series, and a series with
+    no step inside a slice shifts the slice's extremes of u instead of being
+    made. top is the maximum of max(w, 1 - w) over every series and point,
+    and with t = threshold(top) only the slices whose extremes reach t or
+    1 - t are made again. Returns top and, per series, the sorted indices
+    with w >= t and those with w <= 1 - t. The one float pass of the sorted
+    evaluators: star_discrepancy_arrays, prefix_discrepancy and every
+    rebuild of the boundary sweep.
+    """
+    extremes = []
+    for lo, u in _deviations(val, n):
+        hi, low = float(u.max()), float(u.min())
+        row = [
+            (hi - shift, low - shift) if w is None else (float(w.max()), float(w.min()))
+            for shift, w in _series(u, lo, steps)
+        ]
+        extremes.append((lo, row))
+    top = max((max(hi, 1.0 - low) for _, row in extremes for hi, low in row), default=-math.inf)
+    t = threshold(top)
+    high, low = [[_EMPTY] for _ in steps], [[_EMPTY] for _ in steps]
+    for lo, row in extremes:
+        if all(hi < t and lw > 1.0 - t for hi, lw in row):
+            continue
+        u = _deviation(val, n, lo)
+        for s, (shift, w) in enumerate(_series(u, lo, steps)):
+            w = u - shift if w is None else w
+            high[s].append(lo + np.flatnonzero(w >= t))
+            low[s].append(lo + np.flatnonzero(w <= 1.0 - t))
+    return top, [(np.concatenate(h), np.concatenate(lw)) for h, lw in zip(high, low)]
 
 
 def _representatives(values: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,22 +289,9 @@ def _values_discrepancy(val: np.ndarray, max_den: int) -> DiscrepancyValue:
     if not (val[0] > 0 and val[-1] < 1):
         raise ValueError("every fraction must lie strictly inside (0, 1)")
     n = val.size
-    # (i0, max u, min u) per slice: only slices whose extremes reach the cut
-    # can hold a candidate, and only those are made again
-    extremes = [(lo, float(u.max()), float(u.min())) for lo, u in _deviations(val, n)]
-    top = max(max(hi, 1.0 - low) for _, hi, low in extremes)
-    cut = top - n * _FILTER_MARGIN
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    at, left = [], []
-    for lo, hi, low in extremes:
-        if hi < cut and low > 1.0 - cut:
-            continue
-        u = val[lo : lo + _SLICE] * n
-        u -= np.arange(lo, lo + u.size)
-        at.append(lo + np.flatnonzero(u <= 1.0 - cut))
-        left.append(lo + np.flatnonzero(u >= cut))
-    at, left = np.concatenate(at), np.concatenate(left)
+    _, [(left, at)] = _near_maximal(val, n, [_EMPTY], lambda top: top - n * _FILTER_MARGIN)
     a, b = _representatives(val[np.concatenate([at, left])], max_den)
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
@@ -250,13 +301,15 @@ def _values_discrepancy(val: np.ndarray, max_den: int) -> DiscrepancyValue:
 def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
     """Exact D_N* from parallel integer numerator/denominator arrays.
 
-    The one sorted-multiset evaluator: star_discrepancy, triangle_bound and
-    BlockAccumulator feed it, and prefix_discrepancy shares its float core
-    (_values_discrepancy). It checks num and den, divides them once and
-    hands the values to that core, so num and den are read only for the
-    check, the divide and the maximum denominator. Falls back to exact
-    sorting when a denominator is too large for faithful float order.
-    Non-integer arrays are rejected rather than truncated.
+    The sorted-multiset evaluator of arbitrary points: star_discrepancy,
+    triangle_bound and BlockAccumulator feed it. It checks num and den,
+    divides them once and hands the values to its float core
+    (_values_discrepancy), so num and den are read only for the check, the
+    divide and the maximum denominator. The core's float pass
+    (_near_maximal) is the one prefix_discrepancy and the boundary sweep
+    run on their lower-half stores. Falls back to exact sorting when a
+    denominator is too large for faithful float order. Non-integer arrays
+    are rejected rather than truncated.
     """
     num, den = _checked_arrays(num, den)
     max_den = int(den.max())
@@ -268,20 +321,87 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
 def prefix_discrepancy(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
 ) -> DiscrepancyValue:
-    """star_discrepancy_arrays(*prefix_arrays(family, n, table)), 8 B per point.
+    """star_discrepancy_arrays(*prefix_arrays(family, n, table)), 4 B per point.
 
-    Same checks, errors, value, witness and side; the values are divided
-    block by block into one float64 array, with no n-length integer array.
+    Same checks, errors, value, witness and side. The prefix is whole
+    blocks, a multiset that does not depend on the order inside each block
+    and is symmetric under x -> 1 - x, then one cut block: the whole blocks
+    are stored as their sorted lower halves, about n / 2 floats, and only
+    the cut block is generated in family order. Every check, a denominator
+    beyond 2^26 included, comes before anything of size n is allocated.
     """
-    blocks = _prefix_blocks(family, n, table)
-    val = np.empty(n)
-    lo = 0
-    for nums, q in blocks:
-        # correctly rounded, the same quotient as num / den
-        np.divide(nums, q, out=val[lo : lo + nums.size])
-        lo += nums.size
-    # every family's denominators increase: the last q is the largest
-    return _values_discrepancy(val, q)
+    ordering, whole, cut = _prefix_plan(family, n, table)
+    # every family's denominators increase: q is the largest
+    q, k = cut or (whole[-1], 0)
+    if q > _FLOAT_SAFE_DEN:
+        raise ValueError(f"denominator {q} too large for the float-sorted engine")
+    nums = block_numerators(q, ordering)[:k] if k else _EMPTY
+    return _blocks_discrepancy(whole, nums, q)
+
+
+def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> DiscrepancyValue:
+    """Exact D_N* of the whole blocks {j/d : 1 <= j < d, d in whole} and the points cut / q.
+
+    With N_W whole points, k = cut.size and n = N_W + k, order the multiset
+    with cut points after equal whole ones. L is the sorted lower-half store
+    (_merge_lower_halves), one value per whole point <= 1/2, and with K =
+    cut / q and K' = (q - cut) / q (both correctly rounded quotients):
+
+    * stored L[l] has index l + #{K < L[l]};
+    * its mirror 1 - L[l] has index n - 1 - l - #{K' <= L[l]}, so with
+      v = n L[l] - l - #{K' <= L[l]} its u is 1 - v (a mirrored 1/2 is
+      another copy of 1/2 at a true index, so it needs no exception);
+    * cut point K_t (sorted, t = 0, 1, ...) has index #{whole <= K_t} + t,
+      read off L, through K' when K_t > 1/2.
+
+    Both step counts are positions of K and K' in L, so one _near_maximal
+    pass over L evaluates every stored point and its mirror; the k cut
+    points are evaluated directly and named as (cut, q).
+    """
+    n_whole = sum(d - 1 for d in whole)
+    k = cut.size
+    n = n_whole + k
+    store = np.empty(sum(d // 2 for d in whole))
+    _merge_lower_halves(store, 0, whole)
+    c = np.sort(cut)
+    kappa = c / q
+    # #{L <= K_t}, and #{L < K'_t} (descending in t)
+    below = np.searchsorted(store, kappa, "right")
+    above = np.searchsorted(store, (q - c) / q, "left")
+    idx = np.where(2 * c > q, n_whole - above, below) + np.arange(k)
+    u = n * kappa - idx
+    cut_top = float(np.maximum(u, 1.0 - u).max()) if k else -math.inf
+
+    def threshold(top: float) -> float:
+        return max(top, cut_top) - n * _FILTER_MARGIN
+
+    upto = above[::-1]
+    top, [(left, at), (mirror_at, mirror_left)] = _near_maximal(
+        store, n, [below, upto], threshold
+    )
+    t = threshold(top)
+    # stored "left" (u >= t) and "at", then mirrored "at" (v >= t) and "left"
+    pos = np.concatenate([left, at, mirror_at, mirror_left])
+    a, b = _representatives(store[pos], max(whole, default=1))
+    i = pos + np.searchsorted(below, pos, "right")
+    j = (n - 1) - pos - np.searchsorted(upto, pos, "right")
+    split = np.cumsum([left.size, at.size, mirror_at.size])
+    a, b, i, j = (np.split(x, split) for x in (a, b, i, j))
+    hi, lo = u >= t, u <= 1.0 - t
+    groups = [
+        (a[0], b[0], i[0], "left"),
+        (a[1], b[1], i[1] + 1, "at"),
+        (b[2] - a[2], b[2], j[2] + 1, "at"),
+        (b[3] - a[3], b[3], j[3], "left"),
+        (c[hi], np.full(hi.sum(), q), idx[hi], "left"),
+        (c[lo], np.full(lo.sum(), q), idx[lo] + 1, "at"),
+    ]
+    cand = [
+        (x, y, z, side)
+        for num, den, count, side in groups
+        for x, y, z in zip(num.tolist(), den.tolist(), count.tolist())
+    ]
+    return _confirm(cand, n)
 
 
 def star_discrepancy(points: Sequence) -> DiscrepancyValue:
@@ -572,15 +692,15 @@ _BAND_WIDTH = 12
 _BUCKET_POINTS = 8
 
 
-def _merge_lower_halves(store: np.ndarray, size: int, primes: Sequence[int]) -> int:
-    # writes the values j / q, 1 <= j <= q / 2, of each block q in primes
+def _merge_lower_halves(store: np.ndarray, size: int, dens: Sequence[int]) -> int:
+    # writes the values j / q, 1 <= j <= q / 2, of each block q in dens
     # after the sorted run store[:size], sorts the filled prefix in place and
     # returns its length. Into an empty store the default sort takes any
     # number of runs with no buffer; after that timsort ("stable") merges the
     # one long held run with the short new ones in about one pass
-    j = np.arange(1, max(primes) // 2 + 1, dtype=np.float64)
+    j = np.arange(1, max(dens, default=0) // 2 + 1, dtype=np.float64)
     at = size
-    for q in primes:
+    for q in dens:
         np.divide(j[: q // 2], q, out=store[at : at + q // 2])
         at += q // 2
     store[:at].sort(kind="stable" if size else None)
@@ -693,28 +813,25 @@ def _boundary_discrepancies(
             pending.clear()
             val = store[:size]
             margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
+
+            def floor_below(top: float) -> int:
+                return math.floor(top - margin) - _BAND_WIDTH
+
+            top, [near] = _near_maximal(
+                val, n, [_EMPTY], lambda top: floor_below(top) - margin
+            )
+            floor = floor_below(top)
+            # the two bands are disjoint, or overlap and hold every point
+            c = np.concatenate(near) if floor - margin > 0.5 else np.arange(size)
             # bucket k = floor(x scale) holds [k / scale, (k + 1) / scale): a
             # power of two keeps x * scale and the edges exact, so the stale
             # count of an x in bucket k lies in [edge_count[k], edge_count[k + 1]]
             scale = 2 << max(size // _BUCKET_POINTS, 1).bit_length()
             edge_count = np.zeros(scale // 2 + 2, dtype=np.int64)
-            extremes = []
-            for lo, u in _deviations(val, n):
-                extremes.append((lo, float(u.max()), float(u.min())))
-                k = (val[lo : lo + u.size] * scale).astype(np.int64)
+            for lo in range(0, size, _SLICE):
+                k = (val[lo : lo + _SLICE] * scale).astype(np.int64)
                 edge_count[k[0] + 1 : k[-1] + 2] += np.bincount(k - k[0])
             np.cumsum(edge_count, out=edge_count)
-            top = max(max(hi, 1.0 - low) for _, hi, low in extremes)
-            floor = math.floor(top - margin) - _BAND_WIDTH
-            tracked = []
-            for lo, hi, low in extremes:
-                if hi < floor - margin and low > 1 - floor + margin:
-                    continue
-                u = val[lo : lo + _SLICE] * n
-                u -= np.arange(lo, lo + u.size)
-                near = (u >= floor - margin) | (u <= 1 - floor + margin)
-                tracked.append(lo + np.flatnonzero(near))
-            c = np.concatenate(tracked)
             a, b = _representatives(val[c], max_den)
             w = n * a - c * b
             keep = _bands(w, b, floor)

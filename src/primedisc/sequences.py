@@ -15,13 +15,14 @@ value semantics are used for comparisons.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from itertools import accumulate, count, repeat
 from math import gcd, isqrt
 from operator import index
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -152,38 +153,55 @@ def generate_prefix(
     return [Frac(a, b) for a, b in zip(num.tolist(), den.tolist())]
 
 
-def _prefix_blocks(
+def _prefix_plan(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
-) -> Iterator[tuple[np.ndarray, int]]:
-    """(numerators, q) of each block of the first n elements, the last block cut.
+) -> tuple[Ordering, Sequence[int], tuple[int, int] | None]:
+    """(ordering, whole, cut) of the first n elements of the family.
 
-    The one block loop of the prefix front ends, and the one place that
-    decides which families need a prime table (all but omega) and whether it
-    covers n elements: at the call, before the caller allocates n of anything.
+    They are the whole blocks with the denominators in whole, in order, then
+    the first k < q - 1 elements of block q when cut is (q, k); cut is None
+    when n ends a block. The one place that decides which families need a
+    prime table (all but omega) and whether it covers n elements: at the
+    call, in O(1) or one binary search, before anything of size n exists.
     """
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if family is SequenceFamily.OMEGA:
-        ordering, denominators = Ordering.INCREASING, count(2)
-    elif table is None:
+        # blocks q = 2..t hold t (t - 1) / 2 elements
+        t = (isqrt(8 * n + 1) + 1) // 2
+        k = n - t * (t - 1) // 2
+        return Ordering.INCREASING, range(2, t + 1), (t + 1, k) if k else None
+    if table is None:
         raise ValueError(f"family {family.value!r} requires a prime table")
-    elif table.coverage < n:
+    if table.coverage < n:
         raise TableTooSmallError(
             f"table covers {table.coverage} elements with M={len(table)} blocks; "
             f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
             required=required_blocks_estimate(n),
         )
-    else:
-        ordering = Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
-        denominators = table.primes
+    ordering = Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
+    m = bisect_right(table.cumulative, n) - 1
+    k = n - table.cumulative[m]
+    return ordering, table.primes[:m], (table.primes[m], k) if k else None
+
+
+def _prefix_blocks(
+    family: SequenceFamily, n: int, table: PrimeTable | None = None
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(numerators, q) of each block of the first n elements, the last block cut.
+
+    The one block loop of the prefix front ends; the checks of _prefix_plan
+    run at the call, before the caller allocates or writes anything.
+    """
+    ordering, whole, cut = _prefix_plan(family, n, table)
 
     def blocks() -> Iterator[tuple[np.ndarray, int]]:
-        left = n
-        for q in denominators:
-            yield block_numerators(q, ordering)[:left], q
-            left -= q - 1
-            if left <= 0:
-                return
+        for q in whole:
+            yield block_numerators(q, ordering), q
+        if cut:
+            q, k = cut
+            yield block_numerators(q, ordering)[:k], q
 
     return blocks()
 
@@ -195,8 +213,9 @@ def prefix_arrays(
 
     The blocks of _prefix_blocks, checked before the arrays are allocated,
     in two arrays; generate_prefix is its list view, and the array
-    discrepancy engines take its output directly (prefix_discrepancy reads
-    the blocks themselves).
+    discrepancy engines take its output directly. prefix_discrepancy needs
+    neither: it stores the whole blocks' lower halves and generates only
+    the cut block.
     """
     blocks = _prefix_blocks(family, n, table)
     # filled in place: a list of per-block pieces would hold the prefix twice

@@ -57,15 +57,14 @@ class TestGen:
         def no_arrays(family, n, table):
             raise ValueError("no arrays")
 
-        monkeypatch.setattr(cli, "prefix_arrays", no_arrays)
+        monkeypatch.setattr(cli, "_prefix_blocks", no_arrays)
         target = tmp_path / "dump.txt"
         code, out, err = run(capsys, "gen", "--family", "omega", "--n", "7", "--out", str(target))
         assert (code, out, err) == (1, "", "error: no arrays\n")
         assert not target.exists()
 
     def test_dump_is_streamed(self, tmp_path):
-        # the lines are made a slice at a time next to the (num, den) arrays,
-        # never all at once
+        # the lines are made a slice of a block at a time, never all at once
         n = 200_000
         target = tmp_path / "omega.txt"
         tracemalloc.start()
@@ -79,6 +78,21 @@ class TestGen:
         assert peak < 2 * (num.nbytes + den.nbytes)
         lines = target.read_text().splitlines()
         assert len(lines) == n and lines[-1] == f"{num[-1]}/{den[-1]}"
+
+    def test_dump_peak_does_not_grow_with_n(self, tmp_path):
+        # lines come block by block: ten times the points add under a byte
+        # per point to the peak, where a (num, den) pair of int64 arrays
+        # would add 16
+        peaks = []
+        for n in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                code = main(["gen", "--family", "omega", "--n", str(n), "--out", str(tmp_path / "d")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] < 90_000
 
 
 class TestDisc:
@@ -149,8 +163,9 @@ class TestDisc:
         assert peak < 100 * n
 
     def test_family_holds_one_value_per_point(self, capsys):
-        # one float64 per point, filled block by block: the (num, den) int64
-        # arrays next to the values would take 24 bytes per point
+        # at most one float64 per point: the whole blocks' lower halves take
+        # 4 bytes per point, and the (num, den) int64 arrays next to the
+        # values would take 24
         n = 400_000
         tracemalloc.start()
         try:

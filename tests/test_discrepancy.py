@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import primedisc.discrepancy as discrepancy
+import primedisc.sequences as sequences
 from primedisc.discrepancy import (
     DEFAULT_SWEEP_LIMIT,
     BlockAccumulator,
@@ -26,16 +27,18 @@ from primedisc.discrepancy import (
     triangle_bound,
     weighted_prefix_maxima,
     _band_maximum,
+    _blocks_discrepancy,
     _boundary_discrepancies,
     _confirm,
     _deviations,
     _merge_lower_halves,
+    _near_maximal,
     _representatives,
     _star_discrepancy_exact,
     _values_discrepancy,
 )
 from primedisc.errors import TableTooSmallError
-from primedisc.primes import build_prime_table, sieve_primes
+from primedisc.primes import build_prime_table, sieve_primes, table_covering
 from primedisc.sequences import (
     BlockSpec,
     Frac,
@@ -450,8 +453,163 @@ class TestPrefixDiscrepancy:
         assert str(got.value) == str(want.value)
 
 
+class TestLowerHalfPrefix:
+    """prefix_discrepancy on the whole blocks' lower halves plus one cut block.
+
+    Every N of several block ranges of each family, so the cut block is
+    empty, one point or all but one; omega cuts at even q also repeat 1/2,
+    1/3 and other values of the whole blocks."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_prime_table(40)
+
+    @staticmethod
+    def block_ranges(family, table, blocks):
+        # every N up to P(7) + 1, then from P(m) - 1 to P(m + 2) + 1 for each
+        # m in blocks: the prime blocks of the table, or omega blocks q = 2..m + 1
+        if family is SequenceFamily.OMEGA:
+            edges = [m * (m + 1) // 2 for m in range(max(blocks) + 3)]
+        else:
+            edges = table.cumulative
+        ns = set(range(1, edges[7] + 2))
+        for m in blocks:
+            ns |= set(range(edges[m] - 1, edges[m + 2] + 2))
+        return sorted(ns)
+
+    def check_block_ranges(self, family, table, blocks):
+        table = None if family is SequenceFamily.OMEGA else table
+        for n in self.block_ranges(family, table, blocks):
+            want = star_discrepancy_arrays(*prefix_arrays(family, n, table))
+            assert prefix_discrepancy(family, n, table) == want, n
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_every_n_of_block_ranges(self, family, table, monkeypatch):
+        # one slice holds the whole store: primes up to 113, omega q up to 42
+        monkeypatch.setattr(discrepancy, "_SLICE", 1 << 30)
+        blocks = [11, 39] if family is SequenceFamily.OMEGA else [11, 26]
+        self.check_block_ranges(family, table, blocks)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("slice_len", [1, 7])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_every_n_in_short_slices(self, family, slice_len, table, monkeypatch):
+        # the step counts of the cut block cross and fill many slices
+        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        blocks = [11, 21] if family is SequenceFamily.OMEGA else [11]
+        self.check_block_ranges(family, table, blocks)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_oracle(self, family, table):
+        # omega N in 254..275 cut the even block q = 24
+        ns = [*range(1, 61)]
+        if family is SequenceFamily.OMEGA:
+            table, ns = None, ns + [*range(230, 301)]
+        for n in ns:
+            pts = generate_prefix(family, n, table)
+            assert prefix_discrepancy(family, n, table) == star_discrepancy_oracle(pts), n
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 13, 97])
+    @pytest.mark.parametrize("ordering", [INV, INC])
+    def test_empty_store(self, q, ordering):
+        # no whole block: the cut points alone, first one up to all of block q
+        nums = block_numerators(q, ordering)
+        for k in range(1, q):
+            want = star_discrepancy_arrays(nums[:k], q)
+            assert _blocks_discrepancy([], nums[:k], q) == want
+            if k < 40:
+                assert want == star_discrepancy_oracle([(a, q) for a in nums[:k].tolist()])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_blocks_and_cuts(self, seed):
+        # any whole denominators and any numerators of a cut block, in any
+        # order: many values repeat, within the store, its mirror and the cut
+        rng = np.random.default_rng([23, seed])
+        whole = sorted(rng.choice(np.arange(2, 31), size=int(rng.integers(0, 12)), replace=False))
+        q = int(rng.integers(2, 31))
+        cut = rng.permutation(np.arange(1, q))[: int(rng.integers(0 if whole else 1, q))]
+        pts = [(j, d) for d in whole for j in range(1, d)] + [(a, q) for a in cut.tolist()]
+        assert _blocks_discrepancy(whole, cut, q) == star_discrepancy_oracle(pts)
+
+    def test_mirror_of_a_half_copy(self):
+        # whole blocks 2 and 4 hold 1/2 twice; the cut 1/2 of block 6 ties them
+        want = star_discrepancy_oracle([(1, 2), (1, 4), (2, 4), (3, 4), (3, 6), (1, 6)])
+        assert _blocks_discrepancy([2, 4], np.array([3, 1]), 6) == want
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_generates_only_the_cut_block(self, family, table, monkeypatch):
+        calls = []
+
+        def recorded(q, ordering):
+            calls.append((q, ordering))
+            return block_numerators(q, ordering)
+
+        monkeypatch.setattr(discrepancy, "block_numerators", recorded)
+        monkeypatch.setattr(sequences, "block_numerators", recorded)
+        ordering = INV if family is SequenceFamily.ETA else INC
+        table = None if family is SequenceFamily.OMEGA else table
+        if table is None:
+            edge, q = 40 * 41 // 2, 42  # blocks 2..41 whole, 42 cut
+        else:
+            edge, q = table.cumulative[30], table.primes[30]
+        prefix_discrepancy(family, edge, table)
+        assert calls == []
+        for k in (1, 2, q // 2, q - 2):
+            prefix_discrepancy(family, edge + k, table)
+            assert calls == [(q, ordering)]
+            calls.clear()
+
+    def test_peak_under_five_bytes_per_point(self):
+        # the lower-half store is 4 bytes per point; slices and the cut
+        # block add a fixed amount
+        n = 1_000_003
+        table = table_covering(n)
+        tracemalloc.start()
+        try:
+            prefix_discrepancy(SequenceFamily.ETA, n, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n
+
+    def test_large_denominator_refused_before_allocating(self, table, monkeypatch):
+        # an omega prefix of 10^15 points would need a 4 PB store
+        monkeypatch.setattr(discrepancy, "_FLOAT_SAFE_DEN", 100)
+        with pytest.raises(ValueError, match=r"^denominator \d+ too large for the float-sorted"):
+            prefix_discrepancy(SequenceFamily.OMEGA, 10**15)
+        # a whole last block is the largest denominator of its prefix
+        n = table.cumulative[26]
+        with pytest.raises(ValueError, match="denominator 101 too large"):
+            prefix_discrepancy(SequenceFamily.ETA, n, table)
+        n = table.cumulative[25]
+        want = star_discrepancy_arrays(*prefix_arrays(SequenceFamily.ETA, n, table))
+        assert prefix_discrepancy(SequenceFamily.ETA, n, table) == want
+
+
+class TestNearMaximal:
+    """The one float pass of the sorted evaluators, against dense recounts."""
+
+    @pytest.mark.parametrize("slice_len", [1, 5, 1 << 30])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_dense_recount(self, seed, slice_len, monkeypatch):
+        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 60))
+        val = np.sort(rng.random(size) / 2)
+        n = 2 * size + int(rng.integers(0, 9))
+        steps = [np.sort(rng.integers(0, size + 1, size=int(rng.integers(0, 9)))) for _ in range(3)]
+        width = float(rng.choice([0.0, 0.5, 3.0, 100.0]))
+        top, near = _near_maximal(val, n, steps, lambda top: top - width)
+        base = n * val - np.arange(size)
+        ws = [base - np.searchsorted(st, np.arange(size), "right") for st in steps]
+        assert top == max(max(w.max(), 1 - w.min()) for w in ws)
+        for w, (high, low) in zip(ws, near):
+            assert high.tolist() == np.flatnonzero(w >= top - width).tolist()
+            assert low.tolist() == np.flatnonzero(w <= 1 - (top - width)).tolist()
+
+
 class TestValuesCore:
-    """The float core behind star_discrepancy_arrays and prefix_discrepancy."""
+    """The float core behind star_discrepancy_arrays."""
 
     @pytest.mark.parametrize(
         "values", [[0.0, 0.25, 0.5], [0.5, 0.25, 1.0], [0.5, -0.25], [1.5, 0.5]]

@@ -227,3 +227,34 @@ class TestPrefixArrays:
         with pytest.raises(TableTooSmallError):
             prefix_arrays(ETA, 10**15, table10)
 
+
+
+class TestPrefixPlan:
+    @pytest.mark.parametrize("family", [ETA, OMEGA, PRIME_INC])
+    def test_whole_blocks_then_one_cut(self, family, table10):
+        # every n the table covers: the family's first denominators in order,
+        # all whole but a last block of 1..q-2 points
+        table = None if family is OMEGA else table10
+        dens = list(range(2, 20)) if family is OMEGA else list(table10.primes)
+        for n in range(1, table10.coverage + 1):
+            _, whole, cut = sequences._prefix_plan(family, n, table)
+            q, k = cut or (None, 0)
+            assert [*whole, *([q] if cut else [])] == dens[: len(whole) + bool(cut)]
+            assert sum(d - 1 for d in whole) + k == n
+            assert cut is None or 1 <= k < q - 1
+            blocks = [(nums.size, d) for nums, d in sequences._prefix_blocks(family, n, table)]
+            assert blocks == [(d - 1, d) for d in whole] + ([(k, q)] if cut else [])
+
+    @pytest.mark.parametrize("family", [ETA, OMEGA, PRIME_INC])
+    def test_n_must_be_an_integer(self, family, table10):
+        table = None if family is OMEGA else table10
+        with pytest.raises(ValueError, match="not an integer"):
+            prefix_arrays(family, 5.0, table)
+        assert prefix_arrays(family, np.int64(5), table)[0].size == 5
+
+    def test_omega_plan_is_closed_form(self):
+        # no loop over the blocks: a 10^18-point plan is immediate
+        _, whole, cut = sequences._prefix_plan(OMEGA, 10**18)
+        m = len(whole)
+        assert whole == range(2, m + 2) and cut[0] == m + 2
+        assert m * (m + 1) // 2 + cut[1] == 10**18 and cut[1] < m + 1
