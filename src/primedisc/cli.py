@@ -179,10 +179,10 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
         if not nums:
             raise ValueError(f"{args.input}: no fractions found")
         n = len(nums)
-        if max(dens) <= _FLOAT_SAFE_DEN:
+        # only a denominator beyond int64 needs the list front end
+        if max(dens) < 1 << 63:
             dv = star_discrepancy_arrays(np.array(nums), np.array(dens))
         else:
-            # beyond float safety, even beyond int64: the exact path
             dv = star_discrepancy(list(zip(nums, dens)))
     else:
         if args.n is None:

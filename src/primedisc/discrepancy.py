@@ -151,21 +151,15 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
 _SLICE = 1 << 14
 
 
-def _deviations(val: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i0, u) slice by slice, u = n x_(i) - i for i = i0, i0 + 1, ...
+def _deviation(val: np.ndarray, n: int, lo: int) -> np.ndarray:
+    """u = n x_(i) - i for i = lo, lo + 1, ... over the slice of val at lo.
 
     val holds sorted values and n the size of the whole multiset. Over a
     whole multiset u is n times the "left" deviation at x_(i) and 1 - u is n
     times the "at" deviation there. The boundary store passes its distinct
     values of (0, 1/2] with n counting both halves, so i = #{y < x_(i)}
-    still. No n-length deviation array is ever held.
+    still. Callers go slice by slice: no n-length deviation array is held.
     """
-    for lo in range(0, val.size, _SLICE):
-        yield lo, _deviation(val, n, lo)
-
-
-def _deviation(val: np.ndarray, n: int, lo: int) -> np.ndarray:
-    # u of the slice of _deviations that starts at lo
     u = val[lo : lo + _SLICE] * n
     u -= np.arange(lo, lo + u.size)
     return u
@@ -178,7 +172,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 def _series(
     u: np.ndarray, lo: int, steps: Sequence[np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray | None]]:
-    # (shift, w) per series on the slice u of _deviations at lo: w = u minus
+    # (shift, w) per series on the slice u = _deviation(val, n, lo): w = u minus
     # #{p in steps : p <= l}, or None when no step falls inside the slice and
     # w is u - shift
     for st in steps:
@@ -198,7 +192,7 @@ def _near_maximal(
     """The points of a sorted store near the maximum of max(w, 1 - w).
 
     Series s is w(l) = n val[l] - l - #{p in steps[s] : p <= l}, for sorted
-    positions steps[s]: u of _deviations shifted by a step count. One float
+    positions steps[s]: u of _deviation shifted by a step count. One float
     pass keeps each slice's max and min of every series, and a series with
     no step inside a slice shifts the slice's extremes of u instead of being
     made. top is the maximum of max(w, 1 - w) over every series and point,
@@ -209,7 +203,8 @@ def _near_maximal(
     rebuild of the boundary sweep.
     """
     extremes = []
-    for lo, u in _deviations(val, n):
+    for lo in range(0, val.size, _SLICE):
+        u = _deviation(val, n, lo)
         hi, low = float(u.max()), float(u.min())
         row = [
             (hi - shift, low - shift) if w is None else (float(w.max()), float(w.min()))
@@ -276,18 +271,25 @@ def _star_discrepancy_exact(pairs: list[tuple[int, int]]) -> DiscrepancyValue:
     return _confirm(cand, len(ordered))
 
 
-def _values_discrepancy(val: np.ndarray, max_den: int) -> DiscrepancyValue:
-    # exact D_N* of fractions with denominators <= max_den from their floats
-    # val, sorted here in place; near-maximal points are confirmed exactly,
-    # each named from its own float by continued fractions
+def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
+    """Exact D_N* from parallel integer numerator/denominator arrays.
+
+    The sorted-multiset evaluator of arbitrary points (star_discrepancy,
+    disc --input, triangle_bound and BlockAccumulator feed it) and the one
+    place that chooses floats or exact sorting for them. Up to a largest
+    denominator of 2^26 it divides once, sorts the values alone, runs the
+    float pass (_near_maximal) of every sorted evaluator and names each
+    near-maximal point from its own float (_representatives): num and den
+    are read only for the check, the divide and the maximum denominator.
+    Larger denominators, which floats could misorder, take the exact sort.
+    Non-integer arrays are rejected rather than truncated.
+    """
+    num, den = _checked_arrays(num, den)
+    max_den = int(den.max())
     if max_den > _FLOAT_SAFE_DEN:
-        raise ValueError(f"denominator {max_den} too large for the float-sorted engine")
+        return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
+    val = num / den
     val.sort()
-    # the range check on the sorted ends: with b <= 2^26 and a correctly
-    # rounded a / b, 1 <= a <= b - 1 gives a value in [2^-26, 1 - 2^-26] and
-    # any other a gives one <= 0 or >= 1, so this is the check of every a / b
-    if not (val[0] > 0 and val[-1] < 1):
-        raise ValueError("every fraction must lie strictly inside (0, 1)")
     n = val.size
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
@@ -296,26 +298,6 @@ def _values_discrepancy(val: np.ndarray, max_den: int) -> DiscrepancyValue:
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
     return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
-
-
-def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValue:
-    """Exact D_N* from parallel integer numerator/denominator arrays.
-
-    The sorted-multiset evaluator of arbitrary points: star_discrepancy,
-    triangle_bound and BlockAccumulator feed it. It checks num and den,
-    divides them once and hands the values to its float core
-    (_values_discrepancy), so num and den are read only for the check, the
-    divide and the maximum denominator. The core's float pass
-    (_near_maximal) is the one prefix_discrepancy and the boundary sweep
-    run on their lower-half stores. Falls back to exact sorting when a
-    denominator is too large for faithful float order. Non-integer arrays
-    are rejected rather than truncated.
-    """
-    num, den = _checked_arrays(num, den)
-    max_den = int(den.max())
-    if max_den > _FLOAT_SAFE_DEN:
-        return _star_discrepancy_exact(list(zip(num.tolist(), den.tolist())))
-    return _values_discrepancy(num / den, max_den)
 
 
 def prefix_discrepancy(
@@ -412,8 +394,8 @@ def star_discrepancy(points: Sequence) -> DiscrepancyValue:
     or (num, den) pairs.
     """
     pairs = _point_pairs(points)
-    # a denominator beyond float safety, even beyond int64, takes the exact path
-    if max(b for _, b in pairs) > _FLOAT_SAFE_DEN:
+    # beyond int64 the exact path; star_discrepancy_arrays routes the rest
+    if max(b for _, b in pairs) >= 1 << 63:
         return _star_discrepancy_exact(pairs)
     return star_discrepancy_arrays(*np.array(pairs, dtype=np.int64).T)
 
@@ -658,8 +640,8 @@ class BlockAccumulator:
     star_discrepancy evaluates the concatenation of every batch with
     star_discrepancy_arrays, in O(N log N). This is the plain
     merge-and-evaluate path against which the tests check the boundary
-    sweep. Only float-safe denominators are accepted so the float order
-    stays exact.
+    sweep. It accepts denominators up to 2^26 only, the domain of the
+    boundary sweep it is the reference for.
     """
 
     def __init__(self) -> None:

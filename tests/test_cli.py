@@ -287,7 +287,9 @@ class TestDumpParse:
         assert (code, out) == (1, "")
         assert err == f"error: {dump}: no fractions found\n"
 
-    @pytest.mark.parametrize("den", [(1 << 26) + 1, (1 << 40) + 15, 10**30])
+    @pytest.mark.parametrize(
+        "den", [(1 << 26) + 1, (1 << 40) + 15, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 10**30]
+    )
     def test_exact_path_above_float_safety(self, capsys, tmp_path, den):
         # one denominator above 2^26 sends the whole dump to the exact path
         pts = [(1, den), (2, 3), (den - 1, den), (1, 2), (12345, den), (1, 3)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import primedisc.discrepancy as discrepancy
 import primedisc.sequences as sequences
+from primedisc.cli import main
 from primedisc.discrepancy import (
     DEFAULT_SWEEP_LIMIT,
     BlockAccumulator,
@@ -30,12 +32,11 @@ from primedisc.discrepancy import (
     _blocks_discrepancy,
     _boundary_discrepancies,
     _confirm,
-    _deviations,
+    _deviation,
     _merge_lower_halves,
     _near_maximal,
     _representatives,
     _star_discrepancy_exact,
-    _values_discrepancy,
 )
 from primedisc.errors import TableTooSmallError
 from primedisc.primes import build_prime_table, sieve_primes, table_covering
@@ -232,20 +233,18 @@ class TestStarDiscrepancy:
         oracle = star_discrepancy_oracle(pts)
         assert (engine.num, engine.den) == (oracle.num, oracle.den)
 
-    def test_denominator_beyond_int64(self):
-        big = 10**30
+    @pytest.mark.parametrize("big", [10**30, 1 << 63, (1 << 64) - 1])
+    def test_denominator_beyond_int64(self, big):
         pts = [(1, big), (2, 3), (big - 1, big), (1, 2), (12345, big)]
         dv = star_discrepancy(pts)
-        want = star_discrepancy_oracle(pts)
-        assert (dv.num, dv.den) == (want.num, want.den)
+        assert dv == star_discrepancy_oracle(pts)
         assert_witness_reproduces(pts, dv)
 
-    def test_exact_fallback_matches_oracle(self):
+    @pytest.mark.parametrize("big", [(1 << 26) + 15, (1 << 63) - 1])
+    def test_exact_fallback_matches_oracle(self, big):
         # denominators beyond the float-safe cutoff take the Fraction path
-        big = (1 << 26) + 15
         pts = [(1, big), (2, 3), (big - 1, big), (1, 2)]
-        via_fallback = star_discrepancy(pts)
-        assert via_fallback.exact == star_discrepancy_oracle(pts).exact
+        assert star_discrepancy(pts) == star_discrepancy_oracle(pts)
 
     def test_exact_path_equals_vectorized(self):
         rng = np.random.default_rng(5)
@@ -363,6 +362,40 @@ class TestStarDiscrepancyArrays:
         dv = star_discrepancy_arrays(np.array([1, big - 1]), np.array([big, big]))
         assert dv.exact == star_discrepancy_oracle([(1, big), (big - 1, big)]).exact
 
+    @pytest.mark.parametrize(
+        "den,exact_calls",
+        [(1 << 26, 0), ((1 << 26) + 1, 1), ((1 << 63) - 1, 1), (1 << 63, 1), (10**30, 1)],
+    )
+    def test_route_to_the_exact_path(self, monkeypatch, capsys, tmp_path, den, exact_calls):
+        # both paths give the same values, so the route itself is pinned: a
+        # largest denominator above 2^26 makes one exact evaluation on every
+        # entry point, one of exactly 2^26 none
+        calls = []
+        exact = discrepancy._star_discrepancy_exact
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return exact(pairs)
+
+        monkeypatch.setattr(discrepancy, "_star_discrepancy_exact", counted)
+        pts = [(1, den), (2, 3), (den - 1, den), (1, 2), (12345, den)]
+        dump = tmp_path / "points.txt"
+        dump.write_text("".join(f"{a}/{b}\n" for a, b in pts))
+
+        def disc_input():
+            assert main(["disc", "--input", str(dump)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            keys = ("disc_num", "disc_den", "witness_num", "witness_den", "side")
+            return DiscrepancyValue(*(out[k] for k in keys))
+
+        entries = [lambda: star_discrepancy(pts), disc_input]
+        if den < 1 << 63:  # int64 arrays stop below 2^63
+            entries.append(lambda: star_discrepancy_arrays(*np.array(pts).T))
+        for entry in entries:
+            calls.clear()
+            assert entry() == star_discrepancy_oracle(pts)
+            assert calls == [len(pts)] * exact_calls
+
     @pytest.mark.parametrize("slice_len", [16, 1 << 16])
     @pytest.mark.parametrize("mid", [2, 3])
     def test_maximum_in_a_middle_slice(self, monkeypatch, slice_len, mid):
@@ -373,9 +406,10 @@ class TestStarDiscrepancyArrays:
         num = np.arange(1, 2 * n, 2)
         lo = mid * slice_len + slice_len // 3
         num[lo : lo + 5] = num[lo + 2]
-        extremes = [(i0, u.max(), u.min()) for i0, u in _deviations(np.sort(num / (2 * n)), n)]
-        top = max(max(hi, 1.0 - low) for _, hi, low in extremes)
-        hot = [i0 for i0, hi, low in extremes if max(hi, 1.0 - low) > top - 0.25]
+        val = np.sort(num / (2 * n))
+        us = {i0: _deviation(val, n, i0) for i0 in range(0, n, slice_len)}
+        top = max(max(u.max(), 1.0 - u.min()) for u in us.values())
+        hot = [i0 for i0, u in us.items() if max(u.max(), 1.0 - u.min()) > top - 0.25]
         assert hot == [mid * slice_len]
         dv = star_discrepancy_arrays(num, 2 * n)
         if slice_len < 1 << 16:
@@ -606,27 +640,6 @@ class TestNearMaximal:
         for w, (high, low) in zip(ws, near):
             assert high.tolist() == np.flatnonzero(w >= top - width).tolist()
             assert low.tolist() == np.flatnonzero(w <= 1 - (top - width)).tolist()
-
-
-class TestValuesCore:
-    """The float core behind star_discrepancy_arrays."""
-
-    @pytest.mark.parametrize(
-        "values", [[0.0, 0.25, 0.5], [0.5, 0.25, 1.0], [0.5, -0.25], [1.5, 0.5]]
-    )
-    def test_range_checked_on_the_sorted_ends(self, values):
-        with pytest.raises(ValueError, match=r"every fraction must lie strictly inside \(0, 1\)"):
-            _values_discrepancy(np.array(values), 4)
-
-    def test_refuses_denominators_beyond_float_safety(self):
-        big = discrepancy._FLOAT_SAFE_DEN + 1
-        with pytest.raises(ValueError, match="too large for the float-sorted engine"):
-            _values_discrepancy(np.array([1 / big]), big)
-
-    def test_sorts_in_place(self):
-        val = np.array([0.75, 0.25, 0.5])
-        assert _values_discrepancy(val, 4) == star_discrepancy_oracle([(3, 4), (1, 4), (2, 4)])
-        assert val.tolist() == [0.25, 0.5, 0.75]
 
 
 def slice_rescan_representatives(
@@ -1287,7 +1300,7 @@ class TestMergeLowerHalves:
         monkeypatch.setattr(discrepancy, "_SLICE", 2)
         store = np.empty(3)
         _merge_lower_halves(store, 0, [5, 3])
-        got = np.concatenate([u for _, u in _deviations(store, 6)])
+        got = np.concatenate([_deviation(store, 6, lo) for lo in range(0, store.size, 2)])
         want = [6 * Fraction(1, 5) - 0, 6 * Fraction(1, 3) - 1, 6 * Fraction(2, 5) - 2]
         assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-12)
 
