@@ -26,7 +26,9 @@ from .discrepancy import (
     _FLOAT_SAFE_DEN,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
-    block_max_weighted,
+    _block_maxima,
+    _checked_arrays,
+    _grid_columns,
     nw_bound,
     prefix_discrepancy,
     prefix_scan,
@@ -206,16 +208,24 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> list[str]:
+    header = "k,disc_num,disc_den,disc_float,weighted_num,weighted_den"
     if args.prime is not None:
-        if not is_prime(args.prime):
-            raise UsageError(f"--prime {args.prime} is not a prime")
-        _check_sweep_limit("--prime", args.prime, args.sweep_limit)
+        p = args.prime
+        if not is_prime(p):
+            raise UsageError(f"--prime {p} is not a prime")
+        _check_sweep_limit("--prime", p, args.sweep_limit)
         ordering = Ordering(args.ordering or "inversive")
-        num = block_numerators(args.prime, ordering)
+        num = block_numerators(p, ordering)
         if args.n is not None and args.n > num.size:
             raise UsageError(f"--n {args.n} exceeds the block size {num.size}")
-        num = num[: args.n]
-        den = np.full(num.size, args.prime)
+        num, _ = _checked_arrays(num[: args.n], p)
+        if p * num.size < 1 << 63:
+            # the grid sweep's reduced columns, with disc_float the quotient
+            # of Python ints as in DiscrepancyValue.approx
+            dnum, dden, _, _, wnum, wden, _ = _grid_columns(num, p)
+            cells = zip(range(1, num.size + 1), *(x.tolist() for x in (dnum, dden, wnum, wden)))
+            return [header] + [f"{k},{a},{b},{a / b:.17g},{e},{f}" for k, a, b, e, f in cells]
+        den = np.full(num.size, p)
     else:
         if args.n is None:
             raise UsageError("--family requires --n")
@@ -226,7 +236,7 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
         family = SequenceFamily(args.family)
         num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
     records = prefix_scan(list(zip(num.tolist(), den.tolist())))
-    return ["k,disc_num,disc_den,disc_float,weighted_num,weighted_den"] + [
+    return [header] + [
         f"{r.k},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},{r.weighted_num},{r.weighted_den}"
         for r in records
     ]
@@ -238,12 +248,14 @@ def _cmd_bounds(args: argparse.Namespace) -> list[str]:
     _check_sweep_limit("--pmax", args.pmax, args.sweep_limit)
     ordering = Ordering(args.ordering)
     primes = [int(p) for p in sieve_primes(args.pmax) if p >= args.pmin]
+    if not primes:
+        raise UsageError(f"no prime in [{args.pmin}, {args.pmax}]")
     if ordering is Ordering.INVERSIVE:
         lines = ["p,argmax_k,max_num,max_den,max_float,nw,within_nw"]
     else:
         lines = ["p,argmax_k,max_num,max_den,max_float,eighth_num,eighth_den,meets_eighth"]
-    for p in primes:
-        max_frac, arg_k = block_max_weighted(BlockSpec(p, ordering), args.sweep_limit)
+    specs = [BlockSpec(p, ordering) for p in primes]
+    for p, (max_frac, arg_k) in zip(primes, _block_maxima(specs, args.sweep_limit)):
         head = f"{p},{arg_k},{max_frac.numerator},{max_frac.denominator},{float(max_frac):.17g}"
         if ordering is Ordering.INVERSIVE:
             nw = nw_bound(p, arg_k)

@@ -436,62 +436,98 @@ def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
 _CELLS = 1 << 17
 
 
-def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per prefix k: p * k * D_k*, its witness numerator j and whether side is "at".
+def _grid_sweeps(
+    seqs: Sequence[tuple[Sequence[int], int]],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per sequence (nums, p) of a group and per prefix k: p * k * D_k*, its
+    witness numerator j and whether side is "at".
 
-    All points sit on the grid j/p. With c(s) the running count of numerators
-    <= s, grid point s holds x(s) = p c(s) - k s: p k times the "at"
-    deviation at v is x(v), and at "left" v it is x(v - 1) - k. Between
-    consecutive prefix values c is constant and x falls strictly in s, so
-    max x sits at a prefix value and min x just below one, and no other grid
-    point reaches either. Hence p k D_k* is the larger of max x ("at" s) and
-    k - min x ("left" s + 1); a positive "left" or negative "at" deviation
-    is always strictly smaller. The sweep holds only the half grid
-    S = {v - 1, v : v a distinct numerator}, one slot per point of S, at
-    most 2 x (distinct numerators) and p for a whole block. Every slot lies
-    in (-p N, p N], N = len(nums): int32 lanes while p N < 2^31, int64
-    above. A prefix is the last one plus one window of a fixed array, one
-    numpy call; rows of consecutive prefixes, up to _CELLS slots, hold
-    p c(s) - k0 s with k0 fixed per row block, so the k s ramp comes off
-    once per block, before one argmax and one argmin.
+    All points of one sequence sit on the grid j/p. With c(s) the running
+    count of numerators <= s, grid point s holds x(s) = p c(s) - k s: p k
+    times the "at" deviation at v is x(v), and at "left" v it is x(v - 1) -
+    k. Between consecutive prefix values c is constant and x falls strictly
+    in s, so max x sits at a prefix value and min x just below one, and no
+    other grid point reaches either. Hence p k D_k* is the larger of max x
+    ("at" s) and k - min x ("left" s + 1); a positive "left" or negative
+    "at" deviation is always strictly smaller. The sweep holds only the half
+    grid S = {v - 1, v : v a distinct numerator}, one slot per point of S,
+    at most 2 x (distinct numerators) and p for a whole block.
+
+    Inserting v adds p to every slot from v on: the window of W slots that
+    starts at W - t in a fixed row [0]*W + [p]*W, t the index of v. One
+    sequence steps by a plain slice of its row, one numpy call per prefix.
+    A group of G steps together: one index into a sliding-window view
+    gathers the G windows of step k and one add puts them on the (G, W)
+    row of step k - 1, so the per-call overhead is paid once per step, not
+    once per sequence. W is the widest half grid of the group. A narrower
+    grid's padded slots copy its last slot, both its grid value and the +p
+    of every insert, so each equals that last slot and the first argmax or
+    argmin never picks one. A sequence that has ended steps at start 0,
+    where the window adds nothing, and its rows past the end are never
+    decoded. Every slot lies in (-P N, P N], with P the group's largest p
+    and N its longest sequence: int32 lanes while P N < 2^31, int64 above.
+    Rows of consecutive steps, up to _CELLS slots, hold p c(s) - k0 s with
+    k0 fixed per row block, so the k s ramp comes off once per block,
+    before one argmax and one argmin over the slots of every row. The
+    caller forms the groups: _block_maxima takes consecutive blocks while
+    (G + 1) W <= _CELLS // 8, so a row block still holds at least 8 steps.
     """
-    nums = np.asarray(nums)
-    n = nums.size
-    # grid[where[n + i]] == nums[i]
-    grid, where = np.unique(np.concatenate([nums - 1, nums]), return_inverse=True)
-    w = grid.size
-    lane = np.int32 if p * n < 1 << 31 else np.int64
-    rows = max(1, min(n, _CELLS // w))
-    # inserting v adds p to every slot from v on: window[w - t:][:w] with t
-    # the index of v in grid
-    window = np.zeros(2 * w, dtype=lane)
-    window[w:] = p
-    starts = (w - where[n:]).tolist()
-    del where
-    ramp = np.multiply.outer(np.arange(1, rows + 1, dtype=lane), grid.astype(lane))
-    block = np.zeros((rows, w), dtype=lane)
-    flat, offsets = block.reshape(-1), np.arange(0, rows * w, w)
-    lines, add = list(block), np.add
+    nums = [np.asarray(x) for x, _ in seqs]
+    n = max(x.size for x in nums)
+    grids, wheres = zip(
+        *(np.unique(np.concatenate([x - 1, x]), return_inverse=True) for x in nums)
+    )
+    size, w = len(seqs), max(grid.size for grid in grids)
+    lane = np.int32 if max(p for _, p in seqs) * n < 1 << 31 else np.int64
+    rows = max(1, min(n, _CELLS // (size * w)))
+    window = np.zeros((size, 2 * w), dtype=lane)
+    window[:, w:] = [[p] for _, p in seqs]
+    # window[g, w - t:][:w] inserts the value at index t of grid g; a
+    # sequence past its end takes window[g, :w], all zeros
+    starts = np.zeros((n, size), dtype=np.intp)
+    for g, (x, where) in enumerate(zip(nums, wheres)):
+        starts[: x.size, g] = w - where[x.size :]
+    del wheres
+    padded = np.stack([np.pad(grid, (0, w - grid.size), "edge") for grid in grids])
+    ramp = np.multiply.outer(np.arange(1, rows + 1, dtype=lane), padded.astype(lane))
+    block = np.zeros((rows, size, w), dtype=lane)
+    flat, offsets = block.reshape(-1), np.arange(0, rows * size * w, w).reshape(rows, size)
+    if size == 1:
+        lines, starts, window = list(block[:, 0]), starts[:, 0].tolist(), window[0]
+    else:
+        lines, starts = list(block), list(starts)
+        window = np.lib.stride_tricks.sliding_window_view(window, w, axis=1)
+    seq, add = np.arange(size), np.add
     ends = []
     for k in range(0, n, rows):
         # each row follows the one before, row 0 the last row of the block before
         part, prev = block[: n - k], lines[-1]
         for line, s in zip(lines, starts[k : k + rows]):
-            add(prev, window[s : s + w], line)
+            # one sequence steps by a plain slice, the cheapest call there
+            # is; a group gathers the window of each sequence at its start
+            add(prev, window[s : s + w] if size == 1 else window[seq, s], line)
             prev = line
         part -= ramp[: len(part)]
-        idx = np.stack([part.argmax(axis=1), part.argmin(axis=1)])
+        idx = np.stack([part.argmax(axis=2), part.argmin(axis=2)])
         ends.append((idx, flat.take(idx + offsets[: len(part)])))
     # the row buffers and every view of them go before the decode
-    del block, ramp, lines, flat, part, prev, line, starts
-    (hi, lo), (top, bottom) = (np.hstack(x).astype(np.int64) for x in zip(*ends))
-    # the first maximum and minimum are the smallest thresholds; "at" s
-    # against "left" s' + 1: the larger value, then the smaller threshold,
-    # then "at" before "left"
-    at, left = grid[hi], grid[lo] + 1
-    neg = np.arange(1, n + 1) - bottom
-    low = (neg > top) | ((neg == top) & (left < at))
-    return np.where(low, neg, top), np.where(low, left, at), ~low
+    del block, ramp, lines, flat, part, prev, line, starts, window
+    (hi, lo), (top, bottom) = (np.concatenate(x, axis=1).astype(np.int64) for x in zip(*ends))
+    out = []
+    for g, (x, grid) in enumerate(zip(nums, grids)):
+        # the first maximum and minimum are the smallest thresholds; "at" s
+        # against "left" s' + 1: the larger value, then the smaller
+        # threshold, then "at" before "left"
+        at, left = grid[hi[: x.size, g]], grid[lo[: x.size, g]] + 1
+        best, neg = top[: x.size, g], np.arange(1, x.size + 1) - bottom[: x.size, g]
+        low = (neg > best) | ((neg == best) & (left < at))
+        out.append((np.where(low, neg, best), np.where(low, left, at), ~low))
+    return out
+
+
+def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_grid_sweeps of the one sequence (nums, p)."""
+    return _grid_sweeps([(nums, p)])[0]
 
 
 def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
@@ -522,16 +558,25 @@ def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
         yield _confirm(cand, k)
 
 
-def _grid_records(nums: list[int], p: int) -> list[ScanRecord]:
-    # D_k* = m / (k p), witness j / p and k D_k* = m / p from the grid sweep,
-    # reduced by gcds of int64 arrays (the caller keeps every k p < 2^63);
-    # the arrays go before the records are made
+def _grid_columns(nums: Sequence[int], p: int) -> list[np.ndarray]:
+    """The reduced columns of the grid sweep over one sequence, per prefix k:
+    disc num, disc den, witness num, witness den, weighted num, weighted den
+    and whether side is "at".
+
+    D_k* = m / (k p), witness j / p and k D_k* = m / p, each reduced by gcds
+    of int64 arrays; callers keep every k p < 2^63. The one reduction of
+    prefix_scan's grid path and of scan --prime, which writes its CSV from
+    these columns without a record per prefix.
+    """
     m, j, at_side = _grid_sweep(nums, p)
-    kp = np.arange(1, len(nums) + 1) * p
+    kp = np.arange(1, m.size + 1) * p
     g, gj, gm = np.gcd(m, kp), np.gcd(j, p), np.gcd(m, p)
-    fractions = ((m, g), (kp, g), (j, gj), (p, gj), (m, gm), (p, gm))
-    columns = [(x // y).tolist() for x, y in fractions] + [at_side.tolist()]
-    del m, j, at_side, kp, g, gj, gm, fractions
+    return [m // g, kp // g, j // gj, p // gj, m // gm, p // gm, at_side]
+
+
+def _grid_records(nums: list[int], p: int) -> list[ScanRecord]:
+    # the columns go before the records are made
+    columns = [x.tolist() for x in _grid_columns(nums, p)]
     return [
         ScanRecord(k, DiscrepancyValue(a, b, c, d, "at" if at else "left"), e, f)
         for k, a, b, c, d, e, f, at in zip(range(1, len(nums) + 1), *columns)
@@ -563,12 +608,12 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
 def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
-    The grid sweep behind prefix_scan's common-denominator path, returning
-    only the scaled integer maxima; meant for whole-block bound checks. Each
-    prefix costs one slot per point of the half grid {v - 1, v : v a
-    distinct numerator}, p slots for a whole block, in int32 lanes while
-    p * len(nums) < 2^31. Refuses p * len(nums) >= 2^63, where int64 lanes
-    would overflow.
+    The grid sweep of one sequence (_grid_sweep), the kernel behind
+    prefix_scan's common-denominator path and scan --prime, returning only
+    the scaled integer maxima. Each prefix costs one slot per point of the
+    half grid {v - 1, v : v a distinct numerator}, p slots for a whole
+    block, in int32 lanes while p * len(nums) < 2^31. Refuses p *
+    len(nums) >= 2^63, where int64 lanes would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
     if int(p) * nums.size >= 1 << 63:
@@ -576,23 +621,48 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     return _grid_sweep(nums, int(p))[0]
 
 
+def _block_maxima(
+    specs: Sequence[BlockSpec], sweep_limit: int = DEFAULT_SWEEP_LIMIT
+) -> Iterator[tuple[Fraction, int]]:
+    # (max over k of k D_k*, smallest k attaining it) per whole block, in
+    # order. Consecutive blocks share one _grid_sweeps group while
+    # (G + 1) W <= _CELLS // 8, W the widest p (a whole block's half grid is
+    # {0, ..., p - 1}), so a row block still holds at least 8 steps; a block
+    # wider than that goes alone. Every spec is checked and grouped before
+    # the first sweep
+    groups: list[list[BlockSpec]] = []
+    width = 0
+    for spec in specs:
+        if spec.p > sweep_limit:
+            raise ValueError(
+                f"p={spec.p} exceeds the sweep limit {sweep_limit} (quadratic cost); "
+                "raise sweep_limit explicitly to proceed"
+            )
+        width = max(width, spec.p)
+        if groups and (len(groups[-1]) + 1) * width <= _CELLS // 8:
+            groups[-1].append(spec)
+        else:
+            groups.append([spec])
+            width = spec.p
+    for group in groups:
+        sweeps = _grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in group])
+        for spec, (maxima, _, _) in zip(group, sweeps):
+            k = int(maxima.argmax())
+            yield Fraction(int(maxima[k]), spec.p), k + 1
+
+
 def block_max_weighted(
     spec: BlockSpec, sweep_limit: int = DEFAULT_SWEEP_LIMIT
 ) -> tuple[Fraction, int]:
     """(max over k of k * D_k*, smallest k attaining it) for one block.
 
-    The sweep costs O(p^2); denominators above sweep_limit are refused so a
-    huge block cannot be requested by accident.
+    The one-block case of the iterator that bounds runs over all its
+    blocks, which sweeps consecutive small blocks as one group of the grid
+    sweep; value and k do not depend on the grouping. The sweep costs
+    O(p^2); denominators above sweep_limit are refused so a huge block
+    cannot be requested by accident.
     """
-    if spec.p > sweep_limit:
-        raise ValueError(
-            f"p={spec.p} exceeds the sweep limit {sweep_limit} (quadratic cost); "
-            "raise sweep_limit explicitly to proceed"
-        )
-    maxima = weighted_prefix_maxima(block_numerators(spec.p, spec.ordering), spec.p)
-    m = int(maxima.max())
-    k = int(maxima.argmax()) + 1
-    return Fraction(m, spec.p), k
+    return next(_block_maxima([spec], sweep_limit))
 
 
 def nw_bound(p: int, k: int) -> float:

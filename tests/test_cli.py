@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import primedisc.cli as cli
+import primedisc.discrepancy as discrepancy
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 from primedisc.primes import build_prime_table
@@ -433,6 +434,28 @@ class TestBounds:
         assert code == 2
         assert "sweep limit" in err
 
+    @pytest.mark.parametrize("pmin,pmax", [(8, 10), (4, 4), (24, 28)])
+    def test_empty_range_is_usage_error(self, capsys, pmin, pmax):
+        # a range holding no prime used to print the header alone
+        code, out, err = run(capsys, "bounds", "--pmin", str(pmin), "--pmax", str(pmax))
+        assert (code, out) == (2, "")
+        assert f"no prime in [{pmin}, {pmax}]" in err
+
+    @pytest.mark.parametrize("cells", [1, 8 * 1202], ids=["groups-of-one", "groups-of-two"])
+    @pytest.mark.parametrize("ordering", ["inversive", "increasing"])
+    def test_pins_hold_for_any_grouping(self, capsys, monkeypatch, cells, ordering):
+        # the 47 blocks of 400..700 share 2 groups at the default _CELLS; at
+        # _CELLS // 8 = 1202 the blocks p <= 601 go in pairs and each larger
+        # one alone, and at _CELLS = 1 every block alone, one row per step
+        command = "bounds --pmin 400 --pmax 700"
+        if ordering == "increasing":
+            command += " --ordering increasing"
+        [digest] = [d for c, _, d in PINNED if c == command]
+        monkeypatch.setattr(discrepancy, "_CELLS", cells)
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_small_range(self, capsys):
@@ -637,6 +660,7 @@ PINNED = [
     ("disc --family prime-increasing --n 2000000", 0, "a66e470e3b8812382b901ad5c143101ba16f5439514c37d70be3ec54759d814b"),
     ("scan --prime 101", 0, "b9ec8c6b6bd2844a4343388aaf068b95d7052b9ab38cce3554e0b20d2833a0e9"),
     ("scan --prime 101 --ordering increasing", 0, "6086815031741b6fd7013f2222630028925ac71a84dc38dc1e3fbc23a4bf63ab"),
+    ("scan --prime 1009", 0, "443e55e85d0e17de3b675c0abaa16c53e93ddbb213642f5980189dd2436a5319"),
     ("scan --prime 211 --n 50", 0, "560c21fa402969249f1009a7ab47a567c2d0ae94166b522306f2e386e5f6c3fd"),
     ("scan --family omega --n 120", 0, "ee2f1ed3d6f6ab43a0d750a026c98b8df39556ca886373a4500c3f09f8ea17f1"),
     ("scan --family eta --n 120", 0, "b05c7aefb98ff8e2e9b4cd644e929ae8ae878ca39a7e078161d3bf579238bfac"),
@@ -647,6 +671,9 @@ PINNED = [
     ("bounds --pmax 150", 0, "5aeb132e6108b3a038b627f6ba66ecb2a5f735cf9c5fa3c4c524ec4c81435358"),
     ("bounds --pmax 150 --ordering increasing", 0, "a7bf67a86f3d2a97889a90cf4729d64e2ea8d430f7d6129c8d9811368a56fd58"),
     ("bounds --pmin 50 --pmax 150", 0, "54c8d7a938f54f31dbf2906c673aa16dd174d25a0b34266cd8136ba2c160dd0d"),
+    # 47 blocks in two sweep groups at the default _CELLS
+    ("bounds --pmin 400 --pmax 700", 0, "698899d7fa16447011332e0f247583ed61b02f9d2a2d8f4e2fc53d1db57a75ba"),
+    ("bounds --pmin 400 --pmax 700 --ordering increasing", 0, "711cb28b9a93884503419eb4116a2af27bea2bed0ce0008456f33345be0b31a1"),
     ("verify --m 1..40", 0, "1715816bcd421d01e3436f98fecb4bc2cc27ad6cad1619e5c6004371b5dd1d88"),
     ("verify --m 1..300", 0, "97a926f10e91fe0bcecc7e2c0412acef769403f3a5877a5424695ebffd201166"),
     ("verify --m 250..400", 0, "0b77fb562988795416ccd3e3039229ba7ac059a5d3d93951fea87c0a843014ca"),

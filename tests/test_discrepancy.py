@@ -962,12 +962,55 @@ class TestWeightedPrefixMaxima:
         )
 
 
+@pytest.fixture(scope="module")
+def sweep_groups():
+    """Seeded groups of 1-8 (nums, p) sequences with their per-prefix int64
+    loop results: whole blocks and block prefixes in both orderings from
+    p = 2 up, sparse numerators on grids of 2^20 and 2^25, a few numerators
+    repeated many times, and in every third group a scaled whole block
+    that alone needs int64 lanes (p N >= 2^31); lengths differ within a
+    group."""
+    rng = np.random.default_rng(20)
+    primes = sieve_primes(400).tolist()
+
+    def member(kind):
+        p = int(rng.choice(primes[: int(rng.integers(1, len(primes) + 1))]))
+        nums = block_numerators(p, INV if rng.integers(2) else INC)
+        if kind == 0:
+            return nums, p
+        if kind == 1:
+            return nums[: int(rng.integers(1, p))], p
+        if kind == 2:
+            den = int(rng.choice([1 << 20, 1 << 25]))
+            return rng.integers(1, den, size=int(rng.integers(1, 60))), den
+        if kind == 3:
+            den = int(rng.integers(2, 60))
+            pool = rng.integers(1, den, size=3)
+            return rng.choice(pool, size=int(rng.integers(1, 250))), den
+        c = -(-(1 << 31) // (p * nums.size))
+        return nums * c, p * c
+
+    groups = []
+    for i in range(30):
+        size = int(rng.integers(1, 9))
+        kinds = rng.integers(0, 4, size=size)
+        if i % 3 == 0:
+            kinds[int(rng.integers(size))] = 4
+        group = [member(int(kind)) for kind in kinds]
+        groups.append((group, [per_prefix_int64_sweep(nums, p) for nums, p in group]))
+    sizes = {len(group) for group, _ in groups}
+    assert 1 in sizes and 8 in sizes
+    return groups
+
+
 class TestGridSweep:
     @pytest.mark.slow
     def test_matches_per_prefix_int64_loop(self):
         # every prime up to 2000 in both orderings, in int32 lanes as given and
         # in int64 lanes as c nums / c p: the same points, slots c times as
-        # large, and p N c >= 2^31
+        # large, and p N c >= 2^31; then every block again through the
+        # grouped sweep of bounds, both orderings in one stream
+        specs, want = [], []
         for p in sieve_primes(2000).tolist():
             for ordering in (INV, INC):
                 nums = block_numerators(p, ordering)
@@ -979,6 +1022,9 @@ class TestGridSweep:
                     assert np.array_equal(got[0], maxima * scale), (p, ordering, scale)
                     assert np.array_equal(got[1], witness * scale), (p, ordering, scale)
                     assert np.array_equal(got[2], at_side), (p, ordering, scale)
+                specs.append(BlockSpec(p, ordering))
+                want.append((Fraction(int(maxima.max()), p), int(maxima.argmax()) + 1))
+        assert list(discrepancy._block_maxima(specs)) == want
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 17], ids=["one-row", "seven", "default"])
     def test_matches_per_prefix_int64_loop_sampled(self, monkeypatch, cells):
@@ -1009,6 +1055,40 @@ class TestGridSweep:
                 assert np.array_equal(got[0], maxima * scale), (p, scale)
                 assert np.array_equal(got[1], witness * scale), (p, scale)
                 assert np.array_equal(got[2], at_side), (p, scale)
+
+    @pytest.mark.parametrize(
+        "cells", [1, 7, 1 << 17, 1 << 40], ids=["one-row", "seven", "default", "all-rows"]
+    )
+    def test_groups_match_single_sweeps(self, monkeypatch, sweep_groups, cells):
+        # each member of a group gets its own single sweep's result, and the
+        # per-prefix int64 loop's, whatever the row blocks
+        monkeypatch.setattr(discrepancy, "_CELLS", cells)
+        for group, refs in sweep_groups:
+            got = discrepancy._grid_sweeps(group)
+            assert len(got) == len(group)
+            for (nums, p), sweep, ref in zip(group, got, refs):
+                single = discrepancy._grid_sweep(nums, p)
+                for a, b, c in zip(sweep, single, ref):
+                    assert np.array_equal(a, b), (p, nums.size, len(group))
+                    assert np.array_equal(a, c), (p, nums.size, len(group))
+
+    def test_block_maxima_match_one_block_at_a_time(self):
+        # every prime up to 1200, both orderings apart and interleaved: the
+        # groups of bounds against one block_max_weighted call per block
+        primes = sieve_primes(1200).tolist()
+        want = {(p, o): block_max_weighted(BlockSpec(p, o)) for p in primes for o in (INV, INC)}
+        for orderings in ((INV,), (INC,), (INV, INC)):
+            specs = [BlockSpec(p, o) for p in primes for o in orderings]
+            got = list(discrepancy._block_maxima(specs))
+            assert got == [want[s.p, s.ordering] for s in specs], orderings
+
+    def test_block_maxima_refuse_before_any_sweep(self, monkeypatch):
+        swept = []
+        monkeypatch.setattr(discrepancy, "_grid_sweeps", swept.append)
+        specs = [BlockSpec(p, INV) for p in (5, 7, 11, 13)]
+        with pytest.raises(ValueError, match="p=13 exceeds the sweep limit 12"):
+            next(discrepancy._block_maxima(specs, sweep_limit=12))
+        assert swept == []
 
     def test_every_small_grid_in_every_order(self):
         # every multiset of up to 4 numerators on each grid j/p, p <= 7, in
