@@ -36,7 +36,6 @@ from .primes import (
 )
 from .sequences import (
     BlockSpec,
-    Frac,
     Ordering,
     SequenceFamily,
     block_numerators,
@@ -52,7 +51,6 @@ __all__ = [
     "CapacityError",
     "DEFAULT_SWEEP_LIMIT",
     "DiscrepancyValue",
-    "Frac",
     "Ordering",
     "PrimeTable",
     "ScanRecord",

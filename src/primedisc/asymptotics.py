@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .discrepancy import DiscrepancyValue, _boundary_discrepancies
 from .errors import TableTooSmallError
-from .primes import PrimeTable
+from .primes import PrimeTable, _integer
 
 _RESIDUAL_TOL = 1e-12
 
@@ -112,6 +112,7 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     forces D_N* >= 1/(2 p_m); a row below that raises ArithmeticError
     (engine inconsistency).
     """
+    m_lo, m_hi = _integer(m_lo), _integer(m_hi)
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got {m_lo}..{m_hi}")
     if m_hi > len(table):

@@ -20,12 +20,13 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .primes import PrimeTable, _integer, is_prime
-from .sequences import BlockSpec, Frac, SequenceFamily, _prefix_plan, block_numerators
+from .sequences import BlockSpec, SequenceFamily, _prefix_plan, block_numerators
 
 DEFAULT_SWEEP_LIMIT = 30_000
 
@@ -82,11 +83,25 @@ class ScanRecord:
 
 
 def _point_pairs(points: Iterable) -> list[tuple[int, int]]:
-    """Normalize Frac objects or (num, den) pairs, each validated by Frac."""
-    fracs = [x if isinstance(x, Frac) else Frac(*x) for x in points]
-    if not fracs:
+    """The one check of the list engines: each point a (num, den) pair of
+    integers with 1 <= num < den, as Python ints; floats are never truncated."""
+    pairs = []
+    for x in points:
+        try:
+            num, den = x
+        except (TypeError, ValueError):
+            raise ValueError(f"point {reprlib.repr(x)} is not a (num, den) pair") from None
+        try:
+            num = index(num)
+            den = index(den)
+        except TypeError:
+            raise ValueError(f"{num!r}/{den!r} is not a fraction of integers") from None
+        if not 1 <= num < den:
+            raise ValueError(f"{num}/{den} is not strictly inside (0, 1)")
+        pairs.append((num, den))
+    if not pairs:
         raise ValueError("points must be nonempty")
-    return [(x.num, x.den) for x in fracs]
+    return pairs
 
 
 def _checked_arrays(num, den) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +405,8 @@ def star_discrepancy(points: Sequence) -> DiscrepancyValue:
     """Exact D_N* of a nonempty multiset of fractions in (0, 1).
 
     List front end of star_discrepancy_arrays. Input order is irrelevant
-    (order matters only to prefixes, see prefix_scan). Accepts Frac objects
-    or (num, den) pairs.
+    (order matters only to prefixes, see prefix_scan). Takes (num, den)
+    integer pairs.
     """
     pairs = _point_pairs(points)
     # beyond int64 the exact path; star_discrepancy_arrays routes the rest

@@ -9,8 +9,8 @@ once, in a chosen order. Three concatenated families are provided:
 * ``omega``: every integer denominator q = 2, 3, ..., increasing order,
   so repeated values such as 1/2 = 2/4 accumulate as a multiset.
 
-Fractions are kept with their construction denominator (2/4 stays 2/4);
-value semantics are used for comparisons.
+Points are (numerator, denominator) integer pairs kept with their
+construction denominator (2/4 stays 2/4, next to 1/2 in omega).
 """
 
 from __future__ import annotations
@@ -18,63 +18,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
 from itertools import accumulate, count, repeat
-from math import gcd, isqrt
-from operator import index
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import TableTooSmallError
 from .primes import PrimeTable, _integer, is_prime, required_blocks_estimate
-
-
-@total_ordering
-class Frac:
-    """A rational strictly inside (0, 1), unreduced.
-
-    Equality, ordering and hashing go by value, so Frac(1, 2) == Frac(2, 4)
-    and both hash alike; num/den keep whatever the constructor was given.
-    Both must be integers (numpy integers included): floats and strings are
-    refused, never truncated.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int) -> None:
-        try:
-            num = index(num)
-            den = index(den)
-        except TypeError:
-            raise ValueError(f"{num!r}/{den!r} is not a fraction of integers") from None
-        if not 1 <= num < den:
-            raise ValueError(f"{num}/{den} is not strictly inside (0, 1)")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Frac is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frac):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Frac):
-            return NotImplemented
-        return self.num * other.den < other.num * self.den
-
-    def __hash__(self) -> int:
-        g = gcd(self.num, self.den)
-        return hash((self.num // g, self.den // g))
-
-    def __repr__(self) -> str:
-        return f"Frac({self.num}, {self.den})"
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
 
 
 class Ordering(Enum):
@@ -147,10 +98,10 @@ def _primitive_root(q: int) -> int:
 
 def generate_prefix(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
-) -> list[Frac]:
-    """The first n elements of the family as a list of fractions."""
+) -> list[tuple[int, int]]:
+    """The first n elements of the family as a list of (num, den) pairs."""
     num, den = prefix_arrays(family, n, table)
-    return [Frac(a, b) for a, b in zip(num.tolist(), den.tolist())]
+    return list(zip(num.tolist(), den.tolist()))
 
 
 def _prefix_plan(
@@ -212,10 +163,10 @@ def prefix_arrays(
     """(numerators, denominators) of the first n elements as int64 arrays.
 
     The blocks of _prefix_blocks, checked before the arrays are allocated,
-    in two arrays; generate_prefix is its list view, and the array
-    discrepancy engines take its output directly. prefix_discrepancy needs
-    neither: it stores the whole blocks' lower halves and generates only
-    the cut block.
+    in two arrays; generate_prefix is its list of (num, den) pairs, and the
+    array discrepancy engines take its output directly. prefix_discrepancy
+    needs neither: it stores the whole blocks' lower halves and generates
+    only the cut block.
     """
     blocks = _prefix_blocks(family, n, table)
     # filled in place: a list of per-block pieces would hold the prefix twice

@@ -156,3 +156,11 @@ class TestVerifyTheorem:
         with pytest.raises(TableTooSmallError):
             verify_theorem(table10, 1, 11)
 
+
+    @pytest.mark.parametrize("m_lo,m_hi,bad", [(1.0, 5, "1.0"), (1, 5.0, "5.0"), ("1", 3, "'1'")])
+    def test_non_integer_range_refused(self, table10, m_lo, m_hi, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+            verify_theorem(table10, m_lo, m_hi)
+
+    def test_numpy_integer_range_accepted(self, table10):
+        assert verify_theorem(table10, np.int64(4), np.int32(6)) == verify_theorem(table10, 4, 6)

@@ -15,7 +15,7 @@ import primedisc.discrepancy as discrepancy
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 from primedisc.primes import build_prime_table
-from primedisc.sequences import Frac, SequenceFamily, generate_prefix, prefix_arrays
+from primedisc.sequences import SequenceFamily, generate_prefix, prefix_arrays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ETA7 = ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
@@ -149,7 +149,7 @@ class TestDisc:
 
     def test_input_is_parsed_into_integer_lists(self, capsys, tmp_path):
         # two int lists, then two int64 arrays: about 76 bytes per dump line
-        # at the peak, where one Frac per line took about 190
+        # at the peak; one Python object per line would take about 190
         n = 100_000
         dump = tmp_path / "omega.txt"
         assert run(capsys, "gen", "--family", "omega", "--n", str(n), "--out", str(dump))[0] == 0
@@ -224,7 +224,7 @@ class TestDumpParse:
     def test_round_trip(self, capsys):
         nums, dens = cli._parse_dump(self.gen(capsys, "eta", 13))
         want = generate_prefix(SequenceFamily.ETA, 13, build_prime_table(10))
-        assert list(zip(nums, dens)) == [(f.num, f.den) for f in want]
+        assert list(zip(nums, dens)) == want
 
     def test_header_line(self, capsys):
         assert self.gen(capsys, "omega", 1, "--header") == ["# family=omega N=1", "1/2"]
@@ -234,7 +234,7 @@ class TestDumpParse:
         lines = self.gen(capsys, "omega", 9, "--header")
         back = [f"{a}/{b}" for a, b in zip(*cli._parse_dump(lines))]
         assert back == lines[1:]
-        assert back == [str(f) for f in generate_prefix(SequenceFamily.OMEGA, 9)]
+        assert back == [f"{a}/{b}" for a, b in generate_prefix(SequenceFamily.OMEGA, 9)]
 
     def test_skips_blanks_and_comments(self, capsys, tmp_path):
         assert cli._parse_dump(["# hi", "", "  1/2  ", "# bye"]) == ([1], [2])
@@ -257,14 +257,14 @@ class TestDumpParse:
     @pytest.mark.parametrize(
         "bad", ["3/0", "abc", "1/2/3", "5/4", "0/4", "1:2", "/3", "1/", "-1/3", "2/2", " 7 / 5 "]
     )
-    def test_reason_is_the_frac_reason(self, capsys, tmp_path, bad):
-        # the parser checks the integers itself; its reason stays the one a
-        # Frac built from them gives
+    def test_reason_is_the_pair_reason(self, capsys, tmp_path, bad):
+        # the parser checks the integers itself; its reason stays the one the
+        # list engines' pair check gives for them
         num_s, sep, den_s = bad.strip().partition("/")
         try:
             if not sep:
                 raise ValueError("expected num/den")
-            Frac(int(num_s), int(den_s))
+            discrepancy._point_pairs([(int(num_s), int(den_s))])
         except ValueError as exc:
             reason = str(exc)
         dump = tmp_path / "bad.txt"

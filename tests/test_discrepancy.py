@@ -35,6 +35,7 @@ from primedisc.discrepancy import (
     _deviation,
     _merge_lower_halves,
     _near_maximal,
+    _point_pairs,
     _representatives,
     _star_discrepancy_exact,
 )
@@ -42,7 +43,6 @@ from primedisc.errors import TableTooSmallError
 from primedisc.primes import build_prime_table, sieve_primes, table_covering
 from primedisc.sequences import (
     BlockSpec,
-    Frac,
     Ordering,
     SequenceFamily,
     block_numerators,
@@ -155,13 +155,53 @@ class TestOracleExamples:
         assert_witness_reproduces(points, star_discrepancy_oracle(points))
 
 
+LIST_ENGINES = [star_discrepancy, star_discrepancy_oracle, prefix_scan]
+
+
+class TestPointPairs:
+    """_point_pairs is the one check of a list of points, run by every list engine."""
+
+    @pytest.mark.parametrize("engine", LIST_ENGINES)
+    @pytest.mark.parametrize("point", [(1, 2, 3), 5, (1,), "1/2"])
+    def test_malformed_point_is_named(self, engine, point):
+        with pytest.raises(ValueError, match=re.escape(f"point {point!r} is not a (num, den) pair")):
+            engine([(1, 3), point])
+
+    @pytest.mark.parametrize("engine", LIST_ENGINES)
+    @pytest.mark.parametrize("num,den", [(0, 5), (5, 5), (6, 5), (1, 1), (1, 0), (-1, 3)])
+    def test_rejects_outside_open_unit_interval(self, engine, num, den):
+        with pytest.raises(ValueError, match=re.escape(f"{num}/{den} is not strictly inside (0, 1)")):
+            engine([(num, den)])
+
+    @pytest.mark.parametrize("engine", LIST_ENGINES)
+    @pytest.mark.parametrize(
+        "num,den", [(1.9, 3), (2.0, 5), (2, 5.0), ("2", 5), (2, "5"), (np.float64(2), 5)]
+    )
+    def test_rejects_non_integers(self, engine, num, den):
+        # refused, not truncated: (1.9, 3) must not become 1/3
+        with pytest.raises(ValueError, match="not a fraction of integers"):
+            engine([(num, den)])
+
+    @pytest.mark.parametrize("engine", LIST_ENGINES)
+    def test_empty_rejected(self, engine):
+        with pytest.raises(ValueError, match="points must be nonempty"):
+            engine([])
+
+    def test_accepts_numpy_integers(self):
+        pairs = _point_pairs([(np.int64(2), np.int32(5)), np.array([1, 3])])
+        assert pairs == [(2, 5), (1, 3)]
+        assert all(type(a) is int and type(b) is int for a, b in pairs)
+        for engine in LIST_ENGINES:
+            assert engine([(np.int64(2), np.int32(5))]) == engine([(2, 5)])
+
+
 class TestStarDiscrepancy:
     def test_matches_oracle_on_examples(self, table10):
         for pts in (
             [(1, 2)],
             [(1, 3), (2, 3)],
             [(2, 4), (1, 2)],
-            [(f.num, f.den) for f in generate_prefix(SequenceFamily.ETA, 7, table10)],
+            generate_prefix(SequenceFamily.ETA, 7, table10),
         ):
             assert star_discrepancy(pts).exact == star_discrepancy_oracle(pts).exact
 
@@ -169,9 +209,6 @@ class TestStarDiscrepancy:
         pre = generate_prefix(SequenceFamily.ETA, 7, table10)
         dv = star_discrepancy(pre)
         assert (dv.num, dv.den) == (1, 5)
-
-    def test_accepts_frac_and_tuples(self):
-        assert star_discrepancy([Frac(1, 3), (2, 3)]).exact == Fraction(1, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -766,9 +803,8 @@ class TestPrefixScan:
     def test_mixed_denominators_general_path(self):
         pre = generate_prefix(SequenceFamily.OMEGA, 12)
         recs = prefix_scan(pre)
-        pts = [(f.num, f.den) for f in pre]
         for r in recs:
-            direct = star_discrepancy(pts[: r.k])
+            direct = star_discrepancy(pre[: r.k])
             assert r.disc.exact == direct.exact
             assert r.weighted == r.k * r.disc.exact
 
@@ -1223,7 +1259,7 @@ class TestTriangleBound:
             ((np.array([1, 3]), 3), "strictly inside"),
             ((np.array([1, 2]), np.array([3, 2])), "strictly inside"),
             ((np.array([1, 2]), 10**30), "integer arrays"),  # den beyond int64
-            ([Frac(1, 3), Frac(2, 3)], "integer arrays"),  # a Frac list, not a block
+            ([Fraction(1, 3), Fraction(2, 3)], "integer arrays"),  # a value list, not a block
             # two pairs once passed for numerators (1, 3) over denominators (2, 5)
             ([(1, 3), (2, 5)], r"block 1 .*: expected a \(numerators, den\) tuple"),
             ([(1, 3), (2, 5), (1, 2)], r"block 1 .*: expected a \(numerators, den\) tuple"),

@@ -1,17 +1,13 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import primedisc.sequences as sequences
 from primedisc.errors import TableTooSmallError
 from primedisc.primes import is_prime, sieve_primes
 from primedisc.sequences import (
     BlockSpec,
-    Frac,
     Ordering,
     SequenceFamily,
     block_numerators,
@@ -22,61 +18,6 @@ from primedisc.sequences import (
 ETA = SequenceFamily.ETA
 OMEGA = SequenceFamily.OMEGA
 PRIME_INC = SequenceFamily.PRIME_INCREASING
-
-
-class TestFrac:
-    def test_value_equality_ignores_representation(self):
-        assert Frac(2, 4) == Frac(1, 2)
-        assert hash(Frac(2, 4)) == hash(Frac(1, 2))
-        assert Frac(1, 3) != Frac(1, 2)
-
-    def test_ordering(self):
-        assert Frac(1, 3) < Frac(2, 5)
-        assert Frac(2, 5) > Frac(1, 3)
-        assert Frac(2, 4) <= Frac(1, 2)
-        assert Frac(2, 4) >= Frac(1, 2)
-
-    def test_keeps_unreduced_fields(self):
-        f = Frac(2, 4)
-        assert (f.num, f.den) == (2, 4)
-        assert str(f) == "2/4"
-        assert repr(f) == "Frac(2, 4)"
-
-    @pytest.mark.parametrize("num,den", [(0, 5), (5, 5), (6, 5), (1, 1), (1, 0), (-1, 3)])
-    def test_rejects_outside_open_unit_interval(self, num, den):
-        with pytest.raises(ValueError):
-            Frac(num, den)
-
-    @pytest.mark.parametrize(
-        "num,den", [(1.9, 3), (2.0, 5), (2, 5.0), ("2", 5), (2, "5"), (np.float64(2), 5)]
-    )
-    def test_rejects_non_integers(self, num, den):
-        # refused, not truncated: Frac(1.9, 3) must not become 1/3
-        with pytest.raises(ValueError, match="not a fraction of integers"):
-            Frac(num, den)
-
-    def test_accepts_numpy_integers(self):
-        f = Frac(np.int64(2), np.int32(5))
-        assert (f.num, f.den) == (2, 5)
-        assert type(f.num) is int and type(f.den) is int
-
-    def test_immutable(self):
-        f = Frac(1, 2)
-        with pytest.raises(AttributeError):
-            f.num = 3
-
-    @given(
-        a=st.integers(1, 50), b=st.integers(2, 51),
-        c=st.integers(1, 50), d=st.integers(2, 51),
-    )
-    def test_comparisons_match_fraction(self, a, b, c, d):
-        if a >= b or c >= d:
-            return
-        x, y = Frac(a, b), Frac(c, d)
-        fx, fy = Fraction(a, b), Fraction(c, d)
-        assert (x == y) == (fx == fy)
-        assert (x < y) == (fx < fy)
-        assert (x <= y) == (fx <= fy)
 
 
 class TestBlockSpec:
@@ -167,24 +108,24 @@ class TestInversiveGenerator:
 
 class TestGeneratePrefix:
     def test_eta_first_seven(self, table10):
-        got = [str(f) for f in generate_prefix(ETA, 7, table10)]
+        got = [f"{a}/{b}" for a, b in generate_prefix(ETA, 7, table10)]
         assert got == ["1/2", "1/3", "2/3", "1/5", "3/5", "2/5", "4/5"]
 
     def test_omega_first_nine(self):
-        got = [str(f) for f in generate_prefix(OMEGA, 9)]
+        got = [f"{a}/{b}" for a, b in generate_prefix(OMEGA, 9)]
         assert got == ["1/2", "1/3", "2/3", "1/4", "2/4", "3/4", "1/5", "2/5", "3/5"]
 
     def test_prime_increasing_first_seven(self, table10):
-        got = [str(f) for f in generate_prefix(PRIME_INC, 7, table10)]
+        got = [f"{a}/{b}" for a, b in generate_prefix(PRIME_INC, 7, table10)]
         assert got == ["1/2", "1/3", "2/3", "1/5", "2/5", "3/5", "4/5"]
 
     def test_omega_keeps_duplicates(self):
         pre = generate_prefix(OMEGA, 9)
-        assert sum(1 for f in pre if f == Frac(1, 2)) == 2
+        assert [(a, b) for a, b in pre if 2 * a == b] == [(1, 2), (2, 4)]
 
     def test_partial_block_cut(self, table10):
         pre = generate_prefix(ETA, 5, table10)
-        assert [str(f) for f in pre[-2:]] == ["1/5", "3/5"]
+        assert pre[-2:] == [(1, 5), (3, 5)]
 
     def test_rejects_nonpositive_n(self, table10):
         with pytest.raises(ValueError):
@@ -214,9 +155,9 @@ class TestPrefixArrays:
     def test_matches_generate_prefix(self, family, n, table10):
         table = None if family is OMEGA else table10
         num, den = prefix_arrays(family, n, table)
-        fracs = generate_prefix(family, n, table)
-        assert num.tolist() == [f.num for f in fracs]
-        assert den.tolist() == [f.den for f in fracs]
+        pairs = generate_prefix(family, n, table)
+        assert pairs == list(zip(num.tolist(), den.tolist()))
+        assert all(type(a) is int and type(b) is int for a, b in pairs)
 
     def test_table_too_small(self, table10):
         with pytest.raises(TableTooSmallError):
