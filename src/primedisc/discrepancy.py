@@ -165,79 +165,159 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
 # array; their few 128 KiB temporaries stay small next to 8 B per point
 _SLICE = 1 << 14
 
+# values per chunk of a generated lower half, on average: its O(m) bounds
+# stay small next to its own sort, and its few 512 KiB temporaries fit in
+# a fixed few MiB
+_CHUNK = 1 << 16
+
 
 def _deviation(val: np.ndarray, n: int, lo: int) -> np.ndarray:
-    """u = n x_(i) - i for i = lo, lo + 1, ... over the slice of val at lo.
+    """u = n x_(i) - i for i = lo, lo + 1, ... over the chunk val at index lo.
 
     val holds sorted values and n the size of the whole multiset. Over a
     whole multiset u is n times the "left" deviation at x_(i) and 1 - u is n
     times the "at" deviation there. The boundary store passes its distinct
     values of (0, 1/2] with n counting both halves, so i = #{y < x_(i)}
-    still. Callers go slice by slice: no n-length deviation array is held.
+    still. Callers go chunk by chunk: no n-length deviation array is held.
     """
-    u = val[lo : lo + _SLICE] * n
-    u -= np.arange(lo, lo + u.size)
+    u = val * n
+    u -= np.arange(lo, lo + u.size, dtype=np.float64)
     return u
 
 
 # no steps, no indices, no cut points
 _EMPTY = np.empty(0, dtype=np.int64)
 
+# the one series of a plain multiset: u itself
+_NO_STEPS = (np.empty(0), "left")
+
+# a chunk with no step inside is one run
+_FIRST_RUN = np.zeros(1, dtype=np.int64)
+
+
+def _slices(val: np.ndarray) -> tuple[Callable[[int], np.ndarray], int]:
+    # the chunk source of a sorted array: slice i of _SLICE values
+    return (lambda i: val[i * _SLICE : (i + 1) * _SLICE]), -(-val.size // _SLICE)
+
+
+def _lower_half_chunks(whole: Sequence[int]) -> tuple[Callable[[int], np.ndarray], int]:
+    """The chunk source of the sorted values j / d, 1 <= j <= d / 2, d in whole.
+
+    With T chunks of about _CHUNK values, chunk t holds the values in
+    (t / 2T, (t + 1) / 2T]: floor(d t / 2T) < j <= floor(d (t + 1) / 2T)
+    for every d, exact integer edges, so each value lands in exactly one
+    chunk and the sorted chunks in order are the sorted lower half. Chunk t
+    costs O(m) for its bounds, m = len(whole), and a sort of its own values;
+    it is made again on demand, and nothing of the half's size is held.
+    With every d <= 2^26 the half holds under 2^50 values, so while _CHUNK
+    >= 2^14 every d (t + 1) stays below 2^63.
+    """
+    d = np.array(whole, dtype=np.int64)
+    dens = d.astype(np.float64)
+    count = -(-int((d // 2).sum()) // _CHUNK)
+
+    def chunk(t: int) -> np.ndarray:
+        first = d * t // (2 * count)
+        size = d * (t + 1) // (2 * count) - first
+        # in floats, exact below 2^53: the run of each d counts up from
+        # first + 1, then one correctly rounded divide
+        val = np.arange(size.sum(), dtype=np.float64)
+        val -= np.repeat((np.cumsum(size) - size - first - 1).astype(np.float64), size)
+        val /= np.repeat(dens, size)
+        val.sort()
+        return val
+
+    return chunk, count
+
 
 def _series(
-    u: np.ndarray, lo: int, steps: Sequence[np.ndarray]
-) -> Iterator[tuple[int, np.ndarray | None]]:
-    # (shift, w) per series on the slice u = _deviation(val, n, lo): w = u minus
-    # #{p in steps : p <= l}, or None when no step falls inside the slice and
-    # w is u - shift
-    for st in steps:
-        i0, i1 = np.searchsorted(st, (lo, lo + u.size - 1), "right").tolist()
+    val: np.ndarray, steps: Sequence[tuple[np.ndarray, str]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    # per series (s, side) on one chunk of sorted values: the step count is
+    # searchsorted(s, x, side), #{s < x} for "left" and #{s <= x} for
+    # "right". Yields (pos, starts, counts): the steps inside the chunk
+    # start to count at the chunk positions pos, and the count is constant
+    # on the runs of the chunk that start at starts, counts[r] on run r.
+    # Only the steps inside the chunk are searched into it
+    for s, side in steps:
+        i0, i1 = np.searchsorted(s, (val[0], val[-1]), side).tolist() if s.size else (0, 0)
         if i0 == i1:
-            yield i0, None
-        else:
-            # the count is i0 up to the first step inside, then one more per step
-            runs = np.diff(st[i0:i1], prepend=lo, append=lo + u.size)
-            w = np.repeat(np.arange(i0, i1 + 1, dtype=np.float64), runs)
-            yield i0, np.subtract(u, w, out=w)
+            yield _EMPTY, _FIRST_RUN, np.array([i0])
+            continue
+        # every pos lies in [1, val.size - 1]; equal ones start one run
+        pos = np.searchsorted(val, s[i0:i1], "right" if side == "left" else "left")
+        starts = np.concatenate([[0], pos])
+        last = np.flatnonzero(np.diff(starts, append=val.size))
+        yield pos, starts[last], i0 + last
 
 
 def _near_maximal(
-    val: np.ndarray, n: int, steps: Sequence[np.ndarray], threshold: Callable[[float], float]
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    chunk: Callable[[int], np.ndarray],
+    count: int,
+    n: int,
+    steps: Sequence[tuple[np.ndarray, str]],
+    threshold: Callable[[float], float],
+) -> tuple[float, list[tuple[np.ndarray, ...]], list[np.ndarray]]:
     """The points of a sorted store near the maximum of max(w, 1 - w).
 
-    Series s is w(l) = n val[l] - l - #{p in steps[s] : p <= l}, for sorted
-    positions steps[s]: u of _deviation shifted by a step count. One float
-    pass keeps each slice's max and min of every series, and a series with
-    no step inside a slice shifts the slice's extremes of u instead of being
-    made. top is the maximum of max(w, 1 - w) over every series and point,
-    and with t = threshold(top) only the slices whose extremes reach t or
-    1 - t are made again. Returns top and, per series, the sorted indices
-    with w >= t and those with w <= 1 - t. The one float pass of the sorted
-    evaluators: star_discrepancy_arrays, prefix_discrepancy and every
-    rebuild of the boundary sweep.
+    The store is read chunk by chunk: chunk(i), i < count, makes the sorted
+    values of chunk i (a slice of an array, or a generated lower half), and
+    the chunks in order are the store. Series s is w(l) = n x_l - l -
+    searchsorted(v, x_l, side) for (v, side) = steps[s], sorted step values:
+    u of _deviation shifted by a step count. One float pass keeps each
+    chunk's max and min of every series without making it: the count is
+    constant on the runs between the steps inside the chunk, so the runs'
+    extremes of u, each shifted by its count, give them. top is the maximum
+    of max(w, 1 - w) over every series and point, and with t =
+    threshold(top) only the chunks whose extremes reach t or 1 - t are made
+    again. Returns top; per series the store indices and the values with w
+    >= t, then those with w <= 1 - t, in store order; and per series the
+    store index from which each step counts, searchsorted(store, v, the
+    other side), placed as the first pass meets the steps. The one float
+    pass of the sorted evaluators: star_discrepancy_arrays,
+    prefix_discrepancy and every rebuild of the boundary sweep.
     """
     extremes = []
-    for lo in range(0, val.size, _SLICE):
-        u = _deviation(val, n, lo)
-        hi, low = float(u.max()), float(u.min())
-        row = [
-            (hi - shift, low - shift) if w is None else (float(w.max()), float(w.min()))
-            for shift, w in _series(u, lo, steps)
-        ]
-        extremes.append((lo, row))
-    top = max((max(hi, 1.0 - low) for _, row in extremes for hi, low in row), default=-math.inf)
-    t = threshold(top)
-    high, low = [[_EMPTY] for _ in steps], [[_EMPTY] for _ in steps]
-    for lo, row in extremes:
-        if all(hi < t and lw > 1.0 - t for hi, lw in row):
+    counted_from = [np.empty(v.size, dtype=np.int64) for v, _ in steps]
+    placed = [0] * len(steps)
+    lo = 0
+    for i in range(count):
+        val = chunk(i)
+        if not val.size:
             continue
         u = _deviation(val, n, lo)
-        for s, (shift, w) in enumerate(_series(u, lo, steps)):
-            w = u - shift if w is None else w
-            high[s].append(lo + np.flatnonzero(w >= t))
-            low[s].append(lo + np.flatnonzero(w <= 1.0 - t))
-    return top, [(np.concatenate(h), np.concatenate(lw)) for h, lw in zip(high, low)]
+        row = []
+        for s, (pos, starts, counts) in enumerate(_series(val, steps)):
+            # steps between the last chunk and this one count from lo on
+            counted_from[s][placed[s] : counts[0]] = lo
+            placed[s] = counts[0] + pos.size
+            counted_from[s][counts[0] : placed[s]] = lo + pos
+            if pos.size:
+                hi = (np.maximum.reduceat(u, starts) - counts).max()
+                low = (np.minimum.reduceat(u, starts) - counts).min()
+            else:
+                # no step inside: the chunk's extremes of u, shifted
+                hi, low = u.max() - counts[0], u.min() - counts[0]
+            row.append((float(hi), float(low)))
+        extremes.append((i, lo, row))
+        lo += val.size
+    for s in range(len(steps)):
+        counted_from[s][placed[s] :] = lo
+    top = max((max(hi, 1.0 - low) for *_, row in extremes for hi, low in row), default=-math.inf)
+    t = threshold(top)
+    # per series: indices and values with w >= t, then with w <= 1 - t
+    found = [[[_EMPTY], [np.empty(0)], [_EMPTY], [np.empty(0)]] for _ in steps]
+    for i, lo, row in extremes:
+        if all(hi < t and lw > 1.0 - t for hi, lw in row):
+            continue
+        val = chunk(i)
+        u = _deviation(val, n, lo)
+        for s, (_, starts, counts) in enumerate(_series(val, steps)):
+            w = u - np.repeat(counts.astype(np.float64), np.diff(starts, append=val.size))
+            high, low = np.flatnonzero(w >= t), np.flatnonzero(w <= 1.0 - t)
+            for part, x in zip(found[s], (lo + high, val[high], lo + low, val[low])):
+                part.append(x)
+    return top, [tuple(map(np.concatenate, parts)) for parts in found], counted_from
 
 
 def _representatives(values: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,8 +388,10 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     n = val.size
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    _, [(left, at)] = _near_maximal(val, n, [_EMPTY], lambda top: top - n * _FILTER_MARGIN)
-    a, b = _representatives(val[np.concatenate([at, left])], max_den)
+    _, [(left, left_val, at, at_val)], _ = _near_maximal(
+        *_slices(val), n, [_NO_STEPS], lambda top: top - n * _FILTER_MARGIN
+    )
+    a, b = _representatives(np.concatenate([at_val, left_val]), max_den)
     count = np.concatenate([at + 1, left])
     side = ["at"] * at.size + ["left"] * left.size
     return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
@@ -318,14 +400,16 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
 def prefix_discrepancy(
     family: SequenceFamily, n: int, table: PrimeTable | None = None
 ) -> DiscrepancyValue:
-    """star_discrepancy_arrays(*prefix_arrays(family, n, table)), 4 B per point.
+    """star_discrepancy_arrays(*prefix_arrays(family, n, table)) in a few MiB.
 
     Same checks, errors, value, witness and side. The prefix is whole
     blocks, a multiset that does not depend on the order inside each block
     and is symmetric under x -> 1 - x, then one cut block: the whole blocks
-    are stored as their sorted lower halves, about n / 2 floats, and only
-    the cut block is generated in family order. Every check, a denominator
-    beyond 2^26 included, comes before anything of size n is allocated.
+    are read as their sorted lower halves, one generated chunk of about
+    _CHUNK values at a time, and only the cut block is generated in family
+    order. Memory is O(_CHUNK + m + p) for m whole blocks and a cut block p,
+    not O(n). Every check, a denominator beyond 2^26 included, comes before
+    any block is generated.
     """
     ordering, whole, cut = _prefix_plan(family, n, table)
     # every family's denominators increase: q is the largest
@@ -340,49 +424,48 @@ def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> Discre
     """Exact D_N* of the whole blocks {j/d : 1 <= j < d, d in whole} and the points cut / q.
 
     With N_W whole points, k = cut.size and n = N_W + k, order the multiset
-    with cut points after equal whole ones. L is the sorted lower-half store
-    (_merge_lower_halves), one value per whole point <= 1/2, and with K =
-    cut / q and K' = (q - cut) / q (both correctly rounded quotients):
+    with cut points after equal whole ones. L is the sorted lower half of
+    the whole blocks, one value per whole point <= 1/2, read in generated
+    chunks (_lower_half_chunks), and with K = cut / q and K' = (q - cut) / q
+    (both correctly rounded quotients):
 
-    * stored L[l] has index l + #{K < L[l]};
+    * L[l] has index l + #{K < L[l]};
     * its mirror 1 - L[l] has index n - 1 - l - #{K' <= L[l]}, so with
       v = n L[l] - l - #{K' <= L[l]} its u is 1 - v (a mirrored 1/2 is
       another copy of 1/2 at a true index, so it needs no exception);
     * cut point K_t (sorted, t = 0, 1, ...) has index #{whole <= K_t} + t,
       read off L, through K' when K_t > 1/2.
 
-    Both step counts are positions of K and K' in L, so one _near_maximal
-    pass over L evaluates every stored point and its mirror; the k cut
-    points are evaluated directly and named as (cut, q).
+    Both step counts are value series of _near_maximal, so one pass over
+    the chunks evaluates every point of L and its mirror; the same pass
+    places each K in L (#{L <= K}) and each K' (#{L < K'}), which gives
+    the k cut points' indices, and they are evaluated directly and named as
+    (cut, q). Nothing of size N_W is allocated.
     """
     n_whole = sum(d - 1 for d in whole)
     k = cut.size
     n = n_whole + k
-    store = np.empty(sum(d // 2 for d in whole))
-    _merge_lower_halves(store, 0, whole)
     c = np.sort(cut)
     kappa = c / q
-    # #{L <= K_t}, and #{L < K'_t} (descending in t)
-    below = np.searchsorted(store, kappa, "right")
-    above = np.searchsorted(store, (q - c) / q, "left")
-    idx = np.where(2 * c > q, n_whole - above, below) + np.arange(k)
-    u = n * kappa - idx
-    cut_top = float(np.maximum(u, 1.0 - u).max()) if k else -math.inf
-
-    def threshold(top: float) -> float:
-        return max(top, cut_top) - n * _FILTER_MARGIN
-
-    upto = above[::-1]
-    top, [(left, at), (mirror_at, mirror_left)] = _near_maximal(
-        store, n, [below, upto], threshold
+    # below[t] = #{L <= K_t}, and upto = #{L < K'} over the ascending K'
+    top, [stored, mirrored], [below, upto] = _near_maximal(
+        *_lower_half_chunks(whole),
+        n,
+        [(kappa, "left"), ((q - c[::-1]) / q, "right")],
+        lambda top: top - n * _FILTER_MARGIN,
     )
-    t = threshold(top)
+    idx = np.where(2 * c > q, n_whole - upto[::-1], below) + np.arange(k)
+    u = n * kappa - idx
+    # the store's candidates were picked below its own top, which is no
+    # higher than the overall one
+    t = max(top, float(np.maximum(u, 1.0 - u).max()) if k else -math.inf) - n * _FILTER_MARGIN
     # stored "left" (u >= t) and "at", then mirrored "at" (v >= t) and "left"
-    pos = np.concatenate([left, at, mirror_at, mirror_left])
-    a, b = _representatives(store[pos], max(whole, default=1))
+    pos = stored[0::2] + mirrored[0::2]
+    split = np.cumsum([x.size for x in pos[:-1]])
+    pos = np.concatenate(pos)
+    a, b = _representatives(np.concatenate(stored[1::2] + mirrored[1::2]), max(whole, default=1))
     i = pos + np.searchsorted(below, pos, "right")
     j = (n - 1) - pos - np.searchsorted(upto, pos, "right")
-    split = np.cumsum([left.size, at.size, mirror_at.size])
     a, b, i, j = (np.split(x, split) for x in (a, b, i, j))
     hi, lo = u >= t, u <= 1.0 - t
     groups = [
@@ -884,12 +967,12 @@ def _boundary_discrepancies(
             def floor_below(top: float) -> int:
                 return math.floor(top - margin) - _BAND_WIDTH
 
-            top, [near] = _near_maximal(
-                val, n, [_EMPTY], lambda top: floor_below(top) - margin
+            top, [(high, _, low, _)], _ = _near_maximal(
+                *_slices(val), n, [_NO_STEPS], lambda top: floor_below(top) - margin
             )
             floor = floor_below(top)
             # the two bands are disjoint, or overlap and hold every point
-            c = np.concatenate(near) if floor - margin > 0.5 else np.arange(size)
+            c = np.concatenate([high, low]) if floor - margin > 0.5 else np.arange(size)
             # bucket k = floor(x scale) holds [k / scale, (k + 1) / scale): a
             # power of two keeps x * scale and the edges exact, so the stale
             # count of an x in bucket k lies in [edge_count[k], edge_count[k + 1]]

@@ -165,8 +165,8 @@ def prefix_arrays(
     The blocks of _prefix_blocks, checked before the arrays are allocated,
     in two arrays; generate_prefix is its list of (num, den) pairs, and the
     array discrepancy engines take its output directly. prefix_discrepancy
-    needs neither: it stores the whole blocks' lower halves and generates
-    only the cut block.
+    needs neither: it reads the whole blocks' lower halves in generated
+    chunks and generates only the cut block.
     """
     blocks = _prefix_blocks(family, n, table)
     # filled in place: a list of per-block pieces would hold the prefix twice

@@ -658,6 +658,10 @@ PINNED = [
     ("disc --family eta --n 1000000", 0, "5e74de0c7d145d12736c8fdbb7ef7a9b89b6b75c624321f276c0526ce403847e"),
     ("disc --family omega --n 2000000", 0, "da88c21a5fae52f51f0f28b1f3bb9f39933ca2d7a51f7967778020dea1e0e807"),
     ("disc --family prime-increasing --n 2000000", 0, "a66e470e3b8812382b901ad5c143101ba16f5439514c37d70be3ec54759d814b"),
+    # cut blocks of prefixes 10x longer, recorded on the sorted lower-half store
+    ("disc --family eta --n 20000003", 0, "13ae9c4e8c5353b3a80916203764d0dfe220e42c69cae7bbc87965ebbbbfc823"),
+    ("disc --family omega --n 20000003 --format csv", 0, "d4beadb63fe2903154df30660bd84cf4932cfd02e38b7c03bf6df3c492838504"),
+    ("disc --family prime-increasing --n 20000003 --format json", 0, "2e61fe4e202a4f8d05dceee286c6f07b6c3ad942e196a6d30314865e99ef5bf9"),
     ("scan --prime 101", 0, "b9ec8c6b6bd2844a4343388aaf068b95d7052b9ab38cce3554e0b20d2833a0e9"),
     ("scan --prime 101 --ordering increasing", 0, "6086815031741b6fd7013f2222630028925ac71a84dc38dc1e3fbc23a4bf63ab"),
     ("scan --prime 1009", 0, "443e55e85d0e17de3b675c0abaa16c53e93ddbb213642f5980189dd2436a5319"),

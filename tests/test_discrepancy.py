@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -33,6 +34,7 @@ from primedisc.discrepancy import (
     _boundary_discrepancies,
     _confirm,
     _deviation,
+    _lower_half_chunks,
     _merge_lower_halves,
     _near_maximal,
     _point_pairs,
@@ -444,7 +446,7 @@ class TestStarDiscrepancyArrays:
         lo = mid * slice_len + slice_len // 3
         num[lo : lo + 5] = num[lo + 2]
         val = np.sort(num / (2 * n))
-        us = {i0: _deviation(val, n, i0) for i0 in range(0, n, slice_len)}
+        us = {i0: _deviation(val[i0 : i0 + slice_len], n, i0) for i0 in range(0, n, slice_len)}
         top = max(max(u.max(), 1.0 - u.min()) for u in us.values())
         hot = [i0 for i0, u in us.items() if max(u.max(), 1.0 - u.min()) > top - 0.25]
         assert hot == [mid * slice_len]
@@ -498,9 +500,9 @@ class TestPrefixDiscrepancy:
         for n in rng.integers(1, 300_001, size=2).tolist() + rng.integers(1, 301, size=3).tolist():
             self.check(family, n, table)
 
-    def test_cut_block_in_short_slices(self, table, monkeypatch):
-        # a cut last block and many slices, several of them revisited
-        monkeypatch.setattr(discrepancy, "_SLICE", 7)
+    def test_cut_block_in_short_chunks(self, table, monkeypatch):
+        # a cut last block and many chunks, several of them made again
+        monkeypatch.setattr(discrepancy, "_CHUNK", 7)
         for family in FAMILIES:
             self.check(family, 250, table)
 
@@ -554,31 +556,63 @@ class TestLowerHalfPrefix:
             want = star_discrepancy_arrays(*prefix_arrays(family, n, table))
             assert prefix_discrepancy(family, n, table) == want, n
 
+    @pytest.fixture(params=[1, 7, 1 << 30], ids=["chunk1", "chunk7", "one-chunk"])
+    def chunks(self, request, monkeypatch):
+        # about one or seven values per chunk, so the cut block's steps
+        # cross and fill many chunks and many chunks are empty, or the whole
+        # lower half in one chunk
+        monkeypatch.setattr(discrepancy, "_CHUNK", request.param)
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [pytest.param(1, marks=pytest.mark.slow), pytest.param(7, marks=pytest.mark.slow), 1 << 30],
+        ids=["chunk1", "chunk7", "one-chunk"],
+    )
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-    def test_every_n_of_block_ranges(self, family, table, monkeypatch):
-        # one slice holds the whole store: primes up to 113, omega q up to 42
-        monkeypatch.setattr(discrepancy, "_SLICE", 1 << 30)
+    def test_every_n_of_block_ranges(self, family, chunk, table, monkeypatch):
+        # one chunk: primes up to 113, omega q up to 42; short chunks, whose
+        # edges the cut block's steps cross: primes up to 43, omega q up to 24
+        monkeypatch.setattr(discrepancy, "_CHUNK", chunk)
         blocks = [11, 39] if family is SequenceFamily.OMEGA else [11, 26]
+        if chunk < 1 << 30:
+            blocks = [11, 21] if family is SequenceFamily.OMEGA else [11]
         self.check_block_ranges(family, table, blocks)
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("slice_len", [1, 7])
-    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-    def test_every_n_in_short_slices(self, family, slice_len, table, monkeypatch):
-        # the step counts of the cut block cross and fill many slices
-        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
-        blocks = [11, 21] if family is SequenceFamily.OMEGA else [11]
-        self.check_block_ranges(family, table, blocks)
+    @staticmethod
+    @functools.cache
+    def oracle(family, n):
+        # one oracle evaluation per prefix, shared by every chunk size
+        table = None if family is SequenceFamily.OMEGA else build_prime_table(40)
+        return star_discrepancy_oracle(generate_prefix(family, n, table))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-    def test_oracle(self, family, table):
+    def test_oracle(self, family, table, chunks):
         # omega N in 254..275 cut the even block q = 24
         ns = [*range(1, 61)]
         if family is SequenceFamily.OMEGA:
             table, ns = None, ns + [*range(230, 301)]
         for n in ns:
-            pts = generate_prefix(family, n, table)
-            assert prefix_discrepancy(family, n, table) == star_discrepancy_oracle(pts), n
+            assert prefix_discrepancy(family, n, table) == self.oracle(family, n), n
+
+    @pytest.mark.parametrize("edges", [6, 12, 24, 72])
+    def test_chunk_edges_on_repeated_values(self, edges, monkeypatch):
+        # omega blocks 2..24 hold 144 lower-half values; T chunks of 144 / T
+        # put the edges t / 2T on 1/6, 1/4 and 1/3 (T = 6), which up to eight
+        # whole blocks repeat, and on 1/8, 1/12, 1/24, ... An on-edge value
+        # belongs to the chunk it closes: held twice or dropped, it would
+        # change the multiset
+        monkeypatch.setattr(discrepancy, "_CHUNK", 144 // edges)
+        whole = range(2, 25)
+        chunk, count = _lower_half_chunks(whole)
+        assert count == edges
+        values = [chunk(t) for t in range(count)]
+        want = np.sort([j / d for d in whole for j in range(1, d // 2 + 1)])
+        assert np.concatenate(values).tolist() == want.tolist()
+        for t, val in enumerate(values):
+            assert ((t / (2 * count) < val) & (val <= (t + 1) / (2 * count))).all()
+        for n in range(276, 301):
+            want = star_discrepancy_arrays(*prefix_arrays(SequenceFamily.OMEGA, n))
+            assert prefix_discrepancy(SequenceFamily.OMEGA, n) == want, n
 
     @pytest.mark.parametrize("q", [2, 3, 7, 13, 97])
     @pytest.mark.parametrize("ordering", [INV, INC])
@@ -592,7 +626,7 @@ class TestLowerHalfPrefix:
                 assert want == star_discrepancy_oracle([(a, q) for a in nums[:k].tolist()])
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_blocks_and_cuts(self, seed):
+    def test_random_blocks_and_cuts(self, seed, chunks):
         # any whole denominators and any numerators of a cut block, in any
         # order: many values repeat, within the store, its mirror and the cut
         rng = np.random.default_rng([23, seed])
@@ -643,8 +677,22 @@ class TestLowerHalfPrefix:
             tracemalloc.stop()
         assert peak < 5 * n
 
+    @pytest.mark.parametrize("n", [1_000_003, 16_000_003])
+    @pytest.mark.parametrize("family", [SequenceFamily.ETA, SequenceFamily.OMEGA], ids=["eta", "omega"])
+    def test_peak_flat_in_n(self, family, n):
+        # chunks of about _CHUNK values, O(m) chunk bounds and the cut block:
+        # a few MiB at any n, where a stored lower half took 62 MiB at 1.6e7
+        table = None if family is SequenceFamily.OMEGA else table_covering(n)
+        tracemalloc.start()
+        try:
+            prefix_discrepancy(family, n, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_large_denominator_refused_before_allocating(self, table, monkeypatch):
-        # an omega prefix of 10^15 points would need a 4 PB store
+        # an omega prefix of 10^15 points: its 4.5e7 whole blocks are never listed
         monkeypatch.setattr(discrepancy, "_FLOAT_SAFE_DEN", 100)
         with pytest.raises(ValueError, match=r"^denominator \d+ too large for the float-sorted"):
             prefix_discrepancy(SequenceFamily.OMEGA, 10**15)
@@ -660,23 +708,39 @@ class TestLowerHalfPrefix:
 class TestNearMaximal:
     """The one float pass of the sorted evaluators, against dense recounts."""
 
-    @pytest.mark.parametrize("slice_len", [1, 5, 1 << 30])
+    @pytest.mark.parametrize("chunk_len", [1, 5, None], ids=["chunk1", "chunk5", "whole"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_a_dense_recount(self, seed, slice_len, monkeypatch):
-        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+    def test_matches_a_dense_recount(self, seed, chunk_len):
+        # values and step values on one grid, so both repeat and meet across
+        # chunk ends; odd seeds add empty chunks at the ends and in between
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 60))
-        val = np.sort(rng.random(size) / 2)
+        val = np.sort(rng.integers(1, 41, size=size) / 80)
         n = 2 * size + int(rng.integers(0, 9))
-        steps = [np.sort(rng.integers(0, size + 1, size=int(rng.integers(0, 9)))) for _ in range(3)]
+        steps = [
+            (np.sort(rng.integers(0, 42, size=int(rng.integers(0, 9))) / 80), side)
+            for side in ("left", "right", "left")
+        ]
         width = float(rng.choice([0.0, 0.5, 3.0, 100.0]))
-        top, near = _near_maximal(val, n, steps, lambda top: top - width)
+        chunk_len = chunk_len or size
+        chunks = [val[lo : lo + chunk_len] for lo in range(0, size, chunk_len)]
+        if seed % 2:
+            chunks = [x for part in chunks for x in (val[:0], part)] + [val[:0]]
+        top, near, counted_from = _near_maximal(
+            chunks.__getitem__, len(chunks), n, steps, lambda top: top - width
+        )
         base = n * val - np.arange(size)
-        ws = [base - np.searchsorted(st, np.arange(size), "right") for st in steps]
+        ws = [base - np.searchsorted(v, val, side) for v, side in steps]
         assert top == max(max(w.max(), 1 - w.min()) for w in ws)
-        for w, (high, low) in zip(ws, near):
+        for w, (high, high_val, low, low_val), (v, side), start in zip(
+            ws, near, steps, counted_from
+        ):
             assert high.tolist() == np.flatnonzero(w >= top - width).tolist()
             assert low.tolist() == np.flatnonzero(w <= 1 - (top - width)).tolist()
+            assert high_val.tolist() == val[high].tolist()
+            assert low_val.tolist() == val[low].tolist()
+            other = "right" if side == "left" else "left"
+            assert start.tolist() == np.searchsorted(val, v, other).tolist()
 
 
 def slice_rescan_representatives(
@@ -1411,12 +1475,11 @@ class TestMergeLowerHalves:
         order = np.lexsort((a, b))
         assert b[order].tolist() == q.tolist() and a[order].tolist() == j.tolist()
 
-    def test_deviations_use_the_whole_multiset(self, monkeypatch):
+    def test_deviations_use_the_whole_multiset(self):
         # u = N x - #{y < x} with N counting both halves, not the store size
-        monkeypatch.setattr(discrepancy, "_SLICE", 2)
         store = np.empty(3)
         _merge_lower_halves(store, 0, [5, 3])
-        got = np.concatenate([_deviation(store, 6, lo) for lo in range(0, store.size, 2)])
+        got = _deviation(store, 6, 0)
         want = [6 * Fraction(1, 5) - 0, 6 * Fraction(1, 3) - 1, 6 * Fraction(2, 5) - 2]
         assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-12)
 
