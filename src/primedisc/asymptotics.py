@@ -107,7 +107,8 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     which stores only the values of the lower half (0, 1/2] of the
     symmetric multiset, 8 bytes per point, and merges (one in-place sort)
     and rescans them only when its two tracked bands run empty; tracked
-    points are named exactly from their floats. Each
+    points are named exactly from their floats, and a block's new points
+    are counted only beside the store slices that rescan made again. Each
     row is checked against its witness threshold r = 1 - 1/(2 p_m), which
     forces D_N* >= 1/(2 p_m); a row below that raises ArithmeticError
     (engine inconsistency).

@@ -257,7 +257,7 @@ def _near_maximal(
     n: int,
     steps: Sequence[tuple[np.ndarray, str]],
     threshold: Callable[[float], float],
-) -> tuple[float, list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+) -> tuple[float, list[tuple[np.ndarray, ...]], list[np.ndarray], list[tuple[int, int]]]:
     """The points of a sorted store near the maximum of max(w, 1 - w).
 
     The store is read chunk by chunk: chunk(i), i < count, makes the sorted
@@ -273,9 +273,11 @@ def _near_maximal(
     again. Returns top; per series the store indices and the values with w
     >= t, then those with w <= 1 - t, in store order; and per series the
     store index from which each step counts, searchsorted(store, v, the
-    other side), placed as the first pass meets the steps. The one float
+    other side), placed as the first pass meets the steps; and the store
+    index range [lo, hi) of each chunk made again, in order. The one float
     pass of the sorted evaluators: star_discrepancy_arrays,
-    prefix_discrepancy and every rebuild of the boundary sweep.
+    prefix_discrepancy and every rebuild of the boundary sweep, which alone
+    reads the ranges.
     """
     extremes = []
     counted_from = [np.empty(v.size, dtype=np.int64) for v, _ in steps]
@@ -307,17 +309,20 @@ def _near_maximal(
     t = threshold(top)
     # per series: indices and values with w >= t, then with w <= 1 - t
     found = [[[_EMPTY], [np.empty(0)], [_EMPTY], [np.empty(0)]] for _ in steps]
+    rescanned = []
     for i, lo, row in extremes:
         if all(hi < t and lw > 1.0 - t for hi, lw in row):
             continue
         val = chunk(i)
+        rescanned.append((lo, lo + val.size))
         u = _deviation(val, n, lo)
         for s, (_, starts, counts) in enumerate(_series(val, steps)):
             w = u - np.repeat(counts.astype(np.float64), np.diff(starts, append=val.size))
             high, low = np.flatnonzero(w >= t), np.flatnonzero(w <= 1.0 - t)
             for part, x in zip(found[s], (lo + high, val[high], lo + low, val[low])):
                 part.append(x)
-    return top, [tuple(map(np.concatenate, parts)) for parts in found], counted_from
+    found = [tuple(map(np.concatenate, parts)) for parts in found]
+    return top, found, counted_from, rescanned
 
 
 def _representatives(values: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +393,7 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     n = val.size
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    _, [(left, left_val, at, at_val)], _ = _near_maximal(
+    _, [(left, left_val, at, at_val)], *_ = _near_maximal(
         *_slices(val), n, [_NO_STEPS], lambda top: top - n * _FILTER_MARGIN
     )
     a, b = _representatives(np.concatenate([at_val, left_val]), max_den)
@@ -448,7 +453,7 @@ def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> Discre
     c = np.sort(cut)
     kappa = c / q
     # below[t] = #{L <= K_t}, and upto = #{L < K'} over the ascending K'
-    top, [stored, mirrored], [below, upto] = _near_maximal(
+    top, [stored, mirrored], [below, upto], _ = _near_maximal(
         *_lower_half_chunks(whole),
         n,
         [(kappa, "left"), ((q - c[::-1]) / q, "right")],
@@ -838,9 +843,6 @@ class BlockAccumulator:
 # two blocks per unit of width
 _BAND_WIDTH = 12
 
-# the bucket filter's value buckets hold about this many stored points each
-_BUCKET_POINTS = 8
-
 
 def _merge_lower_halves(store: np.ndarray, size: int, dens: Sequence[int]) -> int:
     # writes the values j / q, 1 <= j <= q / 2, of each block q in dens
@@ -883,6 +885,22 @@ def _bands(w: np.ndarray, b: np.ndarray, floor: int) -> np.ndarray:
     return (w >= floor * b) | (b - w >= floor * b)
 
 
+def _beside(near: list[tuple[float, float]], p: int) -> np.ndarray:
+    # the j in [1, p // 2] with j / p inside some interval (lo, hi) of near,
+    # ends ascending, each j once. An end is 0, 1 or the float x of a stored
+    # a/b, b != p: p a / b lies at least 1 / b from an integer and the float
+    # error of p x is below p 2^-53 < 1 / b (b, p <= 2^26), so floor and
+    # ceil of p x are exact
+    runs, first = [_EMPTY], 1
+    for lo, hi in near:
+        first = max(first, math.floor(lo * p) + 1)
+        stop = min(math.ceil(hi * p), p // 2 + 1)
+        if stop > first:
+            runs.append(np.arange(first, stop))
+            first = stop
+    return np.concatenate(runs)
+
+
 def _boundary_discrepancies(
     primes: Sequence[int], m_lo: int, m_hi: int
 ) -> Iterator[DiscrepancyValue]:
@@ -898,23 +916,31 @@ def _boundary_discrepancies(
     The store is one float64 array of the lower-half values, 8 bytes per
     point, sized once for every block the sweep will merge. A rebuild writes
     the pending blocks' values after the held run and sorts in place
-    (_merge_lower_halves). One float pass then keeps each slice's max u, min
-    u and bucket counts and picks an integer floor below the maximum by the
-    band width; only the slices whose extremes reach it are scanned again.
-    The sweep tracks exactly the two bands: the high band u >= floor and the
-    low band u <= ceil = 1 - floor. Each block raises the floor and lowers
-    the ceiling by 1, so every untracked point stays strictly between them;
-    once tracked points that leave both bands are dropped, any survivor
-    holds the maximum and every point tying it, and the sweep rebuilds when
-    both bands are empty. A tracked point's count c is its store index and
-    its a/b is named from its float by continued fractions
+    (_merge_lower_halves). One float pass (_near_maximal) then keeps each
+    slice's max and min of u and picks an integer floor F0 below the maximum
+    by the band width; only the slices whose extremes reach it are scanned
+    again. The sweep tracks exactly the two bands: the high band u >= floor
+    and the low band u <= ceil = 1 - floor. Each block raises the floor and
+    lowers the ceiling by 1, so every untracked point stays strictly between
+    them; once tracked points that leave both bands are dropped, any
+    survivor holds the maximum and every point tying it, and the sweep
+    rebuilds when both bands are empty. A tracked point's count c is its
+    store index and its a/b is named from its float by continued fractions
     (_representatives), with the largest prime merged so far as the bound
-    on b, since blocks may come in any order. A new point j/p gets its exact
-    count from the stale store plus the closed form floor(j q / p) for each
-    pending block q, but only when its u can reach a band: at each rebuild a
-    bucket filter records the stale count at the edges of equal value
-    buckets, which brackets u(j/p) in integers. Floats only choose what to
-    track; values, witnesses and the certification test are exact.
+    on b, since blocks may come in any order.
+
+    A new point x = j/p of the s-th block after a rebuild at size N0 has
+    u(x) < u0(y+) + s and u(x) > u0(y-) - s/2, with y+ and y- its stored
+    successor and predecessor and u0 their u at the rebuild: each earlier
+    pending block q adds frac(q x) - x and block p adds 1 - x. As the floor
+    is then F0 + s, x can reach the high band only if u0(y+) > F0 and the
+    low band only if u0(y-) < 1 - F0, so only beside a slice scanned again.
+    Each rescanned slice of store indices [lo, hi) gives the values in
+    (val[lo - 1], val[hi]), from 0 for the first slice and past 1/2 for the
+    last, and only the j/p inside those intervals (_beside) get an exact
+    count: the stale store's, plus the closed form floor(j q / p) for each
+    earlier pending block q, plus j - 1. Floats only choose what to track;
+    values, witnesses and the certification test are exact.
     """
     primes = [int(p) for p in primes[:m_hi]]
     p_max = max(primes)
@@ -937,21 +963,9 @@ def _boundary_discrepancies(
         if a is not None:
             floor += 1
             c += a * p // b
-            j = np.arange(1, p // 2 + 1, dtype=np.int64)
-            x = j / p
-            # p u(j/p) = n j - p (j - 1) - p #{stale y < j/p} - p sum_q floor(j q / p)
-            # over the r earlier pending blocks q, and with Q = sum q the last
-            # term lies in [j Q - r (p - 1), j Q - r]: p does not divide j q
+            j = _beside(near, p)
             q = np.array(pending[:-1], dtype=np.int64)
-            r = q.size
-            base = n * j - p * (j - 1) - j * int(q.sum())
-            k = (x * scale).astype(np.int64)
-            reach = (base + r * (p - 1) - p * edge_count[k] >= floor * p) | (
-                base + r - p * edge_count[k + 1] <= (1 - floor) * p
-            )
-            j, x = j[reach], x[reach]
-            cj = np.searchsorted(val, x) + (j - 1)
-            cj += (np.multiply.outer(j, q) // p).sum(axis=1)
+            cj = np.searchsorted(val, j / p) + (j - 1) + (np.multiply.outer(j, q) // p).sum(axis=1)
             a = np.concatenate([a, j])
             b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
             c = np.concatenate([c, cj])
@@ -967,23 +981,19 @@ def _boundary_discrepancies(
             def floor_below(top: float) -> int:
                 return math.floor(top - margin) - _BAND_WIDTH
 
-            top, [(high, _, low, _)], _ = _near_maximal(
+            top, [(high, _, low, _)], _, rescanned = _near_maximal(
                 *_slices(val), n, [_NO_STEPS], lambda top: floor_below(top) - margin
             )
             floor = floor_below(top)
+            near = [
+                (float(val[lo - 1]) if lo else 0.0, float(val[hi]) if hi < size else 1.0)
+                for lo, hi in rescanned
+            ]
             # the two bands are disjoint, or overlap and hold every point
             c = np.concatenate([high, low]) if floor - margin > 0.5 else np.arange(size)
-            # bucket k = floor(x scale) holds [k / scale, (k + 1) / scale): a
-            # power of two keeps x * scale and the edges exact, so the stale
-            # count of an x in bucket k lies in [edge_count[k], edge_count[k + 1]]
-            scale = 2 << max(size // _BUCKET_POINTS, 1).bit_length()
-            edge_count = np.zeros(scale // 2 + 2, dtype=np.int64)
-            for lo in range(0, size, _SLICE):
-                k = (val[lo : lo + _SLICE] * scale).astype(np.int64)
-                edge_count[k[0] + 1 : k[-1] + 2] += np.bincount(k - k[0])
-            np.cumsum(edge_count, out=edge_count)
             a, b = _representatives(val[c], max_den)
             w = n * a - c * b
             keep = _bands(w, b, floor)
-        a, b, c, w = a[keep], b[keep], c[keep], w[keep]
+        kept = np.flatnonzero(keep)
+        a, b, c, w = (v.take(kept) for v in (a, b, c, w))
         yield _band_maximum(a, b, c, w, n)

@@ -726,12 +726,18 @@ class TestNearMaximal:
         chunks = [val[lo : lo + chunk_len] for lo in range(0, size, chunk_len)]
         if seed % 2:
             chunks = [x for part in chunks for x in (val[:0], part)] + [val[:0]]
-        top, near, counted_from = _near_maximal(
+        top, near, counted_from, rescanned = _near_maximal(
             chunks.__getitem__, len(chunks), n, steps, lambda top: top - width
         )
         base = n * val - np.arange(size)
         ws = [base - np.searchsorted(v, val, side) for v, side in steps]
         assert top == max(max(w.max(), 1 - w.min()) for w in ws)
+        # the index ranges of the nonempty chunks holding a point near the top
+        ends = np.cumsum([0] + [x.size for x in chunks])
+        reach = np.any([(w >= top - width) | (w <= 1 - (top - width)) for w in ws], axis=0)
+        assert rescanned == [
+            (lo, hi) for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()) if reach[lo:hi].any()
+        ]
         for w, (high, high_val, low, low_val), (v, side), start in zip(
             ws, near, steps, counted_from
         ):
@@ -1654,12 +1660,18 @@ class TestBoundarySweep:
         want = merged_boundary_values(ps, m_lo, len(ps))
         assert list(_boundary_discrepancies(ps, m_lo, len(ps))) == want
 
+    @pytest.mark.parametrize("slice_len", [None, 7], ids=["slice-default", "slice7"])
     @pytest.mark.parametrize("width", [0, 12, 40])
-    def test_tracks_exactly_the_band_points(self, primes, reference, monkeypatch, width):
+    def test_tracks_exactly_the_band_points(
+        self, primes, reference, monkeypatch, width, slice_len
+    ):
         # after every row the tracked set is every lower-half point with
         # u >= floor (high band) or u <= 1 - floor (low band), with its exact
         # count: a filter that dropped a band point would show here even
-        # where the point never holds the maximum
+        # where the point never holds the maximum. Slices of 7 values leave
+        # most slices cold, so most new points are never counted
+        if slice_len:
+            monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
         seen = []
         bands, band_maximum = discrepancy._bands, discrepancy._band_maximum
 
@@ -1694,11 +1706,55 @@ class TestBoundarySweep:
         if width:
             assert low_points  # the low band held points
 
-    @pytest.mark.parametrize("bucket_points", [1, 3, 10**9])
-    def test_bucket_size_changes_only_the_work(self, primes, reference, monkeypatch, bucket_points):
-        # 10**9 leaves two buckets, so the filter passes almost every point
-        monkeypatch.setattr(discrepancy, "_BUCKET_POINTS", bucket_points)
+    @pytest.mark.parametrize("slice_len", [1, 3, 7, 10**9])
+    def test_slice_size_changes_only_the_work(self, primes, reference, monkeypatch, slice_len):
+        # new points are counted only beside the slices a rebuild scanned
+        # again; 10**9 makes the store one slice, scanned again every time
+        monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
         assert list(_boundary_discrepancies(primes, 3, 150)) == reference[2:150]
+
+    @pytest.mark.parametrize(
+        "order",
+        # with 2 merged first, 1/2 ends the store and no new point lies past it
+        [lambda ps: ps, lambda ps: ps[1:]],
+        ids=["two-first", "no-two"],
+    )
+    @pytest.mark.parametrize("width", [0, 12])
+    def test_skipped_points_lie_outside_both_bands(self, primes, monkeypatch, width, order):
+        # every new point j/p the sweep never counted has, by an exact
+        # integer recount, floor > u > 1 - floor at the floor of its row
+        calls = []
+        beside, bands = discrepancy._beside, discrepancy._bands
+
+        def recorded_beside(near, p):
+            j = beside(near, p)
+            calls.append([p, j.tolist(), None])
+            return j
+
+        def recorded_bands(w, b, floor):
+            # the first _bands call after a block's new points tests them
+            if calls and calls[-1][2] is None:
+                calls[-1][2] = floor
+            return bands(w, b, floor)
+
+        monkeypatch.setattr(discrepancy, "_SLICE", 7)
+        monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
+        monkeypatch.setattr(discrepancy, "_beside", recorded_beside)
+        monkeypatch.setattr(discrepancy, "_bands", recorded_bands)
+        blocks = order(list(primes[:150]))
+        for _ in _boundary_discrepancies(blocks, 1, len(blocks)):
+            pass
+        index = {p: m for m, p in enumerate(blocks, 1)}
+        skipped = 0
+        for p, counted, floor in calls:
+            ps = np.array(blocks[: index[p]])
+            n = int((ps - 1).sum())
+            j = np.setdiff1d(np.arange(1, p // 2 + 1), counted)
+            # #{i/q < j/p} is floor(j q / p) for q != p and j - 1 for q = p
+            w = n * j - ((np.multiply.outer(j, ps) // p).sum(axis=1) - 1) * p  # p u
+            assert (w < floor * p).all() and (p - w < floor * p).all(), p
+            skipped += j.size
+        assert skipped > sum(len(js) for _, js, _ in calls)  # most were skipped
 
     def test_short_slices(self, primes, reference, monkeypatch):
         # merges and float passes cross many slice boundaries
