@@ -105,13 +105,13 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     alone determines D_N* and the inversive permutation never needs to be
     applied. The rows come from one certified lazy sweep over the blocks,
     which stores only the values of the lower half (0, 1/2] of the
-    symmetric multiset, 8 bytes per point, and merges (one in-place sort)
-    and rescans them only when its two tracked bands run empty; tracked
-    points are named exactly from their floats, and a block's new points
-    are counted only beside the store slices that rescan made again. Each
-    row is checked against its witness threshold r = 1 - 1/(2 p_m), which
-    forces D_N* >= 1/(2 p_m); a row below that raises ArithmeticError
-    (engine inconsistency).
+    symmetric multiset, 8 bytes per point, and merges (the new blocks'
+    sorted chunks, then one merge of two runs) and rescans them only when
+    its two tracked bands run empty; tracked points are named exactly from
+    their floats, and a block's new points are counted only beside the
+    store slices that rescan made again. Each row is checked against its
+    witness threshold r = 1 - 1/(2 p_m), which forces D_N* >= 1/(2 p_m); a
+    row below that raises ArithmeticError (engine inconsistency).
     """
     m_lo, m_hi = _integer(m_lo), _integer(m_hi)
     if m_lo < 1 or m_lo > m_hi:

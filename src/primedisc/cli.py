@@ -27,7 +27,6 @@ from .discrepancy import (
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
     _block_maxima,
-    _checked_arrays,
     _grid_columns,
     nw_bound,
     prefix_discrepancy,
@@ -218,23 +217,19 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
         num = block_numerators(p, ordering)
         if args.n is not None and args.n > num.size:
             raise UsageError(f"--n {args.n} exceeds the block size {num.size}")
-        num, _ = _checked_arrays(num[: args.n], p)
-        if p * num.size < 1 << 63:
-            # the grid sweep's reduced columns, with disc_float the quotient
-            # of Python ints as in DiscrepancyValue.approx
-            dnum, dden, _, _, wnum, wden, _ = _grid_columns(num, p)
-            cells = zip(range(1, num.size + 1), *(x.tolist() for x in (dnum, dden, wnum, wden)))
-            return [header] + [f"{k},{a},{b},{a / b:.17g},{e},{f}" for k, a, b, e, f in cells]
-        den = np.full(num.size, p)
-    else:
-        if args.n is None:
-            raise UsageError("--family requires --n")
-        if args.ordering is not None:
-            raise UsageError("--ordering applies only with --prime, not with --family")
-        # the rank sweep costs O(n * distinct values) plus one _confirm per prefix
-        _check_sweep_limit("--n", args.n, args.sweep_limit)
-        family = SequenceFamily(args.family)
-        num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
+        # the grid sweep's reduced columns, with disc_float the quotient of
+        # Python ints as in DiscrepancyValue.approx
+        dnum, dden, _, _, wnum, wden, _ = _grid_columns(num[: args.n], p)
+        cells = zip(range(1, dnum.size + 1), *(x.tolist() for x in (dnum, dden, wnum, wden)))
+        return [header] + [f"{k},{a},{b},{a / b:.17g},{e},{f}" for k, a, b, e, f in cells]
+    if args.n is None:
+        raise UsageError("--family requires --n")
+    if args.ordering is not None:
+        raise UsageError("--ordering applies only with --prime, not with --family")
+    # the rank sweep costs O(n * distinct values) plus one _confirm per prefix
+    _check_sweep_limit("--n", args.n, args.sweep_limit)
+    family = SequenceFamily(args.family)
+    num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
     records = prefix_scan(list(zip(num.tolist(), den.tolist())))
     return [header] + [
         f"{r.k},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},{r.weighted_num},{r.weighted_den}"
@@ -278,8 +273,7 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
             f"HI={m_hi}: p_HI > HI (ln HI + ln ln HI - 1) > {_FLOAT_SAFE_DEN}, "
             "the denominator limit"
         )
-    # one spare block keeps the boundary N = P(m_hi) strictly bracketed
-    table = build_prime_table(m_hi + 1)
+    table = build_prime_table(m_hi)
     lines = ["m,N,p_m,disc_num,disc_den,disc_float,scaled,lower_num,lower_den," + _GROWTH_HEADER]
     for r in verify_theorem(table, m_lo, m_hi):
         scaled = "" if r.scaled is None else f"{r.scaled:.17g}"

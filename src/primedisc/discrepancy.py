@@ -568,20 +568,24 @@ def _grid_sweeps(
     argmin never picks one. A sequence that has ended steps at start 0,
     where the window adds nothing, and its rows past the end are never
     decoded. Every slot lies in (-P N, P N], with P the group's largest p
-    and N its longest sequence: int32 lanes while P N < 2^31, int64 above.
-    Rows of consecutive steps, up to _CELLS slots, hold p c(s) - k0 s with
-    k0 fixed per row block, so the k s ramp comes off once per block,
-    before one argmax and one argmin over the slots of every row. The
+    and N its longest sequence: int32 lanes while P N < 2^31, int64 above,
+    and P N >= 2^63, where int64 lanes would overflow, is refused before
+    any work. Rows of consecutive steps, up to _CELLS slots, hold p c(s) -
+    k0 s with k0 fixed per row block, so the k s ramp comes off once per
+    block, before one argmax and one argmin over the slots of every row. The
     caller forms the groups: _block_maxima takes consecutive blocks while
     (G + 1) W <= _CELLS // 8, so a row block still holds at least 8 steps.
     """
     nums = [np.asarray(x) for x, _ in seqs]
     n = max(x.size for x in nums)
+    pn = max(int(p) for _, p in seqs) * n
+    if pn >= 1 << 63:
+        raise OverflowError(f"p * N = {pn} reaches 2^63; the sweep needs int64")
     grids, wheres = zip(
         *(np.unique(np.concatenate([x - 1, x]), return_inverse=True) for x in nums)
     )
     size, w = len(seqs), max(grid.size for grid in grids)
-    lane = np.int32 if max(p for _, p in seqs) * n < 1 << 31 else np.int64
+    lane = np.int32 if pn < 1 << 31 else np.int64
     rows = max(1, min(n, _CELLS // (size * w)))
     window = np.zeros((size, 2 * w), dtype=lane)
     window[:, w:] = [[p] for _, p in seqs]
@@ -628,16 +632,11 @@ def _grid_sweeps(
     return out
 
 
-def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_grid_sweeps of the one sequence (nums, p)."""
-    return _grid_sweeps([(nums, p)])[0]
-
-
 def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
     """D_k* for k = 1..N of any points, from one ranking of their distinct values.
 
     Ranks come from floats while every denominator is at most _FLOAT_SAFE_DEN,
-    else from one exact sort. As in _grid_sweep, count holds #{y <= v_t} ("at")
+    else from one exact sort. As in _grid_sweeps, count holds #{y <= v_t} ("at")
     and #{y < v_t} ("left") at each distinct value v_t. It is constant between
     consecutive distinct values, where |c - k x| is below its value at one end,
     so a value not yet in the prefix never beats or ties one that is. Floats
@@ -667,23 +666,14 @@ def _grid_columns(nums: Sequence[int], p: int) -> list[np.ndarray]:
     and whether side is "at".
 
     D_k* = m / (k p), witness j / p and k D_k* = m / p, each reduced by gcds
-    of int64 arrays; callers keep every k p < 2^63. The one reduction of
-    prefix_scan's grid path and of scan --prime, which writes its CSV from
-    these columns without a record per prefix.
+    of int64 arrays, every k p < 2^63 as the sweep refuses p N beyond. The
+    one reduction of prefix_scan's grid path and of scan --prime, which
+    writes its CSV from these columns without a record per prefix.
     """
-    m, j, at_side = _grid_sweep(nums, p)
+    m, j, at_side = _grid_sweeps([(nums, p)])[0]
     kp = np.arange(1, m.size + 1) * p
     g, gj, gm = np.gcd(m, kp), np.gcd(j, p), np.gcd(m, p)
     return [m // g, kp // g, j // gj, p // gj, m // gm, p // gm, at_side]
-
-
-def _grid_records(nums: list[int], p: int) -> list[ScanRecord]:
-    # the columns go before the records are made
-    columns = [x.tolist() for x in _grid_columns(nums, p)]
-    return [
-        ScanRecord(k, DiscrepancyValue(a, b, c, d, "at" if at else "left"), e, f)
-        for k, a, b, c, d, e, f, at in zip(range(1, len(nums) + 1), *columns)
-    ]
 
 
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
@@ -700,7 +690,12 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
     dens = {b for _, b in pairs}
     p = max(dens)
     if len(dens) == 1 and p * n < 1 << 63:
-        return _grid_records([a for a, _ in pairs], p)
+        # the columns go before the records are made
+        columns = [x.tolist() for x in _grid_columns([a for a, _ in pairs], p)]
+        return [
+            ScanRecord(k, DiscrepancyValue(a, b, c, d, "at" if at else "left"), e, f)
+            for k, a, b, c, d, e, f, at in zip(range(1, n + 1), *columns)
+        ]
     records: list[ScanRecord] = []
     for k, dv in enumerate(_rank_sweep(pairs), 1):
         g = gcd(dv.num * k, dv.den)
@@ -711,17 +706,15 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
 def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
-    The grid sweep of one sequence (_grid_sweep), the kernel behind
+    The grid sweep (_grid_sweeps) of the one sequence, the kernel behind
     prefix_scan's common-denominator path and scan --prime, returning only
     the scaled integer maxima. Each prefix costs one slot per point of the
     half grid {v - 1, v : v a distinct numerator}, p slots for a whole
-    block, in int32 lanes while p * len(nums) < 2^31. Refuses p *
+    block, in int32 lanes while p * len(nums) < 2^31. The sweep refuses p *
     len(nums) >= 2^63, where int64 lanes would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
-    if int(p) * nums.size >= 1 << 63:
-        raise OverflowError(f"p * N = {int(p) * nums.size} reaches 2^63; the sweep needs int64")
-    return _grid_sweep(nums, int(p))[0]
+    return _grid_sweeps([(nums, int(p))])[0][0]
 
 
 def _block_maxima(
@@ -845,17 +838,19 @@ _BAND_WIDTH = 12
 
 
 def _merge_lower_halves(store: np.ndarray, size: int, dens: Sequence[int]) -> int:
-    # writes the values j / q, 1 <= j <= q / 2, of each block q in dens
-    # after the sorted run store[:size], sorts the filled prefix in place and
-    # returns its length. Into an empty store the default sort takes any
-    # number of runs with no buffer; after that timsort ("stable") merges the
-    # one long held run with the short new ones in about one pass
-    j = np.arange(1, max(dens, default=0) // 2 + 1, dtype=np.float64)
+    # writes the sorted lower halves of the blocks in dens (_lower_half_chunks)
+    # after the sorted run store[:size], chunk by chunk, and returns the
+    # filled length. Into an empty store the chunks alone are the sorted
+    # run; after that timsort ("stable") merges the two runs in one pass,
+    # with a buffer the size of the short new one
+    chunk, count = _lower_half_chunks(dens)
     at = size
-    for q in dens:
-        np.divide(j[: q // 2], q, out=store[at : at + q // 2])
-        at += q // 2
-    store[:at].sort(kind="stable" if size else None)
+    for t in range(count):
+        val = chunk(t)
+        store[at : at + val.size] = val
+        at += val.size
+    if size:
+        store[:at].sort(kind="stable")
     return at
 
 
@@ -915,7 +910,8 @@ def _boundary_discrepancies(
 
     The store is one float64 array of the lower-half values, 8 bytes per
     point, sized once for every block the sweep will merge. A rebuild writes
-    the pending blocks' values after the held run and sorts in place
+    the pending blocks' sorted lower halves after the held run, one
+    generated chunk at a time (_lower_half_chunks), and merges the two runs
     (_merge_lower_halves). One float pass (_near_maximal) then keeps each
     slice's max and min of u and picks an integer floor F0 below the maximum
     by the band width; only the slices whose extremes reach it are scanned

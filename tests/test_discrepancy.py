@@ -1123,7 +1123,7 @@ class TestGridSweep:
                 maxima, witness, at_side = per_prefix_int64_sweep(nums, p)
                 c = -(-(1 << 31) // (p * nums.size))
                 for scale in (1, c):
-                    got = discrepancy._grid_sweep(nums * scale, p * scale)
+                    got = discrepancy._grid_sweeps([(nums * scale, p * scale)])[0]
                     assert got[0].dtype == np.int64
                     assert np.array_equal(got[0], maxima * scale), (p, ordering, scale)
                     assert np.array_equal(got[1], witness * scale), (p, ordering, scale)
@@ -1157,7 +1157,7 @@ class TestGridSweep:
             maxima, witness, at_side = per_prefix_int64_sweep(nums, p)
             c = -(-(1 << 31) // (p * nums.size))
             for scale in (1, c):
-                got = discrepancy._grid_sweep(nums * scale, p * scale)
+                got = discrepancy._grid_sweeps([(nums * scale, p * scale)])[0]
                 assert np.array_equal(got[0], maxima * scale), (p, scale)
                 assert np.array_equal(got[1], witness * scale), (p, scale)
                 assert np.array_equal(got[2], at_side), (p, scale)
@@ -1173,10 +1173,19 @@ class TestGridSweep:
             got = discrepancy._grid_sweeps(group)
             assert len(got) == len(group)
             for (nums, p), sweep, ref in zip(group, got, refs):
-                single = discrepancy._grid_sweep(nums, p)
+                single = discrepancy._grid_sweeps([(nums, p)])[0]
                 for a, b, c in zip(sweep, single, ref):
                     assert np.array_equal(a, b), (p, nums.size, len(group))
                     assert np.array_equal(a, c), (p, nums.size, len(group))
+
+    def test_kernel_refuses_int64_overflow(self):
+        # P N >= 2^63 is refused by the kernel for every entry: one sequence
+        # through _grid_columns, and a group whose largest p and longest
+        # sequence belong to different members, neither overflowing alone
+        with pytest.raises(OverflowError, match="2\\^63"):
+            discrepancy._grid_columns([1, 2], 1 << 62)
+        with pytest.raises(OverflowError, match="2\\^63"):
+            discrepancy._grid_sweeps([([1], 1 << 62), ([1, 2], 5)])
 
     def test_block_maxima_match_one_block_at_a_time(self):
         # every prime up to 1200, both orderings apart and interleaved: the
@@ -1205,7 +1214,7 @@ class TestGridSweep:
             for size in range(1, 5):
                 for multiset in itertools.combinations_with_replacement(range(1, p), size):
                     for order in set(itertools.permutations(multiset)):
-                        maxima, witness, at_side = discrepancy._grid_sweep(list(order), p)
+                        maxima, witness, at_side = discrepancy._grid_sweeps([(list(order), p)])[0]
                         for k in range(1, size + 1):
                             key = (p, tuple(sorted(order[:k])))
                             if key not in oracle:
@@ -1433,7 +1442,13 @@ def lower_halves(primes):
 
 
 class TestMergeLowerHalves:
-    @pytest.mark.parametrize("slice_len", [3, 1 << 16])
+    # chunks of about 1 and 7 values: every batch spans many chunks, in the
+    # first merge (no sort) and in the later merges of two runs
+    @pytest.mark.parametrize(
+        "slice_len,chunk",
+        [(3, 1 << 16), (1 << 16, 1 << 16), (1 << 16, 1), (1 << 16, 7)],
+        ids=["3", "65536", "65536-chunk1", "65536-chunk7"],
+    )
     @pytest.mark.parametrize(
         "batches",
         [
@@ -1443,8 +1458,9 @@ class TestMergeLowerHalves:
         ],
         ids=["mixed", "descending", "large-first"],
     )
-    def test_batches_leave_the_sorted_lower_halves(self, monkeypatch, slice_len, batches):
+    def test_batches_leave_the_sorted_lower_halves(self, monkeypatch, slice_len, chunk, batches):
         monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        monkeypatch.setattr(discrepancy, "_CHUNK", chunk)
         primes = [q for batch in batches for q in batch]
         store = np.empty(sum(q // 2 for q in primes))
         size = 0
@@ -1455,19 +1471,21 @@ class TestMergeLowerHalves:
             assert store[:size].tolist() == [float(x) for x in held]
 
     def test_first_merge_memory(self):
-        # every value goes straight into the store and the sort needs no
-        # buffer: next to the 8-byte store only the numerators 1..p_max/2 of
-        # one block are held
-        primes = sieve_primes(3000).tolist()
-        store = np.empty(sum(q // 2 for q in primes))
-        tracemalloc.start()
-        try:
-            size = _merge_lower_halves(store, 0, primes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert size == store.size > 200_000
-        assert peak < 8 * (max(primes) // 2) + 4096
+        # every chunk goes straight into the store and the sorted chunks need
+        # no sort: next to the 8-byte store only a fixed set of chunk
+        # temporaries is held (about 1.4-1.6 MiB), flat in N, and no second
+        # store-sized array (80 MB at primes <= 20000)
+        for pmax, points in ((3000, 200_000), (20_000, 10_000_000)):
+            primes = sieve_primes(pmax).tolist()
+            store = np.empty(sum(q // 2 for q in primes))
+            tracemalloc.start()
+            try:
+                size = _merge_lower_halves(store, 0, primes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert size == store.size > points
+            assert peak < 4 << 20, pmax
 
     def test_representatives_name_every_stored_value(self):
         primes = build_prime_table(300).primes
