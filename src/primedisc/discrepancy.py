@@ -112,12 +112,13 @@ def _checked_arrays(num, den) -> tuple[np.ndarray, np.ndarray]:
     """
     num = np.asarray(num)
     den = np.asarray(den)
+    # an empty list becomes float64, so emptiness is named before the dtype
+    if num.size == 0:
+        raise ValueError("points must be nonempty")
     if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
         raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
     if num.ndim != 1:
         raise ValueError(f"expected a 1-D numerator array, got shape {num.shape}")
-    if num.size == 0:
-        raise ValueError("points must be nonempty")
     if den.ndim and num.shape != den.shape:
         raise ValueError("num and den must have equal length")
     # uint64 values beyond int64 wrap negative here and fail the range check
@@ -128,12 +129,6 @@ def _checked_arrays(num, den) -> tuple[np.ndarray, np.ndarray]:
     if not ((num >= 1) & (num < den)).all():
         raise ValueError("every fraction must lie strictly inside (0, 1)")
     return num, den
-
-
-def _reduced_value(vnum: int, vden: int, wn: int, wd: int, side: str) -> DiscrepancyValue:
-    g = gcd(vnum, vden)
-    gw = gcd(wn, wd)
-    return DiscrepancyValue(vnum // g, vden // g, wn // gw, wd // gw, side)
 
 
 def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
@@ -158,7 +153,9 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
     if best is None:
         raise ArithmeticError("no nonnegative candidate; engine inconsistency")
     v, a, b, side = best
-    return _reduced_value(v, b * n, a, b, side)
+    g = gcd(v, b * n)
+    gw = gcd(a, b)
+    return DiscrepancyValue(v // g, b * n // g, a // gw, b // gw, side)
 
 
 # slice length of the passes that would otherwise hold a second n-length
@@ -859,18 +856,15 @@ def _band_maximum(
 ) -> DiscrepancyValue:
     # exact max of max(u, 1 - u) over the tracked points a/b <= 1/2 with counts
     # c = #{y < a/b} and w = b u = n a - c b, floats picking the near-maximal
-    # ones: u / n is the "left" deviation at a/b and the "at" one at its
-    # mirror 1 - a/b, and (1 - u) / n the "at" deviation at a/b and the "left"
-    # one at 1 - a/b
+    # ones: u / n is the "left" deviation at a/b and (1 - u) / n the "at" one.
+    # Its mirror 1 - a/b ties both at a larger threshold, so by _confirm's tie
+    # rule it never wins; 1/2, its own mirror, has u = 1/2 and is in both picks
     u = w / b
-    cut = max(float(u.max()), 1.0 - float(u.min())) - n * 2.0**-30
-    cand: list[tuple[int, int, int, str]] = []
+    cut = max(float(u.max()), 1.0 - float(u.min())) - n * _FILTER_MARGIN
     hi = u >= cut
-    for ai, bi, ci in zip(a[hi].tolist(), b[hi].tolist(), c[hi].tolist()):
-        cand += [(ai, bi, ci, "left"), (bi - ai, bi, n - ci, "at")]
     lo = u <= 1.0 - cut
-    for ai, bi, ci in zip(a[lo].tolist(), b[lo].tolist(), c[lo].tolist()):
-        cand += [(ai, bi, ci + 1, "at"), (bi - ai, bi, n - ci - 1, "left")]
+    cand = [(ai, bi, ci, "left") for ai, bi, ci in zip(*(v[hi].tolist() for v in (a, b, c)))]
+    cand += [(ai, bi, ci + 1, "at") for ai, bi, ci in zip(*(v[lo].tolist() for v in (a, b, c)))]
     return _confirm(cand, n)
 
 
@@ -904,7 +898,10 @@ def _boundary_discrepancies(
     Certified lazy sweep over distinct primes. All values are distinct and
     the multiset is symmetric under x -> 1 - x, so u(x) = N x - #{y < x}
     has u(1 - x) = 1 - u(x), and N D_N* is the maximum of max(u, 1 - u) over
-    the lower half (0, 1/2] alone; 1/2 is its own mirror. A block p moves
+    the lower half (0, 1/2] alone; 1/2 is its own mirror. So is the witness:
+    a deviation at 1 - x > 1/2 ties one at x, from a larger threshold, so
+    only "left" (u / N) and "at" ((1 - u) / N) at each tracked x are
+    confirmed, as star_discrepancy_arrays confirms them. A block p moves
     u(x) by p x - ceil(p x) + 1 - x, in (-x, 1 - x] with x <= 1/2, so it
     moves max(u, 1 - u) by less than 1.
 
@@ -920,7 +917,8 @@ def _boundary_discrepancies(
     lowers the ceiling by 1, so every untracked point stays strictly between
     them; once tracked points that leave both bands are dropped, any
     survivor holds the maximum and every point tying it, and the sweep
-    rebuilds when both bands are empty. A tracked point's count c is its
+    rebuilds when both bands are empty; the first row tracks nothing, so it
+    rebuilds on the same path. A tracked point's count c is its
     store index and its a/b is named from its float by continued fractions
     (_representatives), with the largest prime merged so far as the bound
     on b, since blocks may come in any order.
@@ -947,32 +945,31 @@ def _boundary_discrepancies(
     store = np.empty(sum(p // 2 for p in primes))
     size = max_den = 0
     pending: list[int] = []
-    n = 0
+    n = floor = 0
+    val, near = store[:0], []
     # tracked points a/b <= 1/2 with exact counts c, each in a band
-    a = b = c = None
-    floor = 0
+    a, b, c = (np.empty(0, dtype=np.int64) for _ in range(3))
     for m, p in enumerate(primes, 1):
         n += p - 1
         pending.append(p)
         if m < m_lo:
             continue
-        if a is not None:
-            floor += 1
-            c += a * p // b
-            j = _beside(near, p)
-            q = np.array(pending[:-1], dtype=np.int64)
-            cj = np.searchsorted(val, j / p) + (j - 1) + (np.multiply.outer(j, q) // p).sum(axis=1)
-            a = np.concatenate([a, j])
-            b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
-            c = np.concatenate([c, cj])
-            w = n * a - c * b
-            keep = _bands(w, b, floor)
-        if a is None or not keep.any():
+        floor += 1
+        c += a * p // b
+        j = _beside(near, p)
+        q = np.array(pending[:-1], dtype=np.int64)
+        cj = np.searchsorted(val, j / p) + (j - 1) + (np.multiply.outer(j, q) // p).sum(axis=1)
+        a = np.concatenate([a, j])
+        b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
+        c = np.concatenate([c, cj])
+        w = n * a - c * b
+        keep = _bands(w, b, floor)
+        if not keep.any():
             size = _merge_lower_halves(store, size, pending)
             max_den = max(max_den, *pending)
             pending.clear()
             val = store[:size]
-            margin = n * 2.0**-30  # far above the float error of u, about n 2^-52
+            margin = n * _FILTER_MARGIN
 
             def floor_below(top: float) -> int:
                 return math.floor(top - margin) - _BAND_WIDTH
