@@ -24,6 +24,7 @@ import numpy as np
 from .asymptotics import _residual, lambert_w, verify_theorem
 from .discrepancy import (
     _FLOAT_SAFE_DEN,
+    _FLOAT_SAFE_PRIME_N,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
     _block_maxima,
@@ -190,6 +191,13 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
             raise UsageError("--family requires --n")
         family = SequenceFamily(args.family)
         n = args.n
+        # refused from n alone: the table covering n costs time and memory in
+        # proportion to its largest prime before any denominator is checked
+        if family is not SequenceFamily.OMEGA and n > _FLOAT_SAFE_PRIME_N:
+            raise ValueError(
+                f"N={n} > {_FLOAT_SAFE_PRIME_N}: the prefix reaches a prime block "
+                f"past {_FLOAT_SAFE_DEN}, the denominator limit"
+            )
         dv = prefix_discrepancy(family, n, _family_table(family, n))
     fields = {
         "n": n,

@@ -33,6 +33,10 @@ DEFAULT_SWEEP_LIMIT = 30_000
 # float order of a/b vs c/d is faithful while b*d < 2^52; stay well inside
 _FLOAT_SAFE_DEN = 1 << 26
 
+# P(pi(2^26)), the points of the prime blocks up to 67108859, the last
+# prime below 2^26: a longer prime-family prefix reaches a larger block
+_FLOAT_SAFE_PRIME_N = 128_615_910_681_815
+
 # float candidates sit within ~1e-15 of their exact values, so anything this
 # close to the float maximum is confirmed exactly
 _FILTER_MARGIN = 1e-12
@@ -112,15 +116,15 @@ def _checked_arrays(num, den) -> tuple[np.ndarray, np.ndarray]:
     """
     num = np.asarray(num)
     den = np.asarray(den)
-    # an empty list becomes float64, so emptiness is named before the dtype
+    # an empty list becomes float64, so size and shape are named before the dtype
     if num.size == 0:
         raise ValueError("points must be nonempty")
-    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
-        raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
     if num.ndim != 1:
         raise ValueError(f"expected a 1-D numerator array, got shape {num.shape}")
     if den.ndim and num.shape != den.shape:
         raise ValueError("num and den must have equal length")
+    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
+        raise ValueError(f"expected integer arrays, got {num.dtype} and {den.dtype}")
     # uint64 values beyond int64 wrap negative here and fail the range check
     num = num.astype(np.int64, copy=False)
     den = den.astype(np.int64, copy=False)
@@ -267,14 +271,14 @@ def _near_maximal(
     extremes of u, each shifted by its count, give them. top is the maximum
     of max(w, 1 - w) over every series and point, and with t =
     threshold(top) only the chunks whose extremes reach t or 1 - t are made
-    again. Returns top; per series the store indices and the values with w
-    >= t, then those with w <= 1 - t, in store order; and per series the
-    store index from which each step counts, searchsorted(store, v, the
+    again. Returns top; per series one pick set, the store index, value and
+    w of every point with w >= t or w <= 1 - t, in store order; per series
+    the store index from which each step counts, searchsorted(store, v, the
     other side), placed as the first pass meets the steps; and the store
     index range [lo, hi) of each chunk made again, in order. The one float
     pass of the sorted evaluators: star_discrepancy_arrays,
     prefix_discrepancy and every rebuild of the boundary sweep, which alone
-    reads the ranges.
+    reads the ranges. Their picks go to _picked_maximum.
     """
     extremes = []
     counted_from = [np.empty(v.size, dtype=np.int64) for v, _ in steps]
@@ -304,8 +308,8 @@ def _near_maximal(
         counted_from[s][placed[s] :] = lo
     top = max((max(hi, 1.0 - low) for *_, row in extremes for hi, low in row), default=-math.inf)
     t = threshold(top)
-    # per series: indices and values with w >= t, then with w <= 1 - t
-    found = [[[_EMPTY], [np.empty(0)], [_EMPTY], [np.empty(0)]] for _ in steps]
+    # per series: the indices, values and w with w >= t or w <= 1 - t
+    found = [[[_EMPTY], [np.empty(0)], [np.empty(0)]] for _ in steps]
     rescanned = []
     for i, lo, row in extremes:
         if all(hi < t and lw > 1.0 - t for hi, lw in row):
@@ -315,11 +319,27 @@ def _near_maximal(
         u = _deviation(val, n, lo)
         for s, (_, starts, counts) in enumerate(_series(val, steps)):
             w = u - np.repeat(counts.astype(np.float64), np.diff(starts, append=val.size))
-            high, low = np.flatnonzero(w >= t), np.flatnonzero(w <= 1.0 - t)
-            for part, x in zip(found[s], (lo + high, val[high], lo + low, val[low])):
+            pick = np.flatnonzero((w >= t) | (w <= 1.0 - t))
+            for part, x in zip(found[s], (lo + pick, val[pick], w[pick])):
                 part.append(x)
     found = [tuple(map(np.concatenate, parts)) for parts in found]
     return top, found, counted_from, rescanned
+
+
+def _picked_maximum(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, u: np.ndarray, n: int
+) -> DiscrepancyValue:
+    # the exact maximum over picked points a/b at sorted index c, with float
+    # u = n a / b - c: u / n is the "left" deviation at count c and (1 - u) / n
+    # the "at" one at count c + 1. Floats keep the picks within the filter
+    # margin of the largest, and _confirm decides among them. The one step
+    # from float picks to exact candidates of every sorted evaluator
+    cut = max(float(u.max()), 1.0 - float(u.min())) - n * _FILTER_MARGIN
+    hi = u >= cut
+    lo = u <= 1.0 - cut
+    cand = [(ai, bi, ci, "left") for ai, bi, ci in zip(*(v[hi].tolist() for v in (a, b, c)))]
+    cand += [(ai, bi, ci + 1, "at") for ai, bi, ci in zip(*(v[lo].tolist() for v in (a, b, c)))]
+    return _confirm(cand, n)
 
 
 def _representatives(values: np.ndarray, max_den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,10 +394,10 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     The sorted-multiset evaluator of arbitrary points (star_discrepancy,
     disc --input, triangle_bound and BlockAccumulator feed it) and the one
     place that chooses floats or exact sorting for them. Up to a largest
-    denominator of 2^26 it divides once, sorts the values alone, runs the
-    float pass (_near_maximal) of every sorted evaluator and names each
-    near-maximal point from its own float (_representatives): num and den
-    are read only for the check, the divide and the maximum denominator.
+    denominator of 2^26 it divides once, sorts the values alone, picks
+    with _near_maximal, names each pick from its own float (_representatives)
+    and confirms with _picked_maximum: num and den are read only for the
+    check, the divide and the maximum denominator.
     Larger denominators, which floats could misorder, take the exact sort.
     Non-integer arrays are rejected rather than truncated.
     """
@@ -390,13 +410,10 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     n = val.size
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    _, [(left, left_val, at, at_val)], *_ = _near_maximal(
+    _, [(i, x, u)], *_ = _near_maximal(
         *_slices(val), n, [_NO_STEPS], lambda top: top - n * _FILTER_MARGIN
     )
-    a, b = _representatives(np.concatenate([at_val, left_val]), max_den)
-    count = np.concatenate([at + 1, left])
-    side = ["at"] * at.size + ["left"] * left.size
-    return _confirm(list(zip(a.tolist(), b.tolist(), count.tolist(), side)), n)
+    return _picked_maximum(*_representatives(x, max_den), i, u, n)
 
 
 def prefix_discrepancy(
@@ -439,10 +456,11 @@ def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> Discre
       read off L, through K' when K_t > 1/2.
 
     Both step counts are value series of _near_maximal, so one pass over
-    the chunks evaluates every point of L and its mirror; the same pass
-    places each K in L (#{L <= K}) and each K' (#{L < K'}), which gives
-    the k cut points' indices, and they are evaluated directly and named as
-    (cut, q). Nothing of size N_W is allocated.
+    the chunks picks points of L and of its mirror and places each K in L
+    (#{L <= K}) and each K' (#{L < K'}), which gives the k cut points'
+    indices. One _picked_maximum confirms the picks of L, (a, b, index, u),
+    of the mirror, (b - a, b, index, 1 - v), and every cut point, (cut, q,
+    index, n K - index). Nothing of size N_W is allocated.
     """
     n_whole = sum(d - 1 for d in whole)
     k = cut.size
@@ -450,40 +468,21 @@ def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> Discre
     c = np.sort(cut)
     kappa = c / q
     # below[t] = #{L <= K_t}, and upto = #{L < K'} over the ascending K'
-    top, [stored, mirrored], [below, upto], _ = _near_maximal(
+    _, [(i, x, u), (j, y, v)], [below, upto], _ = _near_maximal(
         *_lower_half_chunks(whole),
         n,
         [(kappa, "left"), ((q - c[::-1]) / q, "right")],
         lambda top: top - n * _FILTER_MARGIN,
     )
     idx = np.where(2 * c > q, n_whole - upto[::-1], below) + np.arange(k)
-    u = n * kappa - idx
-    # the store's candidates were picked below its own top, which is no
-    # higher than the overall one
-    t = max(top, float(np.maximum(u, 1.0 - u).max()) if k else -math.inf) - n * _FILTER_MARGIN
-    # stored "left" (u >= t) and "at", then mirrored "at" (v >= t) and "left"
-    pos = stored[0::2] + mirrored[0::2]
-    split = np.cumsum([x.size for x in pos[:-1]])
-    pos = np.concatenate(pos)
-    a, b = _representatives(np.concatenate(stored[1::2] + mirrored[1::2]), max(whole, default=1))
-    i = pos + np.searchsorted(below, pos, "right")
-    j = (n - 1) - pos - np.searchsorted(upto, pos, "right")
-    a, b, i, j = (np.split(x, split) for x in (a, b, i, j))
-    hi, lo = u >= t, u <= 1.0 - t
-    groups = [
-        (a[0], b[0], i[0], "left"),
-        (a[1], b[1], i[1] + 1, "at"),
-        (b[2] - a[2], b[2], j[2] + 1, "at"),
-        (b[3] - a[3], b[3], j[3], "left"),
-        (c[hi], np.full(hi.sum(), q), idx[hi], "left"),
-        (c[lo], np.full(lo.sum(), q), idx[lo] + 1, "at"),
+    a, b = _representatives(x, max(whole, default=1))
+    e, f = _representatives(y, max(whole, default=1))
+    points = [
+        (a, b, i + np.searchsorted(below, i, "right"), u),
+        (f - e, f, (n - 1) - j - np.searchsorted(upto, j, "right"), 1.0 - v),
+        (c, np.full(k, q), idx, n * kappa - idx),
     ]
-    cand = [
-        (x, y, z, side)
-        for num, den, count, side in groups
-        for x, y, z in zip(num.tolist(), den.tolist(), count.tolist())
-    ]
-    return _confirm(cand, n)
+    return _picked_maximum(*map(np.concatenate, zip(*points)), n)
 
 
 def star_discrepancy(points: Sequence) -> DiscrepancyValue:
@@ -851,23 +850,6 @@ def _merge_lower_halves(store: np.ndarray, size: int, dens: Sequence[int]) -> in
     return at
 
 
-def _band_maximum(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, w: np.ndarray, n: int
-) -> DiscrepancyValue:
-    # exact max of max(u, 1 - u) over the tracked points a/b <= 1/2 with counts
-    # c = #{y < a/b} and w = b u = n a - c b, floats picking the near-maximal
-    # ones: u / n is the "left" deviation at a/b and (1 - u) / n the "at" one.
-    # Its mirror 1 - a/b ties both at a larger threshold, so by _confirm's tie
-    # rule it never wins; 1/2, its own mirror, has u = 1/2 and is in both picks
-    u = w / b
-    cut = max(float(u.max()), 1.0 - float(u.min())) - n * _FILTER_MARGIN
-    hi = u >= cut
-    lo = u <= 1.0 - cut
-    cand = [(ai, bi, ci, "left") for ai, bi, ci in zip(*(v[hi].tolist() for v in (a, b, c)))]
-    cand += [(ai, bi, ci + 1, "at") for ai, bi, ci in zip(*(v[lo].tolist() for v in (a, b, c)))]
-    return _confirm(cand, n)
-
-
 def _bands(w: np.ndarray, b: np.ndarray, floor: int) -> np.ndarray:
     # the exact band test of points with denominators b and w = b u: the mask
     # of the points in the high band u >= floor or the low band u <= 1 - floor
@@ -901,9 +883,9 @@ def _boundary_discrepancies(
     the lower half (0, 1/2] alone; 1/2 is its own mirror. So is the witness:
     a deviation at 1 - x > 1/2 ties one at x, from a larger threshold, so
     only "left" (u / N) and "at" ((1 - u) / N) at each tracked x are
-    confirmed, as star_discrepancy_arrays confirms them. A block p moves
-    u(x) by p x - ceil(p x) + 1 - x, in (-x, 1 - x] with x <= 1/2, so it
-    moves max(u, 1 - u) by less than 1.
+    confirmed, by _picked_maximum as in every sorted evaluator. A block p
+    moves u(x) by p x - ceil(p x) + 1 - x, in (-x, 1 - x] with x <= 1/2,
+    so it moves max(u, 1 - u) by less than 1.
 
     The store is one float64 array of the lower-half values, 8 bytes per
     point, sized once for every block the sweep will merge. A rebuild writes
@@ -918,10 +900,11 @@ def _boundary_discrepancies(
     them; once tracked points that leave both bands are dropped, any
     survivor holds the maximum and every point tying it, and the sweep
     rebuilds when both bands are empty; the first row tracks nothing, so it
-    rebuilds on the same path. A tracked point's count c is its
-    store index and its a/b is named from its float by continued fractions
-    (_representatives), with the largest prime merged so far as the bound
-    on b, since blocks may come in any order.
+    rebuilds on the same path. The rebuild picks each point near either
+    band once, all of them when the bands overlap. A picked point's count c
+    is its store index and its a/b is named from its float by continued
+    fractions (_representatives), with the largest prime merged so far as
+    the bound on b, since blocks may come in any order.
 
     A new point x = j/p of the s-th block after a rebuild at size N0 has
     u(x) < u0(y+) + s and u(x) > u0(y-) - s/2, with y+ and y- its stored
@@ -974,7 +957,7 @@ def _boundary_discrepancies(
             def floor_below(top: float) -> int:
                 return math.floor(top - margin) - _BAND_WIDTH
 
-            top, [(high, _, low, _)], _, rescanned = _near_maximal(
+            top, [(c, x, _)], _, rescanned = _near_maximal(
                 *_slices(val), n, [_NO_STEPS], lambda top: floor_below(top) - margin
             )
             floor = floor_below(top)
@@ -982,11 +965,9 @@ def _boundary_discrepancies(
                 (float(val[lo - 1]) if lo else 0.0, float(val[hi]) if hi < size else 1.0)
                 for lo, hi in rescanned
             ]
-            # the two bands are disjoint, or overlap and hold every point
-            c = np.concatenate([high, low]) if floor - margin > 0.5 else np.arange(size)
-            a, b = _representatives(val[c], max_den)
+            a, b = _representatives(x, max_den)
             w = n * a - c * b
             keep = _bands(w, b, floor)
         kept = np.flatnonzero(keep)
         a, b, c, w = (v.take(kept) for v in (a, b, c, w))
-        yield _band_maximum(a, b, c, w, n)
+        yield _picked_maximum(a, b, c, w / b, n)

@@ -14,7 +14,7 @@ import primedisc.cli as cli
 import primedisc.discrepancy as discrepancy
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
-from primedisc.primes import build_prime_table
+from primedisc.primes import build_prime_table, sieve_primes
 from primedisc.sequences import SequenceFamily, generate_prefix, prefix_arrays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,6 +199,37 @@ class TestDisc:
         assert code == 2
         assert "requires --n" in err
 
+    @pytest.mark.parametrize("family", ["eta", "prime-increasing"])
+    @pytest.mark.parametrize(
+        "n,refused",
+        # P(pi(2^26)) points end the last prime block below 2^26; one more
+        # reaches a block past it
+        [
+            (discrepancy._FLOAT_SAFE_PRIME_N, False),
+            (discrepancy._FLOAT_SAFE_PRIME_N + 1, True),
+            (10**20, True),
+        ],
+    )
+    def test_prime_family_refused_before_the_table(
+        self, capsys, monkeypatch, family, n, refused
+    ):
+        def no_table(n):
+            raise ValueError("table built")
+
+        monkeypatch.setattr(cli, "table_covering", no_table)
+        code, out, err = run(capsys, "disc", "--family", family, "--n", str(n))
+        assert (code, out) == (1, "")
+        if refused:
+            assert f"N={n}" in err and str(1 << 26) in err
+        else:
+            assert err == "error: table built\n"
+
+    @pytest.mark.slow
+    def test_prime_prefix_limit_ends_the_last_block_below_the_limit(self):
+        primes = sieve_primes(discrepancy._FLOAT_SAFE_DEN)
+        assert (primes.size, int(primes[-1])) == (3_957_809, 67_108_859)
+        assert int((primes - 1).sum()) == discrepancy._FLOAT_SAFE_PRIME_N
+
     def test_input_and_family_conflict(self, capsys):
         code, _, _ = run(capsys, "disc", "--input", "x", "--family", "eta")
         assert code == 2
@@ -332,6 +363,18 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--family", "omega", "--n", "6")
         assert code == 0
         assert len(out.splitlines()) == 7
+
+    def test_family_requires_n(self, capsys):
+        code, out, err = run(capsys, "scan", "--family", "omega")
+        assert (code, out, err) == (2, "", "usage error: --family requires --n\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["--prime", "abc"], ["--family", "omega", "--n", "abc"]], ids=["prime", "n"]
+    )
+    def test_non_integer_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "scan", *argv)
+        assert (code, out) == (2, "")
+        assert "'abc' is not an integer" in err
 
     def test_prefix_of_block(self, capsys):
         code, out, _ = run(capsys, "scan", "--prime", "7", "--n", "3")

@@ -29,7 +29,7 @@ from primedisc.discrepancy import (
     star_discrepancy_oracle,
     triangle_bound,
     weighted_prefix_maxima,
-    _band_maximum,
+    _picked_maximum,
     _blocks_discrepancy,
     _boundary_discrepancies,
     _confirm,
@@ -316,8 +316,11 @@ class TestStarDiscrepancyArrays:
         # an empty list is float64 to numpy, yet named as empty
         with pytest.raises(ValueError, match="nonempty"):
             star_discrepancy_arrays([], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equal length"):
             star_discrepancy_arrays(np.array([1]), np.array([2, 3]))
+        # an empty den list is float64 to numpy, yet named by its length
+        with pytest.raises(ValueError, match="equal length"):
+            star_discrepancy_arrays([1], [])
         with pytest.raises(ValueError):
             star_discrepancy_arrays(np.array([2]), np.array([2]))
 
@@ -741,13 +744,12 @@ class TestNearMaximal:
         assert rescanned == [
             (lo, hi) for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()) if reach[lo:hi].any()
         ]
-        for w, (high, high_val, low, low_val), (v, side), start in zip(
-            ws, near, steps, counted_from
-        ):
-            assert high.tolist() == np.flatnonzero(w >= top - width).tolist()
-            assert low.tolist() == np.flatnonzero(w <= 1 - (top - width)).tolist()
-            assert high_val.tolist() == val[high].tolist()
-            assert low_val.tolist() == val[low].tolist()
+        for w, (pick, pick_val, pick_w), (v, side), start in zip(ws, near, steps, counted_from):
+            # one pick set: each point with w >= t or w <= 1 - t once, in order
+            want = np.flatnonzero((w >= top - width) | (w <= 1 - (top - width)))
+            assert pick.tolist() == want.tolist()
+            assert pick_val.tolist() == val[want].tolist()
+            assert pick_w.tolist() == w[want].tolist()
             other = "right" if side == "left" else "left"
             assert start.tolist() == np.searchsorted(val, v, other).tolist()
 
@@ -1525,7 +1527,7 @@ class TestBandMaximum:
         n = len(pts)
         a, b = (np.array(v, dtype=np.int64) for v in zip(*lower))
         c = np.array([count_below(pts, Fraction(x, y)) for x, y in lower], dtype=np.int64)
-        assert _band_maximum(a, b, c, n * a - c * b, n) == star_discrepancy_oracle(pts)
+        assert _picked_maximum(a, b, c, (n * a - c * b) / b, n) == star_discrepancy_oracle(pts)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_tie_heavy_multisets(self, monkeypatch, seed):
@@ -1551,8 +1553,27 @@ class TestBandMaximum:
                 n = len(pts)
                 a, b = (np.array(v, dtype=np.int64) for v in zip(*lower))
                 c = np.array([count_below(pts, Fraction(x, y)) for x, y in lower], dtype=np.int64)
-                assert _band_maximum(a, b, c, n * a - c * b, n) == star_discrepancy_oracle(pts)
+                got = _picked_maximum(a, b, c, (n * a - c * b) / b, n)
+                assert got == star_discrepancy_oracle(pts)
         assert len(seen) >= 50 and all(2 * a <= b for a, b, _, _ in seen)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_repeated_values_at_their_own_indices(self, seed):
+        # the contract of every sorted evaluator: each point a/b at its own
+        # sorted index c, repeated and unreduced values included (1/3, 2/6,
+        # 1/3), in multisets with no symmetry; omega-like points over
+        # denominators below 13, drawn with replacement, with and without 1/2
+        rng = np.random.default_rng(seed)
+        omega = [(j, q) for q in range(2, 13) for j in range(1, q) if 2 * j != q]
+        for half in ([], [(1, 2)], [(3, 6), (1, 2), (2, 4)]):
+            for _ in range(10):
+                pick = rng.choice(len(omega), int(rng.integers(1, 40)))
+                pts = sorted([omega[i] for i in pick] + half, key=lambda ab: Fraction(*ab))
+                n = len(pts)
+                a, b = (np.array(v, dtype=np.int64) for v in zip(*pts))
+                c = np.arange(n)
+                got = _picked_maximum(a, b, c, (n * a - c * b) / b, n)
+                assert got == star_discrepancy_oracle(pts)
 
 
 class TestConfirm:
@@ -1720,18 +1741,18 @@ class TestBoundarySweep:
         if slice_len:
             monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
         seen = []
-        bands, band_maximum = discrepancy._bands, discrepancy._band_maximum
+        bands, picked_maximum = discrepancy._bands, discrepancy._picked_maximum
 
         def recorded_bands(w, b, floor):
             seen.append(floor)
             return bands(w, b, floor)
 
-        def recorded_maximum(a, b, c, w, n):
+        def recorded_maximum(a, b, c, u, n):
             seen.append((a.tolist(), b.tolist(), c.tolist(), n))
-            return band_maximum(a, b, c, w, n)
+            return picked_maximum(a, b, c, u, n)
 
         monkeypatch.setattr(discrepancy, "_bands", recorded_bands)
-        monkeypatch.setattr(discrepancy, "_band_maximum", recorded_maximum)
+        monkeypatch.setattr(discrepancy, "_picked_maximum", recorded_maximum)
         monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
         assert list(_boundary_discrepancies(primes, 3, 110)) == reference[2:110]
         rows = [(seen[i - 1], seen[i]) for i in range(1, len(seen)) if isinstance(seen[i], tuple)]
