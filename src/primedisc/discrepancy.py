@@ -15,6 +15,7 @@ precision integers before it may win.
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 from dataclasses import dataclass
@@ -163,7 +164,8 @@ def _confirm(cand: list[tuple[int, int, int, str]], n: int) -> DiscrepancyValue:
 
 
 # slice length of the passes that would otherwise hold a second n-length
-# array; their few 128 KiB temporaries stay small next to 8 B per point
+# array, whose few 128 KiB temporaries stay small next to 8 B per point,
+# and the mean size of the boundary sweep's chunks at its last block
 _SLICE = 1 << 14
 
 # values per chunk of a generated lower half, on average: its O(m) bounds
@@ -172,17 +174,32 @@ _SLICE = 1 << 14
 _CHUNK = 1 << 16
 
 
-def _deviation(val: np.ndarray, n: int, lo: int) -> np.ndarray:
+@functools.cache
+def _ramp(size: int = _SLICE) -> np.ndarray:
+    # 0, 1, 2, ... in float64, one default slice long, made at first use and
+    # shared: the index ramp of every _deviation slice
+    return np.arange(float(size))
+
+
+def _deviation(val: np.ndarray, n: int, lo: int | np.ndarray) -> np.ndarray:
     """u = n x_(i) - i for i = lo, lo + 1, ... over the chunk val at index lo.
 
     val holds sorted values and n the size of the whole multiset. Over a
     whole multiset u is n times the "left" deviation at x_(i) and 1 - u is n
-    times the "at" deviation there. The boundary store passes its distinct
+    times the "at" deviation there. The boundary sweep passes its distinct
     values of (0, 1/2] with n counting both halves, so i = #{y < x_(i)}
-    still. Callers go chunk by chunk: no n-length deviation array is held.
+    still, and for a batch of its chunks lo is one float per value, so that
+    value k has index lo[k] + k. Callers go chunk by chunk: no n-length
+    deviation array is held. The indices come from slices of one shared
+    ramp, exact below 2^53, and each u is one correctly rounded subtraction;
+    the temporaries are one ramp slice long.
     """
-    u = val * n
-    u -= np.arange(lo, lo + u.size, dtype=np.float64)
+    ramp = _ramp()
+    u = np.empty_like(val)
+    for k in range(0, val.size, ramp.size):
+        part = u[k : k + ramp.size]
+        np.add(ramp[: part.size], (lo[k : k + part.size] if np.ndim(lo) else lo) + k, out=part)
+        np.subtract(val[k : k + part.size] * n, part, out=part)
     return u
 
 
@@ -201,30 +218,53 @@ def _slices(val: np.ndarray) -> tuple[Callable[[int], np.ndarray], int]:
     return (lambda i: val[i * _SLICE : (i + 1) * _SLICE]), -(-val.size // _SLICE)
 
 
+def _chunk_bounds(d, t, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # the one edge arithmetic of the lower-half chunks: of count = T chunks,
+    # chunk t holds the values j / d in (t / 2T, (t + 1) / 2T], first < j <=
+    # first + size with first = floor(d t / 2T). A value on an edge belongs
+    # to the lower chunk, so first also counts the values j / d <= t / 2T.
+    # Either d or t may be an array
+    first = d * t // (2 * count)
+    return first, d * (t + 1) // (2 * count) - first
+
+
+def _chunk_values(
+    d: np.ndarray, dens: np.ndarray, ts: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the values j / d, d in d (dens its floats), of the chunks ts, unsorted,
+    # one run per chunk and d, chunk by chunk: with ts ascending, one sort
+    # of them sorts each chunk in place, as the chunks' intervals are
+    # disjoint and in order. Also each run's first and offset in the
+    # values, and each chunk's size and start index, the closed form
+    # sum_d floor(d t / 2T). In floats, exact below 2^53: each run counts
+    # up from first + 1, then one correctly rounded divide
+    first, size = _chunk_bounds(d, ts[:, None], count)
+    runs = size.ravel()
+    val = np.arange(runs.sum(), dtype=np.float64)
+    offsets = np.cumsum(runs) - runs
+    val -= np.repeat((offsets - first.ravel() - 1).astype(np.float64), runs)
+    val /= np.repeat(np.tile(dens, ts.size), runs)
+    return val, first.ravel(), offsets, size.sum(axis=1), first.sum(axis=1)
+
+
 def _lower_half_chunks(whole: Sequence[int]) -> tuple[Callable[[int], np.ndarray], int]:
     """The chunk source of the sorted values j / d, 1 <= j <= d / 2, d in whole.
 
     With T chunks of about _CHUNK values, chunk t holds the values in
     (t / 2T, (t + 1) / 2T]: floor(d t / 2T) < j <= floor(d (t + 1) / 2T)
-    for every d, exact integer edges, so each value lands in exactly one
-    chunk and the sorted chunks in order are the sorted lower half. Chunk t
-    costs O(m) for its bounds, m = len(whole), and a sort of its own values;
-    it is made again on demand, and nothing of the half's size is held.
-    With every d <= 2^26 the half holds under 2^50 values, so while _CHUNK
-    >= 2^14 every d (t + 1) stays below 2^63.
+    for every d, exact integer edges (_chunk_bounds), so each value lands
+    in exactly one chunk and the sorted chunks in order are the sorted
+    lower half. Chunk t costs O(m) for its bounds, m = len(whole), and a
+    sort of its own values; it is made again on demand, and nothing of the
+    half's size is held. With every d <= 2^26 the half holds under 2^50
+    values, so while _CHUNK >= 2^14 every d (t + 1) stays below 2^63.
     """
     d = np.array(whole, dtype=np.int64)
     dens = d.astype(np.float64)
     count = -(-int((d // 2).sum()) // _CHUNK)
 
     def chunk(t: int) -> np.ndarray:
-        first = d * t // (2 * count)
-        size = d * (t + 1) // (2 * count) - first
-        # in floats, exact below 2^53: the run of each d counts up from
-        # first + 1, then one correctly rounded divide
-        val = np.arange(size.sum(), dtype=np.float64)
-        val -= np.repeat((np.cumsum(size) - size - first - 1).astype(np.float64), size)
-        val /= np.repeat(dens, size)
+        val = _chunk_values(d, dens, np.array([t]), count)[0]
         val.sort()
         return val
 
@@ -258,7 +298,7 @@ def _near_maximal(
     n: int,
     steps: Sequence[tuple[np.ndarray, str]],
     threshold: Callable[[float], float],
-) -> tuple[float, list[tuple[np.ndarray, ...]], list[np.ndarray], list[tuple[int, int]]]:
+) -> tuple[float, list[tuple[np.ndarray, ...]], list[np.ndarray]]:
     """The points of a sorted store near the maximum of max(w, 1 - w).
 
     The store is read chunk by chunk: chunk(i), i < count, makes the sorted
@@ -274,11 +314,9 @@ def _near_maximal(
     again. Returns top; per series one pick set, the store index, value and
     w of every point with w >= t or w <= 1 - t, in store order; per series
     the store index from which each step counts, searchsorted(store, v, the
-    other side), placed as the first pass meets the steps; and the store
-    index range [lo, hi) of each chunk made again, in order. The one float
-    pass of the sorted evaluators: star_discrepancy_arrays,
-    prefix_discrepancy and every rebuild of the boundary sweep, which alone
-    reads the ranges. Their picks go to _picked_maximum.
+    other side), placed as the first pass meets the steps. The one float
+    pass of the sorted evaluators star_discrepancy_arrays and
+    prefix_discrepancy; their picks go to _picked_maximum.
     """
     extremes = []
     counted_from = [np.empty(v.size, dtype=np.int64) for v, _ in steps]
@@ -310,12 +348,10 @@ def _near_maximal(
     t = threshold(top)
     # per series: the indices, values and w with w >= t or w <= 1 - t
     found = [[[_EMPTY], [np.empty(0)], [np.empty(0)]] for _ in steps]
-    rescanned = []
     for i, lo, row in extremes:
         if all(hi < t and lw > 1.0 - t for hi, lw in row):
             continue
         val = chunk(i)
-        rescanned.append((lo, lo + val.size))
         u = _deviation(val, n, lo)
         for s, (_, starts, counts) in enumerate(_series(val, steps)):
             w = u - np.repeat(counts.astype(np.float64), np.diff(starts, append=val.size))
@@ -323,7 +359,7 @@ def _near_maximal(
             for part, x in zip(found[s], (lo + pick, val[pick], w[pick])):
                 part.append(x)
     found = [tuple(map(np.concatenate, parts)) for parts in found]
-    return top, found, counted_from, rescanned
+    return top, found, counted_from
 
 
 def _picked_maximum(
@@ -410,7 +446,7 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     n = val.size
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    _, [(i, x, u)], *_ = _near_maximal(
+    _, [(i, x, u)], _ = _near_maximal(
         *_slices(val), n, [_NO_STEPS], lambda top: top - n * _FILTER_MARGIN
     )
     return _picked_maximum(*_representatives(x, max_den), i, u, n)
@@ -468,7 +504,7 @@ def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> Discre
     c = np.sort(cut)
     kappa = c / q
     # below[t] = #{L <= K_t}, and upto = #{L < K'} over the ascending K'
-    _, [(i, x, u), (j, y, v)], [below, upto], _ = _near_maximal(
+    _, [(i, x, u), (j, y, v)], [below, upto] = _near_maximal(
         *_lower_half_chunks(whole),
         n,
         [(kappa, "left"), ((q - c[::-1]) / q, "right")],
@@ -833,43 +869,104 @@ class BlockAccumulator:
 _BAND_WIDTH = 12
 
 
-def _merge_lower_halves(store: np.ndarray, size: int, dens: Sequence[int]) -> int:
-    # writes the sorted lower halves of the blocks in dens (_lower_half_chunks)
-    # after the sorted run store[:size], chunk by chunk, and returns the
-    # filled length. Into an empty store the chunks alone are the sorted
-    # run; after that timsort ("stable") merges the two runs in one pass,
-    # with a buffer the size of the short new one
-    chunk, count = _lower_half_chunks(dens)
-    at = size
-    for t in range(count):
-        val = chunk(t)
-        store[at : at + val.size] = val
-        at += val.size
-    if size:
-        store[:at].sort(kind="stable")
-    return at
-
-
 def _bands(w: np.ndarray, b: np.ndarray, floor: int) -> np.ndarray:
     # the exact band test of points with denominators b and w = b u: the mask
     # of the points in the high band u >= floor or the low band u <= 1 - floor
     return (w >= floor * b) | (b - w >= floor * b)
 
 
-def _beside(near: list[tuple[float, float]], p: int) -> np.ndarray:
-    # the j in [1, p // 2] with j / p inside some interval (lo, hi) of near,
-    # ends ascending, each j once. An end is 0, 1 or the float x of a stored
-    # a/b, b != p: p a / b lies at least 1 / b from an integer and the float
-    # error of p x is below p 2^-53 < 1 / b (b, p <= 2^26), so floor and
-    # ceil of p x are exact
-    runs, first = [_EMPTY], 1
-    for lo, hi in near:
-        first = max(first, math.floor(lo * p) + 1)
-        stop = min(math.ceil(hi * p), p // 2 + 1)
-        if stop > first:
-            runs.append(np.arange(first, stop))
-            first = stop
-    return np.concatenate(runs)
+def _beside(held: np.ndarray, count: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # the j in [1, p // 2] with j / p in a held chunk t of count, (t / 2T,
+    # (t + 1) / 2T], ascending, and the position in held of each one's chunk.
+    # Exact integer ranges: the edges of _chunk_bounds
+    first, size = _chunk_bounds(p, held, count)
+    j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first - 1, size)
+    return j, np.repeat(np.arange(held.size), size)
+
+
+def _rebuild(
+    d: np.ndarray, dens: np.ndarray, count: int, n: int, cert: np.ndarray, made: np.ndarray
+) -> tuple[int, np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The new floor and tracked points of the boundary sweep at m = d.size blocks.
+
+    cert holds per chunk its certificate (hi, lo) and made the block count
+    it was made at, 0 for never (then cert is (inf, -inf)); both are
+    updated in place for every chunk made here. After s blocks a chunk's
+    points have max(u, 1 - u) < key = max(hi, 1 - lo) + s, so the chunks
+    are made in decreasing key, sorted once for their extremes, until the
+    key falls below the threshold floor_below(top) - margin of the best top
+    so far: no chunk left can hold a point that reaches it, so top is the
+    maximum over every point. The held chunks, made here with a
+    certificate that reaches the final threshold, are made again with an
+    argsort, and their points with u >= threshold or u <= 1 - threshold are
+    picked, each named a = j, b = d from the run it came from, with count c
+    its start index plus its sorted position. Chunks are made a batch at a
+    time, one sort per batch: one chunk once chunks are full, many while
+    they are small. Returns the floor, the held chunks in order, the picks
+    (a, b, c), the held chunks' sorted values end to end, and per held
+    chunk its start index less its offset there.
+    """
+    m = d.size
+    margin = n * _FILTER_MARGIN
+    # chunks per batch: at most _CHUNK run edges, and no more values than
+    # the batch's edges or a full chunk (_SLICE), whichever is more; the
+    # first rebuild makes every chunk, so there _CHUNK values
+    half, edges = int((d // 2).sum()), _CHUNK // m
+    per = _SLICE if made.any() else _CHUNK
+    batch = max(1, edges if half <= m * count else min(edges, per * count // half))
+
+    def floor_below(top: float) -> int:
+        return math.floor(top - margin) - _BAND_WIDTH
+
+    key = np.maximum(cert[:, 0], 1.0 - cert[:, 1]) + (m - made)
+    by_key = np.argsort(-key)
+    sizes = np.zeros(count, dtype=np.int64)
+    top = -math.inf
+    for i in range(0, count, batch):
+        if top > -math.inf and key[by_key[i]] < floor_below(top) - margin:
+            break
+        ts = np.sort(by_key[i : i + batch])
+        val, _, _, size, start = _chunk_values(d, dens, ts, count)
+        val.sort()
+        offset = np.cumsum(size) - size
+        # the value at index i of the sorted batch has count i + step
+        step = start - offset
+        u = _deviation(val, n, np.repeat(step.astype(np.float64), size))
+        # U(e) = n e - #{y <= e} at the chunks' edges e = t / 2T, (t + 1) / 2T
+        hi = n * (ts + 1.0) / (2 * count) - (start + size)
+        lo = n * (ts + 0.0) / (2 * count) - start
+        full = np.flatnonzero(size)
+        if full.size:
+            hi[full] = np.maximum(hi[full], np.maximum.reduceat(u, offset[full]))
+            lo[full] = np.minimum(lo[full], np.minimum.reduceat(u, offset[full]))
+            top = max(top, float(u.max()), 1.0 - float(u.min()))
+        cert[ts, 0], cert[ts, 1] = hi, lo
+        made[ts], sizes[ts] = m, size
+    floor = floor_below(top)
+    t_min = floor - margin
+    held = np.flatnonzero((made == m) & ((cert[:, 0] >= t_min) | (cert[:, 1] <= 1.0 - t_min)))
+    values = np.empty(int(sizes[held].sum()))
+    picks, shift = [], []
+    base = 0
+    for i in range(0, held.size, batch):
+        ts = held[i : i + batch]
+        val, first, offsets, size, start = _chunk_values(d, dens, ts, count)
+        order = val.argsort()
+        val = np.take(val, order, out=values[base : base + val.size])
+        step = start - (np.cumsum(size) - size)
+        steps = np.repeat(step.astype(np.float64), size)
+        u = _deviation(val, n, steps)
+        pick = np.flatnonzero((u >= t_min) | (u <= 1.0 - t_min))
+        # each pick's run: the last one starting at or before it, as an
+        # empty run starts where the next one does
+        src = order[pick]
+        run = np.searchsorted(offsets, src, "right") - 1
+        c = (pick + steps[pick]).astype(np.int64)
+        picks.append((src - offsets[run] + first[run] + 1, d[run % m], c))
+        shift.append(step - base)
+        base += val.size
+    abc = tuple(map(np.concatenate, zip(*picks)))
+    return floor, held, abc, values, np.concatenate(shift)
 
 
 def _boundary_discrepancies(
@@ -883,89 +980,88 @@ def _boundary_discrepancies(
     the lower half (0, 1/2] alone; 1/2 is its own mirror. So is the witness:
     a deviation at 1 - x > 1/2 ties one at x, from a larger threshold, so
     only "left" (u / N) and "at" ((1 - u) / N) at each tracked x are
-    confirmed, by _picked_maximum as in every sorted evaluator. A block p
-    moves u(x) by p x - ceil(p x) + 1 - x, in (-x, 1 - x] with x <= 1/2,
+    confirmed, by _picked_maximum as in every sorted evaluator. A block q
+    moves u(x) by q x - ceil(q x) + 1 - x, in (-x, 1 - x] with x <= 1/2,
     so it moves max(u, 1 - u) by less than 1.
 
-    The store is one float64 array of the lower-half values, 8 bytes per
-    point, sized once for every block the sweep will merge. A rebuild writes
-    the pending blocks' sorted lower halves after the held run, one
-    generated chunk at a time (_lower_half_chunks), and merges the two runs
-    (_merge_lower_halves). One float pass (_near_maximal) then keeps each
-    slice's max and min of u and picks an integer floor F0 below the maximum
-    by the band width; only the slices whose extremes reach it are scanned
-    again. The sweep tracks exactly the two bands: the high band u >= floor
-    and the low band u <= ceil = 1 - floor. Each block raises the floor and
-    lowers the ceiling by 1, so every untracked point stays strictly between
-    them; once tracked points that leave both bands are dropped, any
-    survivor holds the maximum and every point tying it, and the sweep
-    rebuilds when both bands are empty; the first row tracks nothing, so it
-    rebuilds on the same path. The rebuild picks each point near either
-    band once, all of them when the bands overlap. A picked point's count c
-    is its store index and its a/b is named from its float by continued
-    fractions (_representatives), with the largest prime merged so far as
-    the bound on b, since blocks may come in any order.
+    Nothing of the half's size is held. The half is cut once into T chunks
+    of about _SLICE values at m_hi, chunk t the values in (e_t, e_{t+1}],
+    e_t = t / 2T (_chunk_bounds); at any m chunk t is made from primes[:m]
+    in O(m) for its edges plus a sort of its own values, and its start
+    index is the closed form S_t = #{y <= e_t} = sum_d floor(d t / 2T). A
+    chunk made at m_t carries a certificate: hi = max(max u, U(e_{t+1}))
+    and lo = min(min u, U(e_t)) over its points, with U(e) = n e - #{y <=
+    e} at the edges, all at m_t. s >= 1 blocks later every lower-half point
+    x of the chunk, old or new, has lo - s < u(x) < hi + s. Proof: write
+    C(z) for #{y < z} at a point z and #{y <= e} at an edge e, all at m_t,
+    so that u_t(z) = n_t z - C(z) is u at a point and U at an edge. Above,
+    let z be the smallest point present at m_t with z >= x in the chunk,
+    or e_{t+1} if there is none. Then C(z) = #{y < x} at m_t, so u(x) -
+    u_t(z) is the sum over the s blocks q since of (q x - ceil(q x) + 1 -
+    x), each at most 1 - x, less n_t (z - x) >= 0; with u_t(z) <= hi and
+    x > 0, u(x) < hi + s. Below, let z be x itself if x is old, else the
+    largest point present at m_t with z < x in the chunk, or e_t. Then
+    #{y < x} at m_t is C(z) + 1 for a point z < x and C(z) otherwise, and
+    u(x) - u_t(z) is n_t (x - z) >= 0, less that 1, plus the s block terms,
+    each above -x, where a new x's own block adds 1 - x and pays the 1 (and
+    n_t (x - z) > 0 keeps it strict): u(x) > lo - s x >= lo - s/2. The
+    edge pseudo-values make each bound depend on its own chunk and its age
+    alone.
 
-    A new point x = j/p of the s-th block after a rebuild at size N0 has
-    u(x) < u0(y+) + s and u(x) > u0(y-) - s/2, with y+ and y- its stored
-    successor and predecessor and u0 their u at the rebuild: each earlier
-    pending block q adds frac(q x) - x and block p adds 1 - x. As the floor
-    is then F0 + s, x can reach the high band only if u0(y+) > F0 and the
-    low band only if u0(y-) < 1 - F0, so only beside a slice scanned again.
-    Each rescanned slice of store indices [lo, hi) gives the values in
-    (val[lo - 1], val[hi]), from 0 for the first slice and past 1/2 for the
-    last, and only the j/p inside those intervals (_beside) get an exact
-    count: the stale store's, plus the closed form floor(j q / p) for each
-    earlier pending block q, plus j - 1. Floats only choose what to track;
-    values, witnesses and the certification test are exact.
+    The sweep tracks exactly two bands, the high band u >= floor and the
+    low band u <= ceil = 1 - floor. Each block raises the floor and lowers
+    the ceiling by 1, so every untracked point stays strictly between them;
+    once tracked points that leave both bands are dropped, any survivor
+    holds the maximum and every point tying it. When both bands are empty
+    (at the first row they hold nothing yet) _rebuild makes the chunks
+    whose certificates can reach the new floor, every chunk the first
+    time, and picks the next bands from the held chunks, whose certificates
+    reach its threshold. Every point of a chunk not held has max(u, 1 - u)
+    < F0 + s, s blocks after a rebuild with floor F0, as its key was below
+    the threshold F0 - margin then; the floor has risen to F0 + s, so a new
+    point j/p can reach a band only inside a held chunk: only the j of
+    those chunks' integer ranges (_beside) get an exact count, a
+    binary search into the held chunk's sorted values plus its start index,
+    plus the closed form floor(j q / p) for each block q since the rebuild,
+    plus j - 1. Floats only choose what to track; values, witnesses and the
+    certification test are exact.
     """
     primes = [int(p) for p in primes[:m_hi]]
     p_max = max(primes)
     if p_max > _FLOAT_SAFE_DEN:
         raise ValueError(f"denominator {p_max} too large for the float-sorted engine")
+    # bounds the counts and every chunk edge d (t + 1) < p_max N alike
     if sum(p - 1 for p in primes) * p_max >= 1 << 63:
         raise OverflowError("N * p_m reaches 2^63; the exact counts need int64")
-    store = np.empty(sum(p // 2 for p in primes))
-    size = max_den = 0
-    pending: list[int] = []
+    d = np.array(primes, dtype=np.int64)
+    dens = d.astype(np.float64)
+    count = -(-sum(p // 2 for p in primes) // _SLICE)
+    cert = np.tile([math.inf, -math.inf], (count, 1))
+    made = np.zeros(count, dtype=np.int64)
+    held, val, shift = _EMPTY, np.empty(0), _EMPTY
+    since: list[int] = []
     n = floor = 0
-    val, near = store[:0], []
     # tracked points a/b <= 1/2 with exact counts c, each in a band
     a, b, c = (np.empty(0, dtype=np.int64) for _ in range(3))
     for m, p in enumerate(primes, 1):
         n += p - 1
-        pending.append(p)
+        since.append(p)
         if m < m_lo:
             continue
         floor += 1
         c += a * p // b
-        j = _beside(near, p)
-        q = np.array(pending[:-1], dtype=np.int64)
-        cj = np.searchsorted(val, j / p) + (j - 1) + (np.multiply.outer(j, q) // p).sum(axis=1)
+        j, k = _beside(held, count, p)
+        q = np.array(since[:-1], dtype=np.int64)
+        cj = np.searchsorted(val, j / p) + shift[k] + (j - 1)
+        cj += (np.multiply.outer(j, q) // p).sum(axis=1)
         a = np.concatenate([a, j])
         b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
         c = np.concatenate([c, cj])
         w = n * a - c * b
         keep = _bands(w, b, floor)
         if not keep.any():
-            size = _merge_lower_halves(store, size, pending)
-            max_den = max(max_den, *pending)
-            pending.clear()
-            val = store[:size]
-            margin = n * _FILTER_MARGIN
-
-            def floor_below(top: float) -> int:
-                return math.floor(top - margin) - _BAND_WIDTH
-
-            top, [(c, x, _)], _, rescanned = _near_maximal(
-                *_slices(val), n, [_NO_STEPS], lambda top: floor_below(top) - margin
-            )
-            floor = floor_below(top)
-            near = [
-                (float(val[lo - 1]) if lo else 0.0, float(val[hi]) if hi < size else 1.0)
-                for lo, hi in rescanned
-            ]
-            a, b = _representatives(x, max_den)
+            since.clear()
+            floor, held, (a, b, c), val, shift = _rebuild(d[:m], dens[:m], count, n, cert, made)
             w = n * a - c * b
             keep = _bands(w, b, floor)
         kept = np.flatnonzero(keep)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -32,10 +33,10 @@ from primedisc.discrepancy import (
     _picked_maximum,
     _blocks_discrepancy,
     _boundary_discrepancies,
+    _chunk_values,
     _confirm,
     _deviation,
     _lower_half_chunks,
-    _merge_lower_halves,
     _near_maximal,
     _point_pairs,
     _representatives,
@@ -732,17 +733,23 @@ class TestNearMaximal:
         chunks = [val[lo : lo + chunk_len] for lo in range(0, size, chunk_len)]
         if seed % 2:
             chunks = [x for part in chunks for x in (val[:0], part)] + [val[:0]]
-        top, near, counted_from, rescanned = _near_maximal(
-            chunks.__getitem__, len(chunks), n, steps, lambda top: top - width
+        made = []
+
+        def chunk(i):
+            made.append(i)
+            return chunks[i]
+
+        top, near, counted_from = _near_maximal(
+            chunk, len(chunks), n, steps, lambda top: top - width
         )
         base = n * val - np.arange(size)
         ws = [base - np.searchsorted(v, val, side) for v, side in steps]
         assert top == max(max(w.max(), 1 - w.min()) for w in ws)
-        # the index ranges of the nonempty chunks holding a point near the top
+        # every chunk once, then again only the chunks holding a point near the top
         ends = np.cumsum([0] + [x.size for x in chunks])
         reach = np.any([(w >= top - width) | (w <= 1 - (top - width)) for w in ws], axis=0)
-        assert rescanned == [
-            (lo, hi) for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()) if reach[lo:hi].any()
+        assert made == [*range(len(chunks))] + [
+            i for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])) if reach[lo:hi].any()
         ]
         for w, (pick, pick_val, pick_w), (v, side), start in zip(ws, near, steps, counted_from):
             # one pick set: each point with w >= t or w <= 1 - t once, in order
@@ -1448,53 +1455,49 @@ def lower_halves(primes):
     return sorted(Fraction(j, q) for q in primes for j in range(1, q // 2 + 1))
 
 
-class TestMergeLowerHalves:
-    # chunks of about 1 and 7 values: every batch spans many chunks, in the
-    # first merge (no sort) and in the later merges of two runs
-    @pytest.mark.parametrize("chunk", [1 << 16, 1, 7], ids=["chunk-default", "chunk1", "chunk7"])
-    @pytest.mark.parametrize(
-        "batches",
-        [
-            [[2, 13], [3], [5, 7, 11], [31], [17, 19, 23, 29]],
-            [[31, 29], [23], [19, 17, 13, 11], [7, 5, 3, 2]],
-            [[101, 2, 53, 7], [97, 3], [5, 89, 11, 83, 13]],
-        ],
-        ids=["mixed", "descending", "large-first"],
-    )
-    def test_batches_leave_the_sorted_lower_halves(self, monkeypatch, chunk, batches):
-        monkeypatch.setattr(discrepancy, "_CHUNK", chunk)
-        primes = [q for batch in batches for q in batch]
-        store = np.empty(sum(q // 2 for q in primes))
-        size = 0
-        for i, batch in enumerate(batches, 1):
-            size = _merge_lower_halves(store, size, batch)
-            held = lower_halves([q for batch in batches[:i] for q in batch])
-            assert size == len(held)
-            assert store[:size].tolist() == [float(x) for x in held]
+class TestLowerHalfChunks:
+    """The chunk source of the boundary sweep and of prefix_discrepancy."""
 
-    def test_first_merge_memory(self):
-        # every chunk goes straight into the store and the sorted chunks need
-        # no sort: next to the 8-byte store only a fixed set of chunk
-        # temporaries is held (about 1.4-1.6 MiB), flat in N, and no second
-        # store-sized array (80 MB at primes <= 20000)
-        for pmax, points in ((3000, 200_000), (20_000, 10_000_000)):
-            primes = sieve_primes(pmax).tolist()
-            store = np.empty(sum(q // 2 for q in primes))
-            tracemalloc.start()
-            try:
-                size = _merge_lower_halves(store, 0, primes)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert size == store.size > points
-            assert peak < 4 << 20, pmax
+    @pytest.mark.parametrize("size", [1 << 14, 1, 7], ids=["size-default", "size1", "size7"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chunks_are_the_sorted_lower_half(self, seed, size):
+        # random prime subsets in random order, cut into chunks of about 1, 7
+        # and the default number of values: each chunk holds exactly the
+        # values of its interval, its closed-form start index is its place in
+        # the fully sorted half, and one sort of any ascending batch of chunks
+        # sorts each of them in place
+        rng = np.random.default_rng([27, seed])
+        primes = rng.permutation(sieve_primes(400))[: int(rng.integers(1, 60))].tolist()
+        half = lower_halves(primes)
+        count = -(-len(half) // size)
+        d = np.array(primes, dtype=np.int64)
+        val, first, offsets, sizes, start = _chunk_values(d, d.astype(float), np.arange(count), count)
+        want = [bisect.bisect_right(half, Fraction(t, 2 * count)) for t in range(count)]
+        assert start.tolist() == want
+        assert (start + sizes).tolist() == want[1:] + [len(half)]
+        # run r (chunk r // m, prime r % m) holds first[r] + 1, ... over its
+        # prime from offsets[r] on: the names of the sweep's tracked points
+        ends = np.append(offsets[1:], val.size)
+        named = []
+        for r, (f, lo, hi) in enumerate(zip(first.tolist(), offsets.tolist(), ends.tolist())):
+            q = primes[r % len(primes)]
+            assert val[lo:hi].tolist() == [j / q for j in range(f + 1, f + 1 + hi - lo)]
+            named += [Fraction(j, q) for j in range(f + 1, f + 1 + hi - lo)]
+        assert sorted(named) == half
+        batch = np.flatnonzero(rng.random(count) < 0.5)
+        val, _, _, sizes, start = _chunk_values(d, d.astype(float), batch, count)
+        val.sort()
+        got = np.split(val, np.cumsum(sizes)[:-1])
+        for t, x, s0 in zip(batch.tolist(), got, start.tolist()):
+            assert x.tolist() == [float(v) for v in half[want[t] : want[t] + x.size]]
+            assert s0 == want[t]
 
-    def test_representatives_name_every_stored_value(self):
+    def test_representatives_name_every_chunk_value(self):
         primes = build_prime_table(300).primes
-        store = np.empty(sum(q // 2 for q in primes))
-        size = _merge_lower_halves(store, 0, primes)
-        a, b = _representatives(store[:size], max(primes))
-        assert (a / b == store).all()
+        chunk, count = _lower_half_chunks(primes)
+        values = np.concatenate([chunk(t) for t in range(count)])
+        a, b = _representatives(values, max(primes))
+        assert (a / b == values).all()
         # (a, b) run over every (j, q) exactly once
         q = np.repeat(primes, [q // 2 for q in primes])
         j = np.concatenate([np.arange(1, q // 2 + 1) for q in primes])
@@ -1502,12 +1505,40 @@ class TestMergeLowerHalves:
         assert b[order].tolist() == q.tolist() and a[order].tolist() == j.tolist()
 
     def test_deviations_use_the_whole_multiset(self):
-        # u = N x - #{y < x} with N counting both halves, not the store size
-        store = np.empty(3)
-        _merge_lower_halves(store, 0, [5, 3])
-        got = _deviation(store, 6, 0)
+        # u = N x - #{y < x} with N counting both halves, not the half's size
+        chunk, count = _lower_half_chunks([5, 3])
+        values = np.concatenate([chunk(t) for t in range(count)])
+        got = _deviation(values, 6, 0)
         want = [6 * Fraction(1, 5) - 0, 6 * Fraction(1, 3) - 1, 6 * Fraction(2, 5) - 2]
         assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deviation_is_one_rounding(self, seed):
+        # every u is n x - (lo + i) rounded once, as with a fresh arange per
+        # chunk, over one ramp slice or many, with lo one index or one per
+        # value (value k then has index lo[k] + k)
+        rng = np.random.default_rng(seed)
+        for size in (1, 5, 1000, 16_384, 16_385, 70_000, 3):
+            val = np.sort(rng.random(size) / 2)
+            n = int(rng.integers(1, 1 << 40))
+            lo = int(rng.integers(0, 1 << 45))
+            want = val * n - np.arange(lo, lo + size, dtype=np.float64)
+            assert _deviation(val, n, lo).tobytes() == want.tobytes()
+            per = rng.integers(0, 1 << 45, size=size).astype(np.float64)
+            want = val * n - (np.arange(size) + per)
+            assert _deviation(val, n, per).tobytes() == want.tobytes()
+
+    def test_deviation_holds_one_slice_of_temporaries(self):
+        # next to u itself, a ramp slice or two: no index array of the
+        # chunk's length, as a fresh arange per chunk was
+        val = np.sort(np.random.default_rng(3).random(1 << 18) / 2)
+        tracemalloc.start()
+        try:
+            _deviation(val, 10**9, 12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < val.nbytes + 3 * discrepancy._ramp().nbytes
 
 
 class TestBandMaximum:
@@ -1667,13 +1698,13 @@ class TestBoundarySweep:
         self, primes, reference, monkeypatch, width, min_calls, max_calls
     ):
         calls = []
-        merge = discrepancy._merge_lower_halves
+        rebuild = discrepancy._rebuild
 
         def counted(*args):
             calls.append(1)
-            return merge(*args)
+            return rebuild(*args)
 
-        monkeypatch.setattr(discrepancy, "_merge_lower_halves", counted)
+        monkeypatch.setattr(discrepancy, "_rebuild", counted)
         monkeypatch.setattr(discrepancy, "_BAND_WIDTH", width)
         assert list(_boundary_discrepancies(primes, 1, 120)) == reference[:120]
         assert min_calls <= len(calls) <= max_calls
@@ -1719,8 +1750,8 @@ class TestBoundarySweep:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_block_sets(self, primes, monkeypatch, seed):
         # random subsets of the first 120 primes in random order, from a
-        # random first row: a first merge of many runs, later stable merges,
-        # and naming after the largest prime arrived in an earlier merge
+        # random first row: chunk edges of every prime, and tracked points
+        # of a block that arrived before the largest prime
         rng = np.random.default_rng(seed)
         ps = rng.permutation(primes[:120])[: int(rng.integers(2, 121))].tolist()
         m_lo = int(rng.integers(1, len(ps) + 1))
@@ -1736,8 +1767,9 @@ class TestBoundarySweep:
         # after every row the tracked set is every lower-half point with
         # u >= floor (high band) or u <= 1 - floor (low band), with its exact
         # count: a filter that dropped a band point would show here even
-        # where the point never holds the maximum. Slices of 7 values leave
-        # most slices cold, so most new points are never counted
+        # where the point never holds the maximum. Sweep chunks of about 7
+        # values leave most chunks unheld, so most new points are never
+        # counted
         if slice_len:
             monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
         seen = []
@@ -1776,14 +1808,25 @@ class TestBoundarySweep:
 
     @pytest.mark.parametrize("slice_len", [1, 3, 7, 10**9])
     def test_slice_size_changes_only_the_work(self, primes, reference, monkeypatch, slice_len):
-        # new points are counted only beside the slices a rebuild scanned
-        # again; 10**9 makes the store one slice, scanned again every time
+        # the sweep cuts the half into chunks of about _SLICE values, and new
+        # points are counted only inside the chunks a rebuild held; 10**9
+        # makes the half one chunk, held every time
+        counts = []
+        rebuild = discrepancy._rebuild
+
+        def recorded(d, dens, count, *args):
+            counts.append(count)
+            return rebuild(d, dens, count, *args)
+
         monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
+        monkeypatch.setattr(discrepancy, "_rebuild", recorded)
         assert list(_boundary_discrepancies(primes, 3, 150)) == reference[2:150]
+        half = sum(p // 2 for p in primes[:150])
+        assert set(counts) == {-(-half // slice_len)}
 
     @pytest.mark.parametrize(
         "order",
-        # with 2 merged first, 1/2 ends the store and no new point lies past it
+        # with 2 first, 1/2 closes the last chunk and no new point lies past it
         [lambda ps: ps, lambda ps: ps[1:]],
         ids=["two-first", "no-two"],
     )
@@ -1794,12 +1837,12 @@ class TestBoundarySweep:
         calls = []
         beside, bands = discrepancy._beside, discrepancy._bands
 
-        def recorded_beside(near, p):
-            # the first row has no rescanned slices yet; its block is merged
-            j = beside(near, p)
-            if near:
+        def recorded_beside(held, count, p):
+            # the first row holds no chunk yet; its block goes to the rebuild
+            j, k = beside(held, count, p)
+            if held.size:
                 calls.append([p, j.tolist(), None])
-            return j
+            return j, k
 
         def recorded_bands(w, b, floor):
             # the first _bands call after a block's new points tests them
@@ -1827,9 +1870,76 @@ class TestBoundarySweep:
         assert skipped > sum(len(js) for _, js, _ in calls)  # most were skipped
 
     def test_short_slices(self, primes, reference, monkeypatch):
-        # merges and float passes cross many slice boundaries
+        # sweep chunks of about 7 values: every rebuild makes and holds many
         monkeypatch.setattr(discrepancy, "_SLICE", 7)
         assert list(_boundary_discrepancies(primes, 1, 60)) == reference[:60]
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_certificates_bound_every_point(self, primes, monkeypatch, size):
+        # at every row, every lower-half point of a chunk made s blocks
+        # before, old or new, has lo - s < u < hi + s by an exact integer
+        # recount of u; at s = 0 the chunk's own extremes lie within float
+        # error of its certificate
+        state = {}
+        rebuild = discrepancy._rebuild
+
+        def recorded(d, dens, count, n, cert, made):
+            out = rebuild(d, dens, count, n, cert, made)
+            state.update(cert=cert.copy(), made=made.copy(), count=count)
+            return out
+
+        monkeypatch.setattr(discrepancy, "_SLICE", size)
+        monkeypatch.setattr(discrepancy, "_rebuild", recorded)
+        ps = primes[:150]
+        aged = 0
+        for m, _ in enumerate(_boundary_discrepancies(ps, 1, len(ps)), 1):
+            cert, made, count = state["cert"], state["made"], state["count"]
+            assert (made > 0).all()  # the first rebuild makes every chunk
+            q = np.repeat(ps[:m], [p // 2 for p in ps[:m]])
+            j = np.concatenate([np.arange(1, p // 2 + 1) for p in ps[:m]])
+            order = np.argsort(j / q)  # faithful: distinct values, small denominators
+            j, q = j[order], q[order]
+            u = (sum(p - 1 for p in ps[:m]) * j - np.arange(j.size) * q) / q
+            # chunk t holds the j / q in (t / 2T, (t + 1) / 2T]
+            t = (2 * count * j - 1) // q
+            s = m - made[t]
+            hi, lo = cert[t, 0] + s, cert[t, 1] - s
+            old = s == 0
+            assert (u[old] <= hi[old] + 1e-9).all() and (u[old] >= lo[old] - 1e-9).all()
+            assert (u[~old] < hi[~old]).all() and (u[~old] > lo[~old]).all(), m
+            aged += int((~old).sum())
+        assert aged > 100_000
+
+    @pytest.mark.parametrize("size", [1, 7, 10**9], ids=["size1", "size7", "one-chunk"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunk_sizes_on_random_block_sets(self, primes, monkeypatch, seed, size):
+        # chunks of about 1 and 7 values and the whole half as one chunk, over
+        # random prime subsets in random order from a random first row
+        rng = np.random.default_rng([41, seed])
+        ps = rng.permutation(primes[:100])[: int(rng.integers(2, 101))].tolist()
+        m_lo = int(rng.integers(1, len(ps) + 1))
+        # the reference first: its evaluator reads slices of _SLICE values too
+        want = merged_boundary_values(ps, m_lo, len(ps))
+        monkeypatch.setattr(discrepancy, "_SLICE", size)
+        assert list(_boundary_discrepancies(ps, m_lo, len(ps))) == want
+
+    @pytest.mark.slow
+    def test_memory_flat_in_n(self):
+        # one row at m = 2000 (N = 1.6e7) and at m = 5000 (N = 1.1e8): the
+        # first rebuild makes every chunk of the half, a batch of about
+        # _CHUNK values and its O(m) edges at a time, and holds only the
+        # chunks near the maximum (11 and 18 of 128 KiB; 4.6 and 6.1 MiB in
+        # all). A store of the half took 64 MB and 456 MB here
+        table = build_prime_table(5000)
+        for m in (2000, 5000):
+            tracemalloc.start()
+            try:
+                dv = next(_boundary_discrepancies(table.primes, m, m))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dv.den % table.cumulative[m] == 0
+            assert peak < 10 << 20, m
 
     def test_matches_oracle_and_recount(self, primes):
         for m, dv in enumerate(_boundary_discrepancies(primes, 1, 12), 1):
