@@ -25,6 +25,7 @@ from .asymptotics import _residual, lambert_w, verify_theorem
 from .discrepancy import (
     _FLOAT_SAFE_DEN,
     _FLOAT_SAFE_PRIME_N,
+    _SWEEP_MAX_M,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
     _block_maxima,
@@ -273,13 +274,11 @@ def _cmd_bounds(args: argparse.Namespace) -> list[str]:
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     m_lo, m_hi = _parse_range(args.m)
-    # p_m > m (ln m + ln ln m - 1) for m >= 2 (Dusart), so past this p_HI
-    # exceeds what the sweep admits; refused before the table, which costs
-    # about 115 B per prime
-    if m_hi >= 2 and m_hi * (math.log(m_hi) + math.log(math.log(m_hi)) - 1) > _FLOAT_SAFE_DEN:
+    # past _SWEEP_MAX_M the sweep's exact counts leave int64; refused before
+    # the table, which costs about 115 B per prime
+    if m_hi > _SWEEP_MAX_M:
         raise ValueError(
-            f"HI={m_hi}: p_HI > HI (ln HI + ln ln HI - 1) > {_FLOAT_SAFE_DEN}, "
-            "the denominator limit"
+            f"HI={m_hi} > {_SWEEP_MAX_M}: N * p_HI reaches 2^63; the exact counts need int64"
         )
     table = build_prime_table(m_hi)
     lines = ["m,N,p_m,disc_num,disc_den,disc_float,scaled,lower_num,lower_den," + _GROWTH_HEADER]

@@ -213,11 +213,6 @@ _NO_STEPS = (np.empty(0), "left")
 _FIRST_RUN = np.zeros(1, dtype=np.int64)
 
 
-def _slices(val: np.ndarray) -> tuple[Callable[[int], np.ndarray], int]:
-    # the chunk source of a sorted array: slice i of _SLICE values
-    return (lambda i: val[i * _SLICE : (i + 1) * _SLICE]), -(-val.size // _SLICE)
-
-
 def _chunk_bounds(d, t, count: int) -> tuple[np.ndarray, np.ndarray]:
     # the one edge arithmetic of the lower-half chunks: of count = T chunks,
     # chunk t holds the values j / d in (t / 2T, (t + 1) / 2T], first < j <=
@@ -229,21 +224,21 @@ def _chunk_bounds(d, t, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunk_values(
-    d: np.ndarray, dens: np.ndarray, ts: np.ndarray, count: int
+    d: np.ndarray, ts: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # the values j / d, d in d (dens its floats), of the chunks ts, unsorted,
+    # the values j / d, d in the int64 array d, of the chunks ts, unsorted,
     # one run per chunk and d, chunk by chunk: with ts ascending, one sort
     # of them sorts each chunk in place, as the chunks' intervals are
     # disjoint and in order. Also each run's first and offset in the
     # values, and each chunk's size and start index, the closed form
     # sum_d floor(d t / 2T). In floats, exact below 2^53: each run counts
-    # up from first + 1, then one correctly rounded divide
+    # up from first + 1, then one correctly rounded divide by float(d)
     first, size = _chunk_bounds(d, ts[:, None], count)
     runs = size.ravel()
     val = np.arange(runs.sum(), dtype=np.float64)
     offsets = np.cumsum(runs) - runs
     val -= np.repeat((offsets - first.ravel() - 1).astype(np.float64), runs)
-    val /= np.repeat(np.tile(dens, ts.size), runs)
+    val /= np.repeat(np.tile(d.astype(np.float64), ts.size), runs)
     return val, first.ravel(), offsets, size.sum(axis=1), first.sum(axis=1)
 
 
@@ -260,11 +255,10 @@ def _lower_half_chunks(whole: Sequence[int]) -> tuple[Callable[[int], np.ndarray
     values, so while _CHUNK >= 2^14 every d (t + 1) stays below 2^63.
     """
     d = np.array(whole, dtype=np.int64)
-    dens = d.astype(np.float64)
     count = -(-int((d // 2).sum()) // _CHUNK)
 
     def chunk(t: int) -> np.ndarray:
-        val = _chunk_values(d, dens, np.array([t]), count)[0]
+        val = _chunk_values(d, np.array([t]), count)[0]
         val.sort()
         return val
 
@@ -297,26 +291,26 @@ def _near_maximal(
     count: int,
     n: int,
     steps: Sequence[tuple[np.ndarray, str]],
-    threshold: Callable[[float], float],
-) -> tuple[float, list[tuple[np.ndarray, ...]], list[np.ndarray]]:
-    """The points of a sorted store near the maximum of max(w, 1 - w).
+) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+    """The points of a sorted multiset x near the maximum of max(w, 1 - w).
 
-    The store is read chunk by chunk: chunk(i), i < count, makes the sorted
-    values of chunk i (a slice of an array, or a generated lower half), and
-    the chunks in order are the store. Series s is w(l) = n x_l - l -
+    x is read chunk by chunk: chunk(i), i < count, makes the sorted values
+    of chunk i (a slice of an array, or a generated lower half), and the
+    chunks in order are x. Series s is w(l) = n x_l - l -
     searchsorted(v, x_l, side) for (v, side) = steps[s], sorted step values:
     u of _deviation shifted by a step count. One float pass keeps each
     chunk's max and min of every series without making it: the count is
     constant on the runs between the steps inside the chunk, so the runs'
     extremes of u, each shifted by its count, give them. top is the maximum
-    of max(w, 1 - w) over every series and point, and with t =
-    threshold(top) only the chunks whose extremes reach t or 1 - t are made
-    again. Returns top; per series one pick set, the store index, value and
-    w of every point with w >= t or w <= 1 - t, in store order; per series
-    the store index from which each step counts, searchsorted(store, v, the
-    other side), placed as the first pass meets the steps. The one float
-    pass of the sorted evaluators star_discrepancy_arrays and
-    prefix_discrepancy; their picks go to _picked_maximum.
+    of max(w, 1 - w) over every series and point, and the one filter
+    margin gives the threshold t = top - n _FILTER_MARGIN; only the chunks
+    whose extremes reach t or 1 - t are made again. Returns per series one
+    pick set, the index in x, value and w of every point with w >= t or w
+    <= 1 - t, in sorted order; and per series the index in x from which
+    each step counts, searchsorted(x, v, the other side), placed as the
+    first pass meets the steps. The one float pass of the sorted evaluators
+    star_discrepancy_arrays and prefix_discrepancy; their picks go to
+    _picked_maximum.
     """
     extremes = []
     counted_from = [np.empty(v.size, dtype=np.int64) for v, _ in steps]
@@ -345,7 +339,7 @@ def _near_maximal(
     for s in range(len(steps)):
         counted_from[s][placed[s] :] = lo
     top = max((max(hi, 1.0 - low) for *_, row in extremes for hi, low in row), default=-math.inf)
-    t = threshold(top)
+    t = top - n * _FILTER_MARGIN
     # per series: the indices, values and w with w >= t or w <= 1 - t
     found = [[[_EMPTY], [np.empty(0)], [np.empty(0)]] for _ in steps]
     for i, lo, row in extremes:
@@ -359,7 +353,7 @@ def _near_maximal(
             for part, x in zip(found[s], (lo + pick, val[pick], w[pick])):
                 part.append(x)
     found = [tuple(map(np.concatenate, parts)) for parts in found]
-    return top, found, counted_from
+    return found, counted_from
 
 
 def _picked_maximum(
@@ -446,8 +440,8 @@ def star_discrepancy_arrays(num: np.ndarray, den: np.ndarray) -> DiscrepancyValu
     n = val.size
     # a repeated value has "left" at its first index and "at" at its last;
     # its other indices undercount and never win
-    _, [(i, x, u)], _ = _near_maximal(
-        *_slices(val), n, [_NO_STEPS], lambda top: top - n * _FILTER_MARGIN
+    [(i, x, u)], _ = _near_maximal(
+        lambda i: val[i * _SLICE : (i + 1) * _SLICE], -(-n // _SLICE), n, [_NO_STEPS]
     )
     return _picked_maximum(*_representatives(x, max_den), i, u, n)
 
@@ -504,11 +498,8 @@ def _blocks_discrepancy(whole: Sequence[int], cut: np.ndarray, q: int) -> Discre
     c = np.sort(cut)
     kappa = c / q
     # below[t] = #{L <= K_t}, and upto = #{L < K'} over the ascending K'
-    _, [(i, x, u), (j, y, v)], [below, upto] = _near_maximal(
-        *_lower_half_chunks(whole),
-        n,
-        [(kappa, "left"), ((q - c[::-1]) / q, "right")],
-        lambda top: top - n * _FILTER_MARGIN,
+    [(i, x, u), (j, y, v)], [below, upto] = _near_maximal(
+        *_lower_half_chunks(whole), n, [(kappa, "left"), ((q - c[::-1]) / q, "right")]
     )
     idx = np.where(2 * c > q, n_whole - upto[::-1], below) + np.arange(k)
     a, b = _representatives(x, max(whole, default=1))
@@ -885,7 +876,7 @@ def _beside(held: np.ndarray, count: int, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _rebuild(
-    d: np.ndarray, dens: np.ndarray, count: int, n: int, cert: np.ndarray, made: np.ndarray
+    d: np.ndarray, count: int, n: int, cert: np.ndarray, made: np.ndarray
 ) -> tuple[int, np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """The new floor and tracked points of the boundary sweep at m = d.size blocks.
 
@@ -926,7 +917,7 @@ def _rebuild(
         if top > -math.inf and key[by_key[i]] < floor_below(top) - margin:
             break
         ts = np.sort(by_key[i : i + batch])
-        val, _, _, size, start = _chunk_values(d, dens, ts, count)
+        val, _, _, size, start = _chunk_values(d, ts, count)
         val.sort()
         offset = np.cumsum(size) - size
         # the value at index i of the sorted batch has count i + step
@@ -950,7 +941,7 @@ def _rebuild(
     base = 0
     for i in range(0, held.size, batch):
         ts = held[i : i + batch]
-        val, first, offsets, size, start = _chunk_values(d, dens, ts, count)
+        val, first, offsets, size, start = _chunk_values(d, ts, count)
         order = val.argsort()
         val = np.take(val, order, out=values[base : base + val.size])
         step = start - (np.cumsum(size) - size)
@@ -967,6 +958,11 @@ def _rebuild(
         base += val.size
     abc = tuple(map(np.concatenate, zip(*picks)))
     return floor, held, abc, values, np.concatenate(shift)
+
+
+# the last m whose first m primes pass the sweep's int64 check below, P(m)
+# p_m < 2^63; p_m = 6542843 < 2^26 there, so this limit binds verify first
+_SWEEP_MAX_M = 447_499
 
 
 def _boundary_discrepancies(
@@ -1034,34 +1030,31 @@ def _boundary_discrepancies(
     if sum(p - 1 for p in primes) * p_max >= 1 << 63:
         raise OverflowError("N * p_m reaches 2^63; the exact counts need int64")
     d = np.array(primes, dtype=np.int64)
-    dens = d.astype(np.float64)
     count = -(-sum(p // 2 for p in primes) // _SLICE)
     cert = np.tile([math.inf, -math.inf], (count, 1))
     made = np.zeros(count, dtype=np.int64)
     held, val, shift = _EMPTY, np.empty(0), _EMPTY
-    since: list[int] = []
-    n = floor = 0
+    # m0: the block count at the last rebuild
+    m0 = n = floor = 0
     # tracked points a/b <= 1/2 with exact counts c, each in a band
     a, b, c = (np.empty(0, dtype=np.int64) for _ in range(3))
     for m, p in enumerate(primes, 1):
         n += p - 1
-        since.append(p)
         if m < m_lo:
             continue
         floor += 1
         c += a * p // b
         j, k = _beside(held, count, p)
-        q = np.array(since[:-1], dtype=np.int64)
         cj = np.searchsorted(val, j / p) + shift[k] + (j - 1)
-        cj += (np.multiply.outer(j, q) // p).sum(axis=1)
+        cj += (np.multiply.outer(j, d[m0 : m - 1]) // p).sum(axis=1)
         a = np.concatenate([a, j])
         b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
         c = np.concatenate([c, cj])
         w = n * a - c * b
         keep = _bands(w, b, floor)
         if not keep.any():
-            since.clear()
-            floor, held, (a, b, c), val, shift = _rebuild(d[:m], dens[:m], count, n, cert, made)
+            m0 = m
+            floor, held, (a, b, c), val, shift = _rebuild(d[:m], count, n, cert, made)
             w = n * a - c * b
             keep = _bands(w, b, floor)
         kept = np.flatnonzero(keep)

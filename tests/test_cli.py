@@ -532,10 +532,9 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "hi,refused",
-        # HI (ln HI + ln ln HI - 1) crosses 2^26 between these two; Dusart's
-        # p_m > m (ln m + ln ln m - 1) puts p_HI past the sweep's largest
-        # denominator from there on
-        [("3967527", False), ("3967528", True), ("100000000", True)],
+        # the sweep's int64 limit falls between the first two; up to 3967527
+        # a bound on p_HI alone lets HI through to the table
+        [("447499", False), ("447500", True), ("3967527", True), ("100000000", True)],
     )
     def test_hopeless_hi_refused_before_the_table(self, capsys, monkeypatch, hi, refused):
         def no_table(m_count):
@@ -545,9 +544,25 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--m", f"1..{hi}")
         assert (code, out) == (1, "")
         if refused:
-            assert f"HI={hi}" in err and str(1 << 26) in err
+            assert f"HI={hi}" in err and "2^63" in err
         else:
             assert err == "error: table built\n"
+
+    def test_block_limit_is_the_sweeps_int64_limit(self, monkeypatch):
+        # P(m) p_m < 2^63, the sweep's check, holds at the limit and fails one
+        # block past it, where p_m is still below the denominator limit
+        primes = sieve_primes(6_600_000)
+        m = discrepancy._SWEEP_MAX_M
+        n = (primes[: m + 1] - 1).cumsum()  # P(1), ..., P(m + 1)
+        assert int(n[m - 1]) * int(primes[m - 1]) < 1 << 63 <= int(n[m]) * int(primes[m])
+        assert primes[m] < discrepancy._FLOAT_SAFE_DEN
+
+        def no_work(*args):
+            raise AssertionError("a chunk was made")
+
+        monkeypatch.setattr(discrepancy, "_rebuild", no_work)
+        with pytest.raises(OverflowError, match=r"2\^63"):
+            next(discrepancy._boundary_discrepancies(primes[: m + 1], m + 1, m + 1))
 
 
 class TestAsym:

@@ -717,9 +717,11 @@ class TestNearMaximal:
 
     @pytest.mark.parametrize("chunk_len", [1, 5, None], ids=["chunk1", "chunk5", "whole"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_a_dense_recount(self, seed, chunk_len):
+    def test_matches_a_dense_recount(self, seed, chunk_len, monkeypatch):
         # values and step values on one grid, so both repeat and meet across
-        # chunk ends; odd seeds add empty chunks at the ends and in between
+        # chunk ends; odd seeds add empty chunks at the ends and in between.
+        # The filter margin is patched so that n times it is a width of 0,
+        # 0.5, 3 or 100 units below the top
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 60))
         val = np.sort(rng.integers(1, 41, size=size) / 80)
@@ -729,6 +731,7 @@ class TestNearMaximal:
             for side in ("left", "right", "left")
         ]
         width = float(rng.choice([0.0, 0.5, 3.0, 100.0]))
+        monkeypatch.setattr(discrepancy, "_FILTER_MARGIN", width / n)
         chunk_len = chunk_len or size
         chunks = [val[lo : lo + chunk_len] for lo in range(0, size, chunk_len)]
         if seed % 2:
@@ -739,21 +742,19 @@ class TestNearMaximal:
             made.append(i)
             return chunks[i]
 
-        top, near, counted_from = _near_maximal(
-            chunk, len(chunks), n, steps, lambda top: top - width
-        )
+        near, counted_from = _near_maximal(chunk, len(chunks), n, steps)
         base = n * val - np.arange(size)
         ws = [base - np.searchsorted(v, val, side) for v, side in steps]
-        assert top == max(max(w.max(), 1 - w.min()) for w in ws)
+        t = max(max(w.max(), 1 - w.min()) for w in ws) - n * discrepancy._FILTER_MARGIN
         # every chunk once, then again only the chunks holding a point near the top
         ends = np.cumsum([0] + [x.size for x in chunks])
-        reach = np.any([(w >= top - width) | (w <= 1 - (top - width)) for w in ws], axis=0)
+        reach = np.any([(w >= t) | (w <= 1 - t) for w in ws], axis=0)
         assert made == [*range(len(chunks))] + [
             i for i, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])) if reach[lo:hi].any()
         ]
         for w, (pick, pick_val, pick_w), (v, side), start in zip(ws, near, steps, counted_from):
             # one pick set: each point with w >= t or w <= 1 - t once, in order
-            want = np.flatnonzero((w >= top - width) | (w <= 1 - (top - width)))
+            want = np.flatnonzero((w >= t) | (w <= 1 - t))
             assert pick.tolist() == want.tolist()
             assert pick_val.tolist() == val[want].tolist()
             assert pick_w.tolist() == w[want].tolist()
@@ -1471,7 +1472,7 @@ class TestLowerHalfChunks:
         half = lower_halves(primes)
         count = -(-len(half) // size)
         d = np.array(primes, dtype=np.int64)
-        val, first, offsets, sizes, start = _chunk_values(d, d.astype(float), np.arange(count), count)
+        val, first, offsets, sizes, start = _chunk_values(d, np.arange(count), count)
         want = [bisect.bisect_right(half, Fraction(t, 2 * count)) for t in range(count)]
         assert start.tolist() == want
         assert (start + sizes).tolist() == want[1:] + [len(half)]
@@ -1485,7 +1486,7 @@ class TestLowerHalfChunks:
             named += [Fraction(j, q) for j in range(f + 1, f + 1 + hi - lo)]
         assert sorted(named) == half
         batch = np.flatnonzero(rng.random(count) < 0.5)
-        val, _, _, sizes, start = _chunk_values(d, d.astype(float), batch, count)
+        val, _, _, sizes, start = _chunk_values(d, batch, count)
         val.sort()
         got = np.split(val, np.cumsum(sizes)[:-1])
         for t, x, s0 in zip(batch.tolist(), got, start.tolist()):
@@ -1814,9 +1815,9 @@ class TestBoundarySweep:
         counts = []
         rebuild = discrepancy._rebuild
 
-        def recorded(d, dens, count, *args):
+        def recorded(d, count, *args):
             counts.append(count)
-            return rebuild(d, dens, count, *args)
+            return rebuild(d, count, *args)
 
         monkeypatch.setattr(discrepancy, "_SLICE", slice_len)
         monkeypatch.setattr(discrepancy, "_rebuild", recorded)
@@ -1883,8 +1884,8 @@ class TestBoundarySweep:
         state = {}
         rebuild = discrepancy._rebuild
 
-        def recorded(d, dens, count, n, cert, made):
-            out = rebuild(d, dens, count, n, cert, made)
+        def recorded(d, count, n, cert, made):
+            out = rebuild(d, count, n, cert, made)
             state.update(cert=cert.copy(), made=made.copy(), count=count)
             return out
 
