@@ -589,37 +589,78 @@ def _grid_sweeps(
     grid's padded slots copy its last slot, both its grid value and the +p
     of every insert, so each equals that last slot and the first argmax or
     argmin never picks one. A sequence that has ended steps at start 0,
-    where the window adds nothing, and its rows past the end are never
-    decoded. Every slot lies in (-P N, P N], with P the group's largest p
+    where the window adds nothing, and its rows past the end are cut off
+    after the decode. Every slot lies in (-P N, P N], with P the group's largest p
     and N its longest sequence: int32 lanes while P N < 2^31, int64 above,
     and P N >= 2^63, where int64 lanes would overflow, is refused before
     any work. Rows of consecutive steps, up to _CELLS slots, hold p c(s) -
     k0 s with k0 fixed per row block, so the k s ramp comes off once per
-    block, before one argmax and one argmin over the slots of every row. The
-    caller forms the groups: _block_maxima takes consecutive blocks while
-    (G + 1) W <= _CELLS // 8, so a row block still holds at least 8 steps.
+    block, before one argmax and one argmin over the slots of every row,
+    whose indices and values are kept per row and decoded for the whole
+    group at the end. The caller forms the groups: _block_maxima takes
+    consecutive blocks while (G + 1) W <= _CELLS // 8, so a row block still
+    holds at least 8 steps.
+
+    A whole block of a prime p is anti-symmetric: nums[::-1] == p - nums,
+    as (p - j)^-1 = -j^-1 (mod p), so its suffix after k points mirrors its
+    prefix of k' = p - 1 - k. On its half grid s = 0..p - 1, with
+    s' = p - 1 - s, this gives x_k(s) = z_k'(s') + k, where
+    z_k'(s') = p c_k'(s') - (k' + 1) s'. When every member of the group is
+    such a block, the rows sweep only the prefixes 0..h, h the largest
+    (p - 1) // 2, from the empty prefix, whose slots are all 0. After the
+    argmax and argmin of the x rows, one more subtraction of the grid turns
+    the row block into its z rows for one more argmax and argmin, and the
+    next block continues from the last z row. Prefix k > (p - 1) / 2 reads
+    max z_k' + k at "at" s = p - 1 - argmax, and -min z_k' at "left"
+    s = p - argmin. The first argmax in s' is the last in s, but no row of
+    such a block ties: x(s1) = x(s2) needs p (c1 - c2) = k (s1 - s2) with
+    0 < k < p and 0 < |s1 - s2| < p, which p prime forbids; padded slots
+    still come after the real ones. A composite p can tie, so the mirror
+    needs p prime, nums sorting to 1..p - 1 and nums[::-1] == p - nums:
+    O(p) checks against O(p^2) sweep work. Any other group sweeps every
+    prefix.
     """
-    nums = [np.asarray(x) for x, _ in seqs]
+    nums, ps = [np.asarray(x) for x, _ in seqs], [int(p) for _, p in seqs]
     n = max(x.size for x in nums)
-    pn = max(int(p) for _, p in seqs) * n
+    pn = max(ps) * n
     if pn >= 1 << 63:
         raise OverflowError(f"p * N = {pn} reaches 2^63; the sweep needs int64")
-    grids, wheres = zip(
-        *(np.unique(np.concatenate([x - 1, x]), return_inverse=True) for x in nums)
+    mirror = all(
+        x.size == p - 1
+        and is_prime(p)
+        and np.array_equal(np.sort(x), np.arange(1, p))
+        and np.array_equal(x[::-1], p - x)
+        for x, p in zip(nums, ps)
     )
+    if mirror:
+        # a whole block's half grid is 0..p - 1, value t at index t
+        grids, wheres = [np.arange(p) for p in ps], nums
+    else:
+        grids, wheres = zip(
+            *(np.unique(np.concatenate([x - 1, x]), return_inverse=True) for x in nums)
+        )
+        wheres = [where[x.size :] for x, where in zip(nums, wheres)]
+    # rows hold the prefixes 1..n, or 0..h of a mirror
+    first = 0 if mirror else 1
+    steps = (max(ps) - 1) // 2 + 1 if mirror else n
     size, w = len(seqs), max(grid.size for grid in grids)
     lane = np.int32 if pn < 1 << 31 else np.int64
-    rows = max(1, min(n, _CELLS // (size * w)))
+    rows = max(1, min(steps, _CELLS // (size * w)))
     window = np.zeros((size, 2 * w), dtype=lane)
-    window[:, w:] = [[p] for _, p in seqs]
+    window[:, w:] = [[p] for p in ps]
     # window[g, w - t:][:w] inserts the value at index t of grid g; a
-    # sequence past its end takes window[g, :w], all zeros
-    starts = np.zeros((n, size), dtype=np.intp)
-    for g, (x, where) in enumerate(zip(nums, wheres)):
-        starts[: x.size, g] = w - where[x.size :]
+    # sequence past its end, or at the empty prefix, takes window[g, :w],
+    # all zeros
+    starts = np.zeros((n + 1, size), dtype=np.intp)
+    padded = np.empty((size, w), dtype=np.int64)
+    for g, (grid, where) in enumerate(zip(grids, wheres)):
+        starts[1 : where.size + 1, g] = w - where
+        padded[g], padded[g, : grid.size] = grid[-1], grid
+    starts = starts[first : first + steps]
     del wheres
-    padded = np.stack([np.pad(grid, (0, w - grid.size), "edge") for grid in grids])
-    ramp = np.multiply.outer(np.arange(1, rows + 1, dtype=lane), padded.astype(lane))
+    # the k s ramp of one row block; a mirror's z rows take one more slope off
+    slope = padded.astype(lane)
+    ramp = np.multiply.outer(np.arange(first, rows + first, dtype=lane), slope)
     block = np.zeros((rows, size, w), dtype=lane)
     flat, offsets = block.reshape(-1), np.arange(0, rows * size * w, w).reshape(rows, size)
     if size == 1:
@@ -628,31 +669,49 @@ def _grid_sweeps(
         lines, starts = list(block), list(starts)
         window = np.lib.stride_tricks.sliding_window_view(window, w, axis=1)
     seq, add = np.arange(size), np.add
-    ends = []
-    for k in range(0, n, rows):
+    # per row: the first argmax and argmin of its x row, then of a mirror's z
+    # row, and the values there
+    idx = np.empty((4 if mirror else 2, steps, size), dtype=np.intp)
+    val = np.empty(idx.shape, dtype=lane)
+
+    def extremes(part: np.ndarray, k: int, e: int) -> None:
+        i, v = idx[e : e + 2, k : k + len(part)], val[e : e + 2, k : k + len(part)]
+        part.argmax(axis=2, out=i[0])
+        part.argmin(axis=2, out=i[1])
+        flat.take(i + offsets[: len(part)], out=v)
+
+    for k in range(0, steps, rows):
         # each row follows the one before, row 0 the last row of the block before
-        part, prev = block[: n - k], lines[-1]
+        part, prev = block[: steps - k], lines[-1]
         for line, s in zip(lines, starts[k : k + rows]):
             # one sequence steps by a plain slice, the cheapest call there
             # is; a group gathers the window of each sequence at its start
             add(prev, window[s : s + w] if size == 1 else window[seq, s], line)
             prev = line
         part -= ramp[: len(part)]
-        idx = np.stack([part.argmax(axis=2), part.argmin(axis=2)])
-        ends.append((idx, flat.take(idx + offsets[: len(part)])))
+        extremes(part, k, 0)
+        if mirror:
+            # the z rows p c(s) - (k + 1) s, the last of which the next block continues
+            part -= slope
+            extremes(part, k, 2)
     # the row buffers and every view of them go before the decode
-    del block, ramp, lines, flat, part, prev, line, starts, window
-    (hi, lo), (top, bottom) = (np.concatenate(x, axis=1).astype(np.int64) for x in zip(*ends))
-    out = []
-    for g, (x, grid) in enumerate(zip(nums, grids)):
-        # the first maximum and minimum are the smallest thresholds; "at" s
-        # against "left" s' + 1: the larger value, then the smaller
-        # threshold, then "at" before "left"
-        at, left = grid[hi[: x.size, g]], grid[lo[: x.size, g]] + 1
-        best, neg = top[: x.size, g], np.arange(1, x.size + 1) - bottom[: x.size, g]
-        low = (neg > best) | ((neg == best) & (left < at))
-        out.append((np.where(low, neg, best), np.where(low, left, at), ~low))
-    return out
+    del block, ramp, slope, lines, flat, part, prev, line, starts, window
+    k, val, ps = np.arange(1, n + 1)[:, None], val.astype(np.int64), np.array(ps)
+    if mirror:
+        # row r holds prefix r; prefix k > (p - 1) / 2 reads z row p - 1 - k
+        # (the rows a member never reaches read row 0)
+        r = np.clip(ps - 1 - k, 0, k)
+        back = r < k
+        idx = np.where(back, ps - 1 - idx[2:, r, seq], idx[:2, r, seq])
+        val = np.where(back, val[2:, r, seq] + k, val[:2, r, seq])
+    # the first maximum and minimum are the smallest thresholds; "at" s
+    # against "left" s' + 1: the larger value, then the smaller threshold,
+    # then "at" before "left"
+    at, left = padded[seq, idx[0]], padded[seq, idx[1]] + 1
+    best, neg = val[0], k - val[1]
+    low = (neg > best) | ((neg == best) & (left < at))
+    m, j = np.where(low, neg, best), np.where(low, left, at)
+    return [(m[: x.size, g], j[: x.size, g], ~low[: x.size, g]) for g, x in enumerate(nums)]
 
 
 def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
@@ -732,9 +791,10 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     The grid sweep (_grid_sweeps) of the one sequence, the kernel behind
     prefix_scan's common-denominator path and scan --prime, returning only
     the scaled integer maxima. Each prefix costs one slot per point of the
-    half grid {v - 1, v : v a distinct numerator}, p slots for a whole
-    block, in int32 lanes while p * len(nums) < 2^31. The sweep refuses p *
-    len(nums) >= 2^63, where int64 lanes would overflow.
+    half grid {v - 1, v : v a distinct numerator}, in int32 lanes while p *
+    len(nums) < 2^31; a whole block of a prime p, whose prefixes past (p -
+    1) / 2 mirror earlier ones, costs about p^2 / 2 slots in all. The sweep
+    refuses p * len(nums) >= 2^63, where int64 lanes would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
     return _grid_sweeps([(nums, int(p))])[0][0]
@@ -778,8 +838,9 @@ def block_max_weighted(
     The one-block case of the iterator that bounds runs over all its
     blocks, which sweeps consecutive small blocks as one group of the grid
     sweep; value and k do not depend on the grouping. The sweep costs
-    O(p^2); denominators above sweep_limit are refused so a huge block
-    cannot be requested by accident.
+    about p^2 / 2 slots, as a whole block's prefixes past (p - 1) / 2
+    mirror earlier ones; denominators above sweep_limit are refused so a
+    huge block cannot be requested by accident.
     """
     return next(_block_maxima([spec], sweep_limit))
 

@@ -724,6 +724,10 @@ PINNED = [
     ("scan --prime 101 --ordering increasing", 0, "6086815031741b6fd7013f2222630028925ac71a84dc38dc1e3fbc23a4bf63ab"),
     ("scan --prime 1009", 0, "443e55e85d0e17de3b675c0abaa16c53e93ddbb213642f5980189dd2436a5319"),
     ("scan --prime 211 --n 50", 0, "560c21fa402969249f1009a7ab47a567c2d0ae94166b522306f2e386e5f6c3fd"),
+    # a whole block given as a prefix of its own length takes the mirrored
+    # rows like scan --prime 1009, one numerator less takes every row
+    ("scan --prime 1009 --n 1008", 0, "443e55e85d0e17de3b675c0abaa16c53e93ddbb213642f5980189dd2436a5319"),
+    ("scan --prime 1009 --n 1007", 0, "aeb0d9abbb707c70841c7f64283988f9e6456f1e11bb7b60fb53357d9a89fa28"),
     ("scan --family omega --n 120", 0, "ee2f1ed3d6f6ab43a0d750a026c98b8df39556ca886373a4500c3f09f8ea17f1"),
     ("scan --family eta --n 120", 0, "b05c7aefb98ff8e2e9b4cd644e929ae8ae878ca39a7e078161d3bf579238bfac"),
     # the every-prefix benchmark's scan, and a prefix of mixed prime blocks,

@@ -43,7 +43,7 @@ from primedisc.discrepancy import (
     _star_discrepancy_exact,
 )
 from primedisc.errors import TableTooSmallError
-from primedisc.primes import build_prime_table, sieve_primes, table_covering
+from primedisc.primes import build_prime_table, is_prime, sieve_primes, table_covering
 from primedisc.sequences import (
     BlockSpec,
     Ordering,
@@ -125,6 +125,27 @@ def per_prefix_int64_sweep(nums, p):
         i = int(np.abs(dev, out=mag).argmax())
         maxima[k], best[k] = mag[i], i
     return maxima, values[best >> 1], best & 1 == 0
+
+
+def antisymmetric(rng, p):
+    """A random permutation x of 1..p - 1 with x[::-1] == p - x, as every
+    whole prime block is in both orderings: a shuffled, randomly flipped
+    half, the middle p/2 of an even p, then the mirrored half."""
+    front = rng.permutation(np.arange(1, (p - 1) // 2 + 1))
+    front = np.where(rng.integers(2, size=front.size) == 1, p - front, front)
+    return np.concatenate([front, [p // 2] * (p % 2 == 0), (p - front)[::-1]]).astype(np.int64)
+
+
+def assert_increasing_closed_form(p):
+    # {1/p, ..., k/p} has p k D_k* = k (p - k) "at" k/p; at k = p - 1 "left"
+    # 1/p ties it and wins on the smaller threshold, except at p = 2, where
+    # both sides sit at 1/2
+    maxima, witness, at_side = discrepancy._grid_sweeps([(np.arange(1, p), p)])[0]
+    k = np.arange(1, p)
+    assert np.array_equal(maxima, k * (p - k)), p
+    assert np.array_equal(witness[:-1], k[:-1]), p
+    assert at_side[:-1].all(), p
+    assert (int(witness[-1]), bool(at_side[-1])) == (1, p == 2), p
 
 
 def random_multiset(rng, max_size=60, max_den=30):
@@ -1122,6 +1143,26 @@ def sweep_groups():
     return groups
 
 
+@pytest.fixture(scope="module")
+def mirror_cases():
+    """(kind, nums, p) with the per-prefix int64 loop's result: random
+    anti-symmetric permutations of primes, which the sweep mirrors, and
+    inputs that look alike but take every row: anti-symmetric permutations
+    of every composite p in 9..78, whole blocks less their last numerator,
+    and shuffles of 1..p - 1 that are not anti-symmetric."""
+    rng = np.random.default_rng(33)
+    primes = sieve_primes(400)
+    cases = [("whole", antisymmetric(rng, p), p) for p in [2, 3, 5, *rng.choice(primes, 30).tolist()]]
+    cases += [("composite", antisymmetric(rng, p), p) for p in range(9, 79) if not is_prime(p)]
+    for p, ordering in ((13, INV), (101, INC), (211, INV), (397, INC)):
+        cases.append(("cut", block_numerators(p, ordering)[:-1], p))
+    for p in (11, 101, 307):
+        nums = rng.permutation(np.arange(1, p))
+        assert not np.array_equal(nums[::-1], p - nums)
+        cases.append(("shuffled", nums, p))
+    return [(kind, nums, p, per_prefix_int64_sweep(nums, p)) for kind, nums, p in cases]
+
+
 class TestGridSweep:
     @pytest.mark.slow
     def test_matches_per_prefix_int64_loop(self):
@@ -1265,6 +1306,52 @@ class TestGridSweep:
         p, ordering, digest = BLOCK_DIGESTS[4]
         assert ordering == INV
         assert scan_digest(prefix_scan(block_pairs(p, ordering))) == digest
+
+    @pytest.mark.parametrize(
+        "cells", [1, 7, 1 << 17, 1 << 40], ids=["one-row", "seven", "default", "all-rows"]
+    )
+    def test_mirror_route_matches_per_prefix_int64_loop(self, monkeypatch, mirror_cases, cells):
+        # each case alone; then groups of one kind, which mirror only when
+        # every member is a whole prime block, and groups that mix a whole
+        # block with a prefix or with a composite p, which sweep every row
+        monkeypatch.setattr(discrepancy, "_CELLS", cells)
+        kinds = {}
+        for case in mirror_cases:
+            kinds.setdefault(case[0], []).append(case)
+        groups = [[case] for case in mirror_cases]
+        for same in kinds.values():
+            groups += [same[i : i + 5] for i in range(0, len(same), 5)]
+        for other in ("cut", "composite", "shuffled"):
+            groups += [[kinds["whole"][-1], kinds[other][0]], [kinds[other][-1], kinds["whole"][3]]]
+        for group in groups:
+            got = discrepancy._grid_sweeps([(nums, p) for _, nums, p, _ in group])
+            for (kind, nums, p, ref), sweep in zip(group, got):
+                for a, b in zip(sweep, ref):
+                    assert np.array_equal(a, b), (kind, p, len(group))
+
+    def test_increasing_blocks_closed_form(self):
+        for p in sieve_primes(2000).tolist():
+            assert_increasing_closed_form(p)
+
+    @pytest.mark.slow
+    def test_increasing_block_closed_form_in_int64_lanes(self):
+        # the smallest prime with p (p - 1) >= 2^31: the mirrored rows in
+        # int64 lanes
+        p = 46349
+        below = sieve_primes(p - 1)[-1]
+        assert p * (p - 1) >= 1 << 31 > int(below) * (int(below) - 1)
+        assert_increasing_closed_form(p)
+
+    def test_bounds_increasing_closed_form(self, capsys):
+        # max k D_k* of {1/p, ..., k/p} is (p^2 - 1) / (4p) at k = (p - 1) / 2,
+        # and 1/2 at k = 1 for p = 2
+        assert main(["bounds", "--pmax", "2000", "--ordering", "increasing"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 303
+        for p, k, num, den, *_ in rows:
+            p = int(p)
+            want = (1, Fraction(1, 2)) if p == 2 else ((p - 1) // 2, Fraction(p * p - 1, 4 * p))
+            assert (int(k), Fraction(int(num), int(den))) == want, p
 
 
 class TestBlockMaxWeighted:
