@@ -28,13 +28,14 @@ from .discrepancy import (
     _SWEEP_MAX_M,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
-    _block_maxima,
-    _grid_columns,
+    _maxima_columns,
+    block_max_weighted,
     nw_bound,
     prefix_discrepancy,
     prefix_scan,
     star_discrepancy,
     star_discrepancy_arrays,
+    weighted_prefix_maxima,
 )
 from .primes import (
     build_prime_table,
@@ -226,10 +227,11 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
         num = block_numerators(p, ordering)
         if args.n is not None and args.n > num.size:
             raise UsageError(f"--n {args.n} exceeds the block size {num.size}")
-        # the grid sweep's reduced columns, with disc_float the quotient of
-        # Python ints as in DiscrepancyValue.approx
-        dnum, dden, _, _, wnum, wden, _ = _grid_columns(num[: args.n], p)
-        cells = zip(range(1, dnum.size + 1), *(x.tolist() for x in (dnum, dden, wnum, wden)))
+        # the sweep's maxima reduced to the CSV's columns, no witness and no
+        # record per prefix; disc_float is the quotient of Python ints as in
+        # DiscrepancyValue.approx
+        maxima = weighted_prefix_maxima(num[: args.n], p)
+        cells = zip(range(1, maxima.size + 1), *(x.tolist() for x in _maxima_columns(maxima, p)))
         return [header] + [f"{k},{a},{b},{a / b:.17g},{e},{f}" for k, a, b, e, f in cells]
     if args.n is None:
         raise UsageError("--family requires --n")
@@ -259,7 +261,7 @@ def _cmd_bounds(args: argparse.Namespace) -> list[str]:
     else:
         lines = ["p,argmax_k,max_num,max_den,max_float,eighth_num,eighth_den,meets_eighth"]
     specs = [BlockSpec(p, ordering) for p in primes]
-    for p, (max_frac, arg_k) in zip(primes, _block_maxima(specs, args.sweep_limit)):
+    for p, (max_frac, arg_k) in zip(primes, block_max_weighted(specs, args.sweep_limit)):
         head = f"{p},{arg_k},{max_frac.numerator},{max_frac.denominator},{float(max_frac):.17g}"
         if ordering is Ordering.INVERSIVE:
             nw = nw_bound(p, arg_k)

@@ -597,7 +597,7 @@ def _grid_sweeps(
     k0 s with k0 fixed per row block, so the k s ramp comes off once per
     block, before one argmax and one argmin over the slots of every row,
     whose indices and values are kept per row and decoded for the whole
-    group at the end. The caller forms the groups: _block_maxima takes
+    group at the end. The caller forms the groups: block_max_weighted takes
     consecutive blocks while (G + 1) W <= _CELLS // 8, so a row block still
     holds at least 8 steps.
 
@@ -742,20 +742,18 @@ def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
         yield _confirm(cand, k)
 
 
-def _grid_columns(nums: Sequence[int], p: int) -> list[np.ndarray]:
-    """The reduced columns of the grid sweep over one sequence, per prefix k:
-    disc num, disc den, witness num, witness den, weighted num, weighted den
-    and whether side is "at".
+def _maxima_columns(m: np.ndarray, p: int) -> list[np.ndarray]:
+    """The reduced columns of the grid sweep's maxima m over one sequence,
+    per prefix k: disc num, disc den, weighted num and weighted den.
 
-    D_k* = m / (k p), witness j / p and k D_k* = m / p, each reduced by gcds
-    of int64 arrays, every k p < 2^63 as the sweep refuses p N beyond. The
-    one reduction of prefix_scan's grid path and of scan --prime, which
-    writes its CSV from these columns without a record per prefix.
+    D_k* = m / (k p) and k D_k* = m / p, each reduced by gcds of int64
+    arrays, every k p < 2^63 as the sweep refuses p N beyond. The one
+    reduction of prefix_scan's grid path and of scan --prime, which writes
+    its CSV from these columns without a record per prefix.
     """
-    m, j, at_side = _grid_sweeps([(nums, p)])[0]
     kp = np.arange(1, m.size + 1) * p
-    g, gj, gm = np.gcd(m, kp), np.gcd(j, p), np.gcd(m, p)
-    return [m // g, kp // g, j // gj, p // gj, m // gm, p // gm, at_side]
+    g, gm = np.gcd(m, kp), np.gcd(m, p)
+    return [m // g, kp // g, m // gm, p // gm]
 
 
 def prefix_scan(points: Sequence) -> list[ScanRecord]:
@@ -772,11 +770,13 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
     dens = {b for _, b in pairs}
     p = max(dens)
     if len(dens) == 1 and p * n < 1 << 63:
+        m, j, at_side = _grid_sweeps([([a for a, _ in pairs], p)])[0]
+        g = np.gcd(j, p)
         # the columns go before the records are made
-        columns = [x.tolist() for x in _grid_columns([a for a, _ in pairs], p)]
+        columns = [x.tolist() for x in (*_maxima_columns(m, p), j // g, p // g, at_side)]
         return [
             ScanRecord(k, DiscrepancyValue(a, b, c, d, "at" if at else "left"), e, f)
-            for k, a, b, c, d, e, f, at in zip(range(1, n + 1), *columns)
+            for k, a, b, e, f, c, d, at in zip(range(1, n + 1), *columns)
         ]
     records: list[ScanRecord] = []
     for k, dv in enumerate(_rank_sweep(pairs), 1):
@@ -789,9 +789,10 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
     The grid sweep (_grid_sweeps) of the one sequence, the kernel behind
-    prefix_scan's common-denominator path and scan --prime, returning only
-    the scaled integer maxima. Each prefix costs one slot per point of the
-    half grid {v - 1, v : v a distinct numerator}, in int32 lanes while p *
+    prefix_scan's common-denominator path, returning only the scaled
+    integer maxima; scan --prime runs it and reduces them with
+    _maxima_columns. Each prefix costs one slot per point of the half grid
+    {v - 1, v : v a distinct numerator}, in int32 lanes while p *
     len(nums) < 2^31; a whole block of a prime p, whose prefixes past (p -
     1) / 2 mirror earlier ones, costs about p^2 / 2 slots in all. The sweep
     refuses p * len(nums) >= 2^63, where int64 lanes would overflow.
@@ -800,15 +801,21 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     return _grid_sweeps([(nums, int(p))])[0][0]
 
 
-def _block_maxima(
+def block_max_weighted(
     specs: Sequence[BlockSpec], sweep_limit: int = DEFAULT_SWEEP_LIMIT
-) -> Iterator[tuple[Fraction, int]]:
-    # (max over k of k D_k*, smallest k attaining it) per whole block, in
-    # order. Consecutive blocks share one _grid_sweeps group while
-    # (G + 1) W <= _CELLS // 8, W the widest p (a whole block's half grid is
-    # {0, ..., p - 1}), so a row block still holds at least 8 steps; a block
-    # wider than that goes alone. Every spec is checked and grouped before
-    # the first sweep
+) -> list[tuple[Fraction, int]]:
+    """(max over k of k * D_k*, smallest k attaining it) per whole block, in
+    order; bounds runs it over all its blocks.
+
+    Every spec is checked before the first sweep: denominators above
+    sweep_limit are refused so a huge block cannot be requested by
+    accident. Consecutive blocks share one _grid_sweeps group while
+    (G + 1) W <= _CELLS // 8, W the widest p (a whole block's half grid is
+    {0, ..., p - 1}), so a row block still holds at least 8 steps; a block
+    wider than that goes alone. Value and k do not depend on the grouping.
+    A block costs about p^2 / 2 slots, as its prefixes past (p - 1) / 2
+    mirror earlier ones.
+    """
     groups: list[list[BlockSpec]] = []
     width = 0
     for spec in specs:
@@ -823,26 +830,13 @@ def _block_maxima(
         else:
             groups.append([spec])
             width = spec.p
+    peaks = []
     for group in groups:
         sweeps = _grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in group])
         for spec, (maxima, _, _) in zip(group, sweeps):
             k = int(maxima.argmax())
-            yield Fraction(int(maxima[k]), spec.p), k + 1
-
-
-def block_max_weighted(
-    spec: BlockSpec, sweep_limit: int = DEFAULT_SWEEP_LIMIT
-) -> tuple[Fraction, int]:
-    """(max over k of k * D_k*, smallest k attaining it) for one block.
-
-    The one-block case of the iterator that bounds runs over all its
-    blocks, which sweeps consecutive small blocks as one group of the grid
-    sweep; value and k do not depend on the grouping. The sweep costs
-    about p^2 / 2 slots, as a whole block's prefixes past (p - 1) / 2
-    mirror earlier ones; denominators above sweep_limit are refused so a
-    huge block cannot be requested by accident.
-    """
-    return next(_block_maxima([spec], sweep_limit))
+            peaks.append((Fraction(int(maxima[k]), spec.p), k + 1))
+    return peaks
 
 
 def nw_bound(p: int, k: int) -> float:

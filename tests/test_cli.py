@@ -500,6 +500,32 @@ class TestBounds:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestSweepEntries:
+    # bounds and scan --prime reach the grid sweep through its public names,
+    # the ones bench/tracing.py wraps, once per command
+    @pytest.mark.parametrize(
+        "argv,entry,sizes",
+        [
+            ("bounds --pmax 50", "block_max_weighted", [15]),
+            ("scan --prime 101", "weighted_prefix_maxima", [100]),
+            ("scan --prime 101 --n 50", "weighted_prefix_maxima", [50]),
+        ],
+        ids=["bounds", "scan-prime", "scan-prime-n"],
+    )
+    def test_one_call_per_command(self, capsys, monkeypatch, argv, entry, sizes):
+        # sizes: the specs or numerators each call is given
+        calls, inner = [], getattr(cli, entry)
+
+        def counted(seq, *args):
+            calls.append(len(seq))
+            return inner(seq, *args)
+
+        monkeypatch.setattr(cli, entry, counted)
+        code, _, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert calls == sizes
+
+
 class TestVerify:
     def test_small_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "1..5")

@@ -1184,7 +1184,7 @@ class TestGridSweep:
                     assert np.array_equal(got[2], at_side), (p, ordering, scale)
                 specs.append(BlockSpec(p, ordering))
                 want.append((Fraction(int(maxima.max()), p), int(maxima.argmax()) + 1))
-        assert list(discrepancy._block_maxima(specs)) == want
+        assert block_max_weighted(specs) == want
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 17], ids=["one-row", "seven", "default"])
     def test_matches_per_prefix_int64_loop_sampled(self, monkeypatch, cells):
@@ -1234,10 +1234,11 @@ class TestGridSweep:
 
     def test_kernel_refuses_int64_overflow(self):
         # P N >= 2^63 is refused by the kernel for every entry: one sequence
-        # through _grid_columns, and a group whose largest p and longest
-        # sequence belong to different members, neither overflowing alone
+        # through weighted_prefix_maxima, and a group whose largest p and
+        # longest sequence belong to different members, neither overflowing
+        # alone
         with pytest.raises(OverflowError, match="2\\^63"):
-            discrepancy._grid_columns([1, 2], 1 << 62)
+            weighted_prefix_maxima([1, 2], 1 << 62)
         with pytest.raises(OverflowError, match="2\\^63"):
             discrepancy._grid_sweeps([([1], 1 << 62), ([1, 2], 5)])
 
@@ -1245,10 +1246,12 @@ class TestGridSweep:
         # every prime up to 1200, both orderings apart and interleaved: the
         # groups of bounds against one block_max_weighted call per block
         primes = sieve_primes(1200).tolist()
-        want = {(p, o): block_max_weighted(BlockSpec(p, o)) for p in primes for o in (INV, INC)}
+        want = {
+            (p, o): block_max_weighted([BlockSpec(p, o)])[0] for p in primes for o in (INV, INC)
+        }
         for orderings in ((INV,), (INC,), (INV, INC)):
             specs = [BlockSpec(p, o) for p in primes for o in orderings]
-            got = list(discrepancy._block_maxima(specs))
+            got = block_max_weighted(specs)
             assert got == [want[s.p, s.ordering] for s in specs], orderings
 
     def test_block_maxima_refuse_before_any_sweep(self, monkeypatch):
@@ -1256,7 +1259,7 @@ class TestGridSweep:
         monkeypatch.setattr(discrepancy, "_grid_sweeps", swept.append)
         specs = [BlockSpec(p, INV) for p in (5, 7, 11, 13)]
         with pytest.raises(ValueError, match="p=13 exceeds the sweep limit 12"):
-            next(discrepancy._block_maxima(specs, sweep_limit=12))
+            block_max_weighted(specs, sweep_limit=12)
         assert swept == []
 
     def test_every_small_grid_in_every_order(self):
@@ -1356,20 +1359,20 @@ class TestGridSweep:
 
 class TestBlockMaxWeighted:
     def test_inversive_five(self):
-        assert block_max_weighted(BlockSpec(5, INV)) == (Fraction(6, 5), 3)
+        assert block_max_weighted([BlockSpec(5, INV)])[0] == (Fraction(6, 5), 3)
 
     def test_increasing_five(self):
-        assert block_max_weighted(BlockSpec(5, INC)) == (Fraction(6, 5), 2)
+        assert block_max_weighted([BlockSpec(5, INC)])[0] == (Fraction(6, 5), 2)
 
     def test_increasing_thirteen_meets_eighth(self):
-        value, k = block_max_weighted(BlockSpec(13, INC))
+        value, k = block_max_weighted([BlockSpec(13, INC)])[0]
         assert value >= Fraction(3, 2)
         assert value == Fraction(42, 13)
         assert k == 6  # (p-1)/2
 
     def test_sweep_limit_enforced(self):
         with pytest.raises(ValueError, match="sweep limit"):
-            block_max_weighted(BlockSpec(13, INC), sweep_limit=10)
+            block_max_weighted([BlockSpec(13, INC)], sweep_limit=10)
 
     def test_default_limit_exported(self):
         assert DEFAULT_SWEEP_LIMIT == 30_000
