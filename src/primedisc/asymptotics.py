@@ -120,9 +120,7 @@ def verify_theorem(table: PrimeTable, m_lo: int, m_hi: int) -> list[TheoremRow]:
     if m_lo < 1 or m_lo > m_hi:
         raise ValueError(f"need 1 <= m_lo <= m_hi, got {m_lo}..{m_hi}")
     if m_hi > len(table):
-        raise TableTooSmallError(
-            f"table has {len(table)} blocks, need {m_hi}", required=m_hi
-        )
+        raise TableTooSmallError(f"table has {len(table)} blocks, need {m_hi}")
     rows: list[TheoremRow] = []
     sweep = _boundary_discrepancies(table.primes, m_lo, m_hi)
     for m, dv in zip(range(m_lo, m_hi + 1), sweep):

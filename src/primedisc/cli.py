@@ -44,7 +44,6 @@ from .primes import (
     pnt_ratio,
     sieve_primes,
     sum_ratio,
-    table_covering,
 )
 from .sequences import Ordering, SequenceFamily, _prefix_blocks, block_numerators, prefix_arrays
 
@@ -120,12 +119,6 @@ def _utf8_lines(fh: Iterable[bytes], name: str) -> Iterator[str]:
             raise ValueError(f"{name}: line {i}: not valid UTF-8") from None
 
 
-def _family_table(family: SequenceFamily, n: int):
-    if family is SequenceFamily.OMEGA:
-        return None
-    return table_covering(n)
-
-
 _GROWTH_HEADER = "pnt_ratio,sum_ratio,m_est"
 
 
@@ -163,7 +156,7 @@ def _cmd_gen(args: argparse.Namespace) -> Iterator[str]:
     # _prefix_blocks checks at the call, so an error ends the command before
     # any output or --out file; the lines are streamed block by block
     family = SequenceFamily(args.family)
-    blocks = _prefix_blocks(family, args.n, _family_table(family, args.n))
+    blocks = _prefix_blocks(family, args.n)
     header = [f"# family={family.value} N={args.n}"] if args.header else []
     lines = (
         f"{a}/{q}"
@@ -200,7 +193,7 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
                 f"N={n} > {_FLOAT_SAFE_PRIME_N}: the prefix reaches a prime block "
                 f"past {_FLOAT_SAFE_DEN}, the denominator limit"
             )
-        dv = prefix_discrepancy(family, n, _family_table(family, n))
+        dv = prefix_discrepancy(family, n)
     fields = {
         "n": n,
         "disc_num": dv.num,
@@ -240,7 +233,7 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
     # the rank sweep costs O(n * distinct values) plus one _confirm per prefix
     _check_sweep_limit("--n", args.n, args.sweep_limit)
     family = SequenceFamily(args.family)
-    num, den = prefix_arrays(family, args.n, _family_table(family, args.n))
+    num, den = prefix_arrays(family, args.n)
     records = prefix_scan(list(zip(num.tolist(), den.tolist())))
     return [header] + [
         f"{r.k},{r.disc.num},{r.disc.den},{r.disc.approx:.17g},{r.weighted_num},{r.weighted_den}"

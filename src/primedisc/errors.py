@@ -8,12 +8,5 @@ class CapacityError(OverflowError):
 
 
 class TableTooSmallError(ValueError):
-    """A prime table does not cover the requested index range.
-
-    The message names the coverage that would be required; ``required``
-    carries a block-count estimate when one is available.
-    """
-
-    def __init__(self, message: str, required: int | None = None) -> None:
-        super().__init__(message)
-        self.required = required
+    """A prime table does not cover the requested index range; the message
+    names the coverage that would be required."""

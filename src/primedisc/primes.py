@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import index
 
 import numpy as np
@@ -59,7 +60,7 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 
 def _nth_prime_limit(m: int) -> int:
-    # p_m < m (ln m + ln ln m) holds for m >= 6; a constant covers small m
+    # Rosser: p_m < m (ln m + ln ln m) holds for m >= 6; a constant covers small m
     if m < 6:
         return 13
     x = float(m)
@@ -106,22 +107,14 @@ def build_prime_table(m_count: int) -> PrimeTable:
     m_count = _integer(m_count)
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
-    limit = _nth_prime_limit(m_count)
-    primes = sieve_primes(limit)
-    while len(primes) < m_count:  # the limit is proven for m >= 6; retry is a safety net
-        limit *= 2
-        primes = sieve_primes(limit)
-    head = [int(p) for p in primes[:m_count]]
-    cumulative = [0]
-    total = 0
-    for p in head:
-        total += p - 1
-        if total > INT64_MAX:
-            raise CapacityError(
-                f"P({len(cumulative)}) = {total} exceeds the 64-bit budget"
-            )
-        cumulative.append(total)
-    return PrimeTable(tuple(head), tuple(cumulative))
+    # one sieve: _nth_prime_limit(m) >= p_m for every m
+    primes = sieve_primes(_nth_prime_limit(m_count))[:m_count]
+    cumulative = list(accumulate((primes - 1).tolist(), initial=0))
+    # the totals increase: checking the last suffices, and the first past names P(m)
+    if cumulative[-1] > INT64_MAX:
+        m = bisect_right(cumulative, INT64_MAX)
+        raise CapacityError(f"P({m}) = {cumulative[m]} exceeds the 64-bit budget")
+    return PrimeTable(tuple(primes.tolist()), tuple(cumulative))
 
 
 def table_covering(n: int) -> PrimeTable:
@@ -146,8 +139,7 @@ def block_index_of(table: PrimeTable, n: int) -> int:
         raise TableTooSmallError(
             f"n={n} is not bracketed by a table with M={len(table)} blocks "
             f"(P(M)={table.coverage}); about {required_blocks_estimate(n)} "
-            "blocks are required",
-            required=required_blocks_estimate(n),
+            "blocks are required"
         )
     return bisect_right(table.cumulative, n) - 1
 

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import TableTooSmallError
-from .primes import PrimeTable, _integer, is_prime, required_blocks_estimate
+from .primes import PrimeTable, _integer, is_prime, required_blocks_estimate, table_covering
 
 
 class Ordering(Enum):
@@ -112,8 +112,9 @@ def _prefix_plan(
     They are the whole blocks with the denominators in whole, in order, then
     the first k < q - 1 elements of block q when cut is (q, k); cut is None
     when n ends a block. The one place that decides which families need a
-    prime table (all but omega) and whether it covers n elements: at the
-    call, in O(1) or one binary search, before anything of size n exists.
+    prime table (all but omega), builds table_covering(n) when none is
+    passed, and checks that a passed one covers n elements: at the call,
+    before anything of size n exists.
     """
     n = _integer(n)
     if n < 1:
@@ -124,12 +125,11 @@ def _prefix_plan(
         k = n - t * (t - 1) // 2
         return Ordering.INCREASING, range(2, t + 1), (t + 1, k) if k else None
     if table is None:
-        raise ValueError(f"family {family.value!r} requires a prime table")
+        table = table_covering(n)
     if table.coverage < n:
         raise TableTooSmallError(
             f"table covers {table.coverage} elements with M={len(table)} blocks; "
-            f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks",
-            required=required_blocks_estimate(n),
+            f"a prefix of length {n} needs about {required_blocks_estimate(n)} blocks"
         )
     ordering = Ordering.INVERSIVE if family is SequenceFamily.ETA else Ordering.INCREASING
     m = bisect_right(table.cumulative, n) - 1

@@ -12,6 +12,7 @@ import pytest
 
 import primedisc.cli as cli
 import primedisc.discrepancy as discrepancy
+import primedisc.sequences as sequences
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
 from primedisc.primes import build_prime_table, sieve_primes
@@ -55,7 +56,7 @@ class TestGen:
         assert target.read_text() == "\n".join(ETA7) + "\n"
 
     def test_error_comes_before_the_out_file(self, capsys, monkeypatch, tmp_path):
-        def no_arrays(family, n, table):
+        def no_arrays(family, n, table=None):
             raise ValueError("no arrays")
 
         monkeypatch.setattr(cli, "_prefix_blocks", no_arrays)
@@ -216,7 +217,7 @@ class TestDisc:
         def no_table(n):
             raise ValueError("table built")
 
-        monkeypatch.setattr(cli, "table_covering", no_table)
+        monkeypatch.setattr(sequences, "table_covering", no_table)
         code, out, err = run(capsys, "disc", "--family", family, "--n", str(n))
         assert (code, out) == (1, "")
         if refused:
@@ -242,6 +243,22 @@ class TestDisc:
         assert (code, out) == (2, "")
         assert err.startswith("usage error:")
         assert "--n" in err
+
+
+class TestFamilyTable:
+    """The prefix entry points build a prime family's table; omega needs none."""
+
+    @pytest.mark.parametrize("command", ["gen", "disc", "scan"])
+    def test_only_prime_families_build_a_table(self, capsys, monkeypatch, command):
+        def no_table(n):
+            raise ValueError("table built")
+
+        want = run(capsys, command, "--family", "omega", "--n", "50")
+        assert want[0] == 0
+        monkeypatch.setattr(sequences, "table_covering", no_table)
+        assert run(capsys, command, "--family", "omega", "--n", "50") == want
+        got = run(capsys, command, "--family", "eta", "--n", "50")
+        assert got == (1, "", "error: table built\n")
 
 
 class TestDumpParse:

@@ -539,8 +539,6 @@ class TestPrefixDiscrepancy:
         [
             (SequenceFamily.OMEGA, 0, None, ValueError),
             (SequenceFamily.ETA, 0, None, ValueError),
-            (SequenceFamily.ETA, 5, None, ValueError),
-            (SequenceFamily.PRIME_INCREASING, 5, None, ValueError),
             (SequenceFamily.ETA, 160, "table10", TableTooSmallError),
             (SequenceFamily.PRIME_INCREASING, 10**15, "table10", TableTooSmallError),
         ],

@@ -9,10 +9,12 @@ from hypothesis import given, strategies as st
 from primedisc.discrepancy import nw_bound
 from primedisc.errors import CapacityError, TableTooSmallError
 from primedisc.primes import (
+    _nth_prime_limit,
     block_index_of,
     build_prime_table,
     is_prime,
     pnt_ratio,
+    required_blocks_estimate,
     sieve_primes,
     sum_ratio,
     table_covering,
@@ -75,6 +77,14 @@ class TestBuildTable:
         assert table.primes == (2,)
         assert table.coverage == 1
 
+    def test_sieve_limit_holds_the_nth_prime(self):
+        # one sieve suffices: _nth_prime_limit(m) >= p_m for every m (Rosser's
+        # bound from m = 6, the constant 13 below), here for m <= 200000
+        m = np.arange(1, 200_001)
+        limits = np.array([_nth_prime_limit(int(k)) for k in m])
+        primes = sieve_primes(int(limits.max()))
+        assert (np.searchsorted(primes, limits, side="right") >= m).all()
+
     def test_capacity_guard(self, monkeypatch):
         monkeypatch.setattr("primedisc.primes.INT64_MAX", 100)
         with pytest.raises(CapacityError):
@@ -111,8 +121,7 @@ class TestBlockIndexOf:
     def test_error_names_estimate(self, table10):
         with pytest.raises(TableTooSmallError) as exc:
             block_index_of(table10, 10**6)
-        assert exc.value.required is not None
-        assert exc.value.required > 10
+        assert f"about {required_blocks_estimate(10**6)} blocks" in str(exc.value)
 
     @given(st.integers(min_value=1, max_value=24032))
     def test_bracket_property(self, n):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import primedisc.sequences as sequences
+from primedisc.discrepancy import prefix_discrepancy
 from primedisc.errors import TableTooSmallError
-from primedisc.primes import is_prime, sieve_primes
+from primedisc.primes import is_prime, sieve_primes, table_covering
 from primedisc.sequences import (
     BlockSpec,
     Ordering,
@@ -131,14 +132,16 @@ class TestGeneratePrefix:
         with pytest.raises(ValueError):
             generate_prefix(ETA, 0, table10)
 
-    def test_requires_table_for_prime_families(self):
-        with pytest.raises(ValueError):
-            generate_prefix(ETA, 3)
-
     @pytest.mark.parametrize("family", [ETA, PRIME_INC])
-    def test_every_entry_point_requires_a_table(self, family):
-        with pytest.raises(ValueError, match="requires a prime table"):
-            prefix_arrays(family, 3)
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_every_entry_point_builds_a_covering_table(self, family, n):
+        # a prime family passed no table gets table_covering(n)
+        table = table_covering(n)
+        num, den = prefix_arrays(family, n)
+        want_num, want_den = prefix_arrays(family, n, table)
+        assert np.array_equal(num, want_num) and np.array_equal(den, want_den)
+        assert generate_prefix(family, n) == generate_prefix(family, n, table)
+        assert prefix_discrepancy(family, n) == prefix_discrepancy(family, n, table)
 
     def test_table_too_small(self, table10):
         with pytest.raises(TableTooSmallError):
