@@ -23,8 +23,6 @@ import numpy as np
 
 from .asymptotics import _residual, lambert_w, verify_theorem
 from .discrepancy import (
-    _FLOAT_SAFE_DEN,
-    _FLOAT_SAFE_PRIME_N,
     _SWEEP_MAX_M,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
@@ -76,14 +74,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
+    # one writelines call rather than a print per line; it takes each line
+    # as it comes, so a gen dump still streams
     if out is None:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         return
     with open(out, "w") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _parse_dump(lines: Iterable[str]) -> tuple[list[int], list[int]]:
@@ -186,13 +183,6 @@ def _cmd_disc(args: argparse.Namespace) -> list[str]:
             raise UsageError("--family requires --n")
         family = SequenceFamily(args.family)
         n = args.n
-        # refused from n alone: the table covering n costs time and memory in
-        # proportion to its largest prime before any denominator is checked
-        if family is not SequenceFamily.OMEGA and n > _FLOAT_SAFE_PRIME_N:
-            raise ValueError(
-                f"N={n} > {_FLOAT_SAFE_PRIME_N}: the prefix reaches a prime block "
-                f"past {_FLOAT_SAFE_DEN}, the denominator limit"
-            )
         dv = prefix_discrepancy(family, n)
     fields = {
         "n": n,

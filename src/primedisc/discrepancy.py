@@ -458,8 +458,16 @@ def prefix_discrepancy(
     _CHUNK values at a time, and only the cut block is generated in family
     order. Memory is O(_CHUNK + m + p) for m whole blocks and a cut block p,
     not O(n). Every check, a denominator beyond 2^26 included, comes before
-    any block is generated.
+    any block is generated. A prime-family prefix past _FLOAT_SAFE_PRIME_N
+    is refused from n alone, before the table that would cover it (time and
+    memory in proportion to its largest prime) is built or read.
     """
+    n = _integer(n)
+    if family is not SequenceFamily.OMEGA and n > _FLOAT_SAFE_PRIME_N:
+        raise ValueError(
+            f"N={n} > {_FLOAT_SAFE_PRIME_N}: the prefix reaches a prime block "
+            f"past {_FLOAT_SAFE_DEN}, the denominator limit"
+        )
     ordering, whole, cut = _prefix_plan(family, n, table)
     # every family's denominators increase: q is the largest
     q, k = cut or (whole[-1], 0)
@@ -702,8 +710,13 @@ def _grid_sweeps(
         # (the rows a member never reaches read row 0)
         r = np.clip(ps - 1 - k, 0, k)
         back = r < k
-        idx = np.where(back, ps - 1 - idx[2:, r, seq], idx[:2, r, seq])
-        val = np.where(back, val[2:, r, seq] + k, val[:2, r, seq])
+        # one flat take per extreme: entry [e, r, g] of idx and val, with
+        # e = 2, 3 (z rows) for a prefix read back and 0, 1 (x rows) else
+        at = (r + 2 * steps * back) * size + seq
+        pick = np.stack([at, at + steps * size])
+        idx, val = idx.take(pick), val.take(pick)
+        idx = np.where(back, ps - 1 - idx, idx)
+        val = np.where(back, val + k, val)
     # the first maximum and minimum are the smallest thresholds; "at" s
     # against "left" s' + 1: the larger value, then the smaller threshold,
     # then "at" before "left"
@@ -931,8 +944,13 @@ def _beside(held: np.ndarray, count: int, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _rebuild(
-    d: np.ndarray, count: int, n: int, cert: np.ndarray, made: np.ndarray
-) -> tuple[int, np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    d: np.ndarray,
+    count: int,
+    n: int,
+    cert: np.ndarray,
+    made: np.ndarray,
+    carry: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
     """The new floor and tracked points of the boundary sweep at m = d.size blocks.
 
     cert holds per chunk its certificate (hi, lo) and made the block count
@@ -942,15 +960,26 @@ def _rebuild(
     are made in decreasing key, sorted once for their extremes, until the
     key falls below the threshold floor_below(top) - margin of the best top
     so far: no chunk left can hold a point that reaches it, so top is the
-    maximum over every point. The held chunks, made here with a
-    certificate that reaches the final threshold, are made again with an
-    argsort, and their points with u >= threshold or u <= 1 - threshold are
-    picked, each named a = j, b = d from the run it came from, with count c
-    its start index plus its sorted position. Chunks are made a batch at a
-    time, one sort per batch: one chunk once chunks are full, many while
-    they are small. Returns the floor, the held chunks in order, the picks
-    (a, b, c), the held chunks' sorted values end to end, and per held
-    chunk its start index less its offset there.
+    maximum over every point. From the held chunks, made here with a
+    certificate that reaches the final threshold, the points with u >=
+    threshold or u <= 1 - threshold are picked, each named a = j, b = d,
+    with count c its start index plus its sorted position; a held chunk
+    not carried is made again with an argsort for its d. Chunks are made a
+    batch at a time, one sort per batch: one chunk once chunks are full,
+    many while they are small.
+
+    carry = (held, val, den, ends) holds chunks the sweep already has at m:
+    val their sorted values end to end, den each value's int32
+    denominator, chunk i at ends[i]:ends[i + 1]. It must equal what a
+    fresh make gives, bit for bit (np.sort of _chunk_values for val, its
+    d for den); both compute the same correctly rounded j / d. A carried
+    chunk is read where key order reaches it, with no generation and no
+    sort, and when held again its picks are named from it (a = rint(x b),
+    exact as b < 2^26) with no argsort; so the floor, the chunks made and
+    held, the picks, the values and the shift are those of a fresh make,
+    the empty carry. Returns the floor, the picks (a, b, c), the held
+    chunks as the next carry, and per held chunk its start index less its
+    offset in val.
     """
     m = d.size
     margin = n * _FILTER_MARGIN
@@ -960,20 +989,38 @@ def _rebuild(
     half, edges = int((d // 2).sum()), _CHUNK // m
     per = _SLICE if made.any() else _CHUNK
     batch = max(1, edges if half <= m * count else min(edges, per * count // half))
+    carried, cval, cden, cends = carry
+    where = np.full(count, -1)
+    where[carried] = np.arange(carried.size)
 
     def floor_below(top: float) -> int:
         return math.floor(top - margin) - _BAND_WIDTH
 
+    def parts(ks: np.ndarray, of: np.ndarray) -> list[np.ndarray]:
+        # the slices of the carried chunks ks in an array of the carry
+        return [of[cends[k] : cends[k + 1]] for k in ks]
+
     key = np.maximum(cert[:, 0], 1.0 - cert[:, 1]) + (m - made)
     by_key = np.argsort(-key)
     sizes = np.zeros(count, dtype=np.int64)
+    starts = np.zeros(count, dtype=np.int64)
     top = -math.inf
     for i in range(0, count, batch):
         if top > -math.inf and key[by_key[i]] < floor_below(top) - margin:
             break
         ts = np.sort(by_key[i : i + batch])
-        val, _, _, size, start = _chunk_values(d, ts, count)
-        val.sort()
+        # the fresh chunks made and sorted, then the carried ones as they stand
+        new, old = ts[where[ts] < 0], ts[where[ts] >= 0]
+        ts = np.concatenate([new, old])
+        val, size, start = np.empty(0), _EMPTY, _EMPTY
+        if new.size:
+            val, _, _, size, start = _chunk_values(d, new, count)
+            val.sort()
+        if old.size:
+            ks = where[old]
+            val = np.concatenate([val, *parts(ks, cval)])
+            size = np.concatenate([size, np.diff(cends)[ks]])
+            start = np.concatenate([start, _chunk_bounds(d, old[:, None], count)[0].sum(axis=1)])
         offset = np.cumsum(size) - size
         # the value at index i of the sorted batch has count i + step
         step = start - offset
@@ -987,32 +1034,69 @@ def _rebuild(
             lo[full] = np.minimum(lo[full], np.minimum.reduceat(u, offset[full]))
             top = max(top, float(u.max()), 1.0 - float(u.min()))
         cert[ts, 0], cert[ts, 1] = hi, lo
-        made[ts], sizes[ts] = m, size
+        made[ts], sizes[ts], starts[ts] = m, size, start
     floor = floor_below(top)
     t_min = floor - margin
     held = np.flatnonzero((made == m) & ((cert[:, 0] >= t_min) | (cert[:, 1] <= 1.0 - t_min)))
-    values = np.empty(int(sizes[held].sum()))
-    picks, shift = [], []
-    base = 0
-    for i in range(0, held.size, batch):
-        ts = held[i : i + batch]
-        val, first, offsets, size, start = _chunk_values(d, ts, count)
-        order = val.argsort()
-        val = np.take(val, order, out=values[base : base + val.size])
-        step = start - (np.cumsum(size) - size)
-        steps = np.repeat(step.astype(np.float64), size)
+    size = sizes[held]
+    ends = np.concatenate([[0], np.cumsum(size)])
+    shift = starts[held] - ends[:-1]
+    values = np.empty(int(ends[-1]))
+    dens = np.empty(values.size, dtype=np.int32)
+    d32 = d.astype(np.int32)
+    src = where[held]
+    # groups of consecutive held chunks, all fresh or all carried, a batch
+    # at a time; a fresh batch's argsort gives each value the d of its run
+    groups = np.split(np.arange(held.size), np.flatnonzero(np.diff(src >= 0)) + 1)
+    picks = []
+    for ks in (group[i : i + batch] for group in groups for i in range(0, group.size, batch)):
+        begin, end = ends[ks[0]], ends[ks[-1] + 1]
+        val, den = values[begin:end], dens[begin:end]
+        if src[ks[0]] < 0:
+            new, _, offsets, _, _ = _chunk_values(d, held[ks], count)
+            order = new.argsort()
+            np.take(new, order, out=val)
+            runs = np.diff(offsets, append=new.size)
+            np.take(np.repeat(np.tile(d32, ks.size), runs), order, out=den)
+        else:
+            np.concatenate(parts(src[ks], cval), out=val)
+            np.concatenate(parts(src[ks], cden), out=den)
+        steps = np.repeat((shift[ks] + begin).astype(np.float64), size[ks])
         u = _deviation(val, n, steps)
         pick = np.flatnonzero((u >= t_min) | (u <= 1.0 - t_min))
-        # each pick's run: the last one starting at or before it, as an
-        # empty run starts where the next one does
-        src = order[pick]
-        run = np.searchsorted(offsets, src, "right") - 1
-        c = (pick + steps[pick]).astype(np.int64)
-        picks.append((src - offsets[run] + first[run] + 1, d[run % m], c))
-        shift.append(step - base)
-        base += val.size
+        b = den[pick].astype(np.int64)
+        a = np.rint(val[pick] * b).astype(np.int64)
+        picks.append((a, b, (pick + steps[pick]).astype(np.int64)))
     abc = tuple(map(np.concatenate, zip(*picks)))
-    return floor, held, abc, values, np.concatenate(shift)
+    return floor, abc, (held, values, dens, ends), shift
+
+
+def _merge_carry(
+    carry: tuple[np.ndarray, ...], new: list[tuple[np.ndarray, ...]]
+) -> tuple[np.ndarray, ...]:
+    # the boundary sweep's carry (held chunks, their sorted values and int32
+    # denominators end to end, chunk ends) with the new points of each row
+    # since merged in: per row their values j / p, p, the position of each
+    # one's held chunk and its insertion point in the old values. The new
+    # values are all distinct from the old ones, so one sort of them and
+    # one scatter place them
+    held, val, den, ends = carry
+    x, q, k, pos = (np.concatenate(v) for v in zip(*new))
+    order = x.argsort()
+    at = pos[order] + np.arange(x.size)
+    old = np.ones(val.size + x.size, dtype=bool)
+    old[at] = False
+    merged = []
+    for was, add in ((val, x), (den, q)):
+        out = np.empty(old.size, dtype=was.dtype)
+        out[at], out[old] = add[order], was
+        merged.append(out)
+    per_chunk = np.bincount(k, minlength=held.size)
+    return held, *merged, ends + np.concatenate([[0], np.cumsum(per_chunk)])
+
+
+# the empty carry of _rebuild: no chunk, no value, one chunk end
+_NO_CARRY = (_EMPTY, np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64))
 
 
 # the last m whose first m primes pass the sweep's int64 check below, P(m)
@@ -1076,6 +1160,16 @@ def _boundary_discrepancies(
     plus the closed form floor(j q / p) for each block q since the rebuild,
     plus j - 1. Floats only choose what to track; values, witnesses and the
     certification test are exact.
+
+    The held chunks are carried to the next rebuild: their sorted values
+    with an int32 denominator each, 12 B per held value. The new points
+    that _beside names are exactly the held chunks' new points, so each
+    row's go into a buffer, with the binary search's insertion points, and
+    the next rebuild first merges the buffer into the carry once
+    (_merge_carry). The merged carry is bit for bit what a fresh make of
+    each of those chunks at m gives, as both divide the same j by the same
+    d once. _rebuild reads a carried chunk as it stands, with no
+    generation, sort or argsort, and returns what it would from no carry.
     """
     primes = [int(p) for p in primes[:m_hi]]
     p_max = max(primes)
@@ -1088,7 +1182,13 @@ def _boundary_discrepancies(
     count = -(-sum(p // 2 for p in primes) // _SLICE)
     cert = np.tile([math.inf, -math.inf], (count, 1))
     made = np.zeros(count, dtype=np.int64)
-    held, val, shift = _EMPTY, np.empty(0), _EMPTY
+    # the held chunks as of the last rebuild (_rebuild's carry), and per
+    # held chunk its start index less its offset there
+    carry = _NO_CARRY
+    shift = _EMPTY
+    # the new points j / p inside held chunks since the last rebuild, per row,
+    # merged into the carry at the next one (_merge_carry)
+    new = []
     # m0: the block count at the last rebuild
     m0 = n = floor = 0
     # tracked points a/b <= 1/2 with exact counts c, each in a band
@@ -1099,8 +1199,11 @@ def _boundary_discrepancies(
             continue
         floor += 1
         c += a * p // b
-        j, k = _beside(held, count, p)
-        cj = np.searchsorted(val, j / p) + shift[k] + (j - 1)
+        j, k = _beside(carry[0], count, p)
+        x = j / p
+        at = np.searchsorted(carry[1], x)
+        new.append((x, np.full(j.size, p, dtype=np.int32), k, at))
+        cj = at + shift[k] + (j - 1)
         cj += (np.multiply.outer(j, d[m0 : m - 1]) // p).sum(axis=1)
         a = np.concatenate([a, j])
         b = np.concatenate([b, np.full(j.size, p, dtype=np.int64)])
@@ -1108,8 +1211,8 @@ def _boundary_discrepancies(
         w = n * a - c * b
         keep = _bands(w, b, floor)
         if not keep.any():
-            m0 = m
-            floor, held, (a, b, c), val, shift = _rebuild(d[:m], count, n, cert, made)
+            carry, new, m0 = _merge_carry(carry, new), [], m
+            floor, (a, b, c), carry, shift = _rebuild(d[:m], count, n, cert, made, carry)
             w = n * a - c * b
             keep = _bands(w, b, floor)
         kept = np.flatnonzero(keep)

@@ -540,7 +540,8 @@ class TestPrefixDiscrepancy:
             (SequenceFamily.OMEGA, 0, None, ValueError),
             (SequenceFamily.ETA, 0, None, ValueError),
             (SequenceFamily.ETA, 160, "table10", TableTooSmallError),
-            (SequenceFamily.PRIME_INCREASING, 10**15, "table10", TableTooSmallError),
+            # below the prime-prefix limit, which prefix_arrays does not have
+            (SequenceFamily.PRIME_INCREASING, 10**14, "table10", TableTooSmallError),
         ],
     )
     def test_same_errors_as_prefix_arrays(self, family, n, table, error, request):
@@ -550,6 +551,34 @@ class TestPrefixDiscrepancy:
         with pytest.raises(error) as got:
             prefix_discrepancy(family, n, table)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("family", [SequenceFamily.ETA, SequenceFamily.PRIME_INCREASING])
+    @pytest.mark.parametrize("table", [None, "table10"])
+    @pytest.mark.parametrize(
+        "n,refused",
+        [
+            (discrepancy._FLOAT_SAFE_PRIME_N, False),
+            (discrepancy._FLOAT_SAFE_PRIME_N + 1, True),
+            (10**15, True),
+        ],
+    )
+    def test_prime_prefix_refused_before_the_table(
+        self, monkeypatch, request, family, table, n, refused
+    ):
+        # a prime-family prefix past the last prime block below 2^26 is
+        # refused from n alone: no table is built, a passed one is not read
+        def no_table(n):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(sequences, "table_covering", no_table)
+        table = request.getfixturevalue(table) if table else None
+        if refused:
+            limit = f"^N={n} > .* past {1 << 26}, the denominator limit$"
+            with pytest.raises(ValueError, match=limit):
+                prefix_discrepancy(family, n, table)
+        else:
+            with pytest.raises(AssertionError if table is None else TableTooSmallError):
+                prefix_discrepancy(family, n, table)
 
 
 class TestLowerHalfPrefix:
@@ -1972,8 +2001,8 @@ class TestBoundarySweep:
         state = {}
         rebuild = discrepancy._rebuild
 
-        def recorded(d, count, n, cert, made):
-            out = rebuild(d, count, n, cert, made)
+        def recorded(d, count, n, cert, made, carry):
+            out = rebuild(d, count, n, cert, made, carry)
             state.update(cert=cert.copy(), made=made.copy(), count=count)
             return out
 
@@ -2011,6 +2040,72 @@ class TestBoundarySweep:
         want = merged_boundary_values(ps, m_lo, len(ps))
         monkeypatch.setattr(discrepancy, "_SLICE", size)
         assert list(_boundary_discrepancies(ps, m_lo, len(ps))) == want
+
+    @pytest.mark.parametrize(
+        "m_lo,m_hi,subset,size",
+        [
+            (1, 600, None, None),
+            (50, 300, None, None),
+            *((None, None, seed, size) for size in (1, 7, 64) for seed in range(2)),
+        ],
+        ids=[
+            "1..600",
+            "50..300",
+            *(f"random{seed}-size{size}" for size in (1, 7, 64) for seed in range(2)),
+        ],
+    )
+    def test_carry_matches_a_fresh_make(self, monkeypatch, m_lo, m_hi, subset, size):
+        # at every rebuild each carried chunk, its buffered new points merged
+        # in, holds bit for bit the sorted values and denominators a fresh
+        # make gives, and the rebuild from the carry returns what one from
+        # no carry does: floor, certificates, held chunks, picks, values and
+        # shifts
+        primes = build_prime_table(600).primes
+        if subset is not None:
+            rng = np.random.default_rng([34, subset])
+            # random prime subsets in random order, from a random first row
+            # early enough for later rebuilds, and narrow bands that rebuild
+            # often
+            ps = rng.permutation(primes[:120])[: int(rng.integers(40, 121))].tolist()
+            m_lo, m_hi = int(rng.integers(1, len(ps) // 3)), len(ps)
+            monkeypatch.setattr(discrepancy, "_SLICE", size)
+            monkeypatch.setattr(discrepancy, "_BAND_WIDTH", 3 * subset)
+        else:
+            ps = primes[:m_hi]
+        rebuild = discrepancy._rebuild
+        checked = {"chunks": 0, "rebuilds": 0}
+
+        def fresh_chunk(d, t, count):
+            val, _, offsets, _, _ = _chunk_values(d, np.array([t]), count)
+            order = np.argsort(val)
+            den = np.repeat(d, np.diff(offsets, append=val.size))
+            return np.sort(val), den[order].astype(np.int32)
+
+        def compared(d, count, n, cert, made, carry):
+            held, val, den, ends = carry
+            assert val.dtype == np.float64 and den.dtype == np.int32
+            assert ends[0] == 0 and ends[-1] == val.size == den.size
+            for i, t in enumerate(held.tolist()):
+                want_val, want_den = fresh_chunk(d, t, count)
+                assert val[ends[i] : ends[i + 1]].tobytes() == want_val.tobytes(), t
+                assert den[ends[i] : ends[i + 1]].tobytes() == want_den.tobytes(), t
+                checked["chunks"] += 1
+            fresh_cert, fresh_made = cert.copy(), made.copy()
+            want = rebuild(d, count, n, fresh_cert, fresh_made, discrepancy._NO_CARRY)
+            got = rebuild(d, count, n, cert, made, carry)
+            assert got[0] == want[0]
+            assert cert.tobytes() == fresh_cert.tobytes() and (made == fresh_made).all()
+            picks = [set(zip(*(v.tolist() for v in out[1]))) for out in (got, want)]
+            assert picks[0] == picks[1]
+            for g, w in zip((*got[2], got[3]), (*want[2], want[3])):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            checked["rebuilds"] += held.size > 0
+            return got
+
+        monkeypatch.setattr(discrepancy, "_rebuild", compared)
+        for _ in _boundary_discrepancies(ps, m_lo, m_hi):
+            pass
+        assert checked["rebuilds"] >= 5 and checked["chunks"] >= checked["rebuilds"]
 
     @pytest.mark.slow
     def test_memory_flat_in_n(self):
