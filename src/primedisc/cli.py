@@ -26,6 +26,7 @@ from .discrepancy import (
     _SWEEP_MAX_M,
     DEFAULT_SWEEP_LIMIT,
     BlockSpec,
+    _increasing_maxima,
     _maxima_columns,
     block_max_weighted,
     nw_bound,
@@ -207,13 +208,15 @@ def _cmd_scan(args: argparse.Namespace) -> list[str]:
             raise UsageError(f"--prime {p} is not a prime")
         _check_sweep_limit("--prime", p, args.sweep_limit)
         ordering = Ordering(args.ordering or "inversive")
-        num = block_numerators(p, ordering)
-        if args.n is not None and args.n > num.size:
-            raise UsageError(f"--n {args.n} exceeds the block size {num.size}")
-        # the sweep's maxima reduced to the CSV's columns, no witness and no
-        # record per prefix; disc_float is the quotient of Python ints as in
-        # DiscrepancyValue.approx
-        maxima = weighted_prefix_maxima(num[: args.n], p)
+        if args.n is not None and args.n > p - 1:
+            raise UsageError(f"--n {args.n} exceeds the block size {p - 1}")
+        # the sweep's maxima, or an increasing block's in closed form, reduced
+        # to the CSV's columns, no witness and no record per prefix;
+        # disc_float is the quotient of Python ints as in DiscrepancyValue.approx
+        if ordering is Ordering.INCREASING:
+            maxima = _increasing_maxima(p, p - 1 if args.n is None else args.n)
+        else:
+            maxima = weighted_prefix_maxima(block_numerators(p, ordering)[: args.n], p)
         cells = zip(range(1, maxima.size + 1), *(x.tolist() for x in _maxima_columns(maxima, p)))
         return [header] + [f"{k},{a},{b},{a / b:.17g},{e},{f}" for k, a, b, e, f in cells]
     if args.n is None:

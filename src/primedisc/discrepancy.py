@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .primes import PrimeTable, _integer, is_prime
-from .sequences import BlockSpec, SequenceFamily, _prefix_plan, block_numerators
+from .sequences import BlockSpec, Ordering, SequenceFamily, _prefix_plan, block_numerators
 
 DEFAULT_SWEEP_LIMIT = 30_000
 
@@ -814,42 +814,70 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     return _grid_sweeps([(nums, int(p))])[0][0]
 
 
+def _increasing_maxima(p: int, n: int) -> np.ndarray:
+    """p * k * D_k* = k (p - k) for k = 1..n of {1/p, ..., k/p}, the grid
+    sweep's maxima column of an increasing block, as int64 in closed form.
+
+    D_k* = (p - k) / p, attained "at" k/p. "At" j/p, j <= k, the deviation
+    is j/k - j/p = j (p - k) / (kp) <= (p - k) / p; on [k/p, 1] it is 1 - r
+    <= (p - k) / p; "left" j/p it is j/p - (j - 1)/k <= 1/p <= (p - k) / p.
+    As in the sweep, p * n >= 2^63 is refused.
+    """
+    if p * n >= 1 << 63:
+        raise OverflowError(f"p * N = {p * n} reaches 2^63; the maxima need int64")
+    k = np.arange(1, n + 1, dtype=np.int64)
+    return k * (p - k)
+
+
 def block_max_weighted(
     specs: Sequence[BlockSpec], sweep_limit: int = DEFAULT_SWEEP_LIMIT
 ) -> list[tuple[Fraction, int]]:
     """(max over k of k * D_k*, smallest k attaining it) per whole block, in
     order; bounds runs it over all its blocks.
 
-    Every spec is checked before the first sweep: denominators above
-    sweep_limit are refused so a huge block cannot be requested by
-    accident. Consecutive blocks share one _grid_sweeps group while
-    (G + 1) W <= _CELLS // 8, W the widest p (a whole block's half grid is
-    {0, ..., p - 1}), so a row block still holds at least 8 steps; a block
-    wider than that goes alone. Value and k do not depend on the grouping.
-    A block costs about p^2 / 2 slots, as its prefixes past (p - 1) / 2
-    mirror earlier ones.
+    Every spec is checked before any work: denominators above sweep_limit
+    are refused so a huge block cannot be requested by accident. An
+    increasing block takes its maxima in closed form (_increasing_maxima),
+    O(p); its peak is (p^2 - 1) / (4p) at k = (p - 1) / 2, and 1/2 at k = 1
+    for p = 2. Only the inversive blocks are swept: consecutive ones share
+    one _grid_sweeps group while (G + 1) W <= _CELLS // 8, W the widest p
+    (a whole block's half grid is {0, ..., p - 1}), so a row block still
+    holds at least 8 steps; a block wider than that goes alone. Value and k
+    do not depend on the grouping. A swept block costs about p^2 / 2 slots,
+    as its prefixes past (p - 1) / 2 mirror earlier ones.
     """
-    groups: list[list[BlockSpec]] = []
-    width = 0
     for spec in specs:
         if spec.p > sweep_limit:
             raise ValueError(
                 f"p={spec.p} exceeds the sweep limit {sweep_limit} (quadratic cost); "
                 "raise sweep_limit explicitly to proceed"
             )
+    # per index into specs, filled in whatever order the blocks are answered
+    peaks: dict[int, tuple[Fraction, int]] = {}
+
+    def peak(i: int, maxima: np.ndarray) -> None:
+        k = int(maxima.argmax())
+        peaks[i] = (Fraction(int(maxima[k]), specs[i].p), k + 1)
+
+    # the inversive blocks, as indices into specs, in groups
+    groups: list[list[int]] = []
+    width = 0
+    for i, spec in enumerate(specs):
+        if spec.ordering is Ordering.INCREASING:
+            peak(i, _increasing_maxima(spec.p, spec.p - 1))
+            continue
         width = max(width, spec.p)
         if groups and (len(groups[-1]) + 1) * width <= _CELLS // 8:
-            groups[-1].append(spec)
+            groups[-1].append(i)
         else:
-            groups.append([spec])
+            groups.append([i])
             width = spec.p
-    peaks = []
     for group in groups:
-        sweeps = _grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in group])
-        for spec, (maxima, _, _) in zip(group, sweeps):
-            k = int(maxima.argmax())
-            peaks.append((Fraction(int(maxima[k]), spec.p), k + 1))
-    return peaks
+        blocks = [specs[i] for i in group]
+        sweeps = _grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in blocks])
+        for i, (maxima, _, _) in zip(group, sweeps):
+            peak(i, maxima)
+    return [peaks[i] for i in range(len(specs))]
 
 
 def nw_bound(p: int, k: int) -> float:

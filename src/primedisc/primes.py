@@ -20,6 +20,11 @@ from .errors import CapacityError, TableTooSmallError
 
 INT64_MAX = 2**63 - 1
 
+# the last m with P(m) < 2^63, p_(m+1) = 20706267151; a larger table is
+# refused before its sieve (discrepancy._SWEEP_MAX_M is the boundary
+# sweep's tighter limit, P(m) p_m < 2^63)
+_TABLE_MAX_M = 911_962_440
+
 
 def _integer(value) -> int:
     """operator.index(value): numpy integers pass, floats and strings are refused."""
@@ -107,6 +112,10 @@ def build_prime_table(m_count: int) -> PrimeTable:
     m_count = _integer(m_count)
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
+    if m_count > _TABLE_MAX_M:
+        raise CapacityError(
+            f"{m_count} blocks exceed the 64-bit budget: P(m) < 2^63 only up to m = {_TABLE_MAX_M}"
+        )
     # one sieve: _nth_prime_limit(m) >= p_m for every m
     primes = sieve_primes(_nth_prime_limit(m_count))[:m_count]
     cumulative = list(accumulate((primes - 1).tolist(), initial=0))

@@ -15,7 +15,7 @@ import primedisc.discrepancy as discrepancy
 import primedisc.sequences as sequences
 from primedisc.cli import main
 from primedisc.discrepancy import DEFAULT_SWEEP_LIMIT, star_discrepancy_oracle
-from primedisc.primes import build_prime_table, sieve_primes
+from primedisc.primes import _TABLE_MAX_M, build_prime_table, sieve_primes
 from primedisc.sequences import SequenceFamily, generate_prefix, prefix_arrays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -410,6 +410,26 @@ class TestScan:
     def test_n_beyond_block_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--prime", "5", "--n", "9")
         assert code == 2
+        code, _, err = run(capsys, "scan", "--prime", "5", "--n", "5", "--ordering", "increasing")
+        assert code == 2
+        assert "--n 5 exceeds the block size 4" in err
+
+    def test_increasing_block_is_not_swept(self, capsys, monkeypatch):
+        # {1/p, ..., k/p} has p k D_k* = k (p - k) in closed form: no block
+        # is generated and the sweep is not called, with or without --n
+        [digest] = [d for c, _, d in PINNED if c == "scan --prime 101 --ordering increasing"]
+
+        def no_work(*args):
+            raise AssertionError("the increasing block was swept")
+
+        monkeypatch.setattr(cli, "block_numerators", no_work)
+        monkeypatch.setattr(cli, "weighted_prefix_maxima", no_work)
+        code, out, _ = run(capsys, "scan", "--prime", "101", "--ordering", "increasing")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, head, _ = run(capsys, "scan", "--prime", "101", "--ordering", "increasing", "--n", "50")
+        assert code == 0
+        assert head.splitlines() == out.splitlines()[:51]
 
     def test_sweep_limit_guard(self, capsys, monkeypatch):
         # refused before the block is generated, so a big prime costs no time
@@ -650,6 +670,20 @@ class TestAsym:
         assert lines[0] == "m,p_m,P_m,pnt_ratio,sum_ratio,m_est"
         assert len(lines) == 6
         assert lines[1].startswith("2,3,3,")
+
+    def test_m_range_past_the_table_limit(self, capsys, monkeypatch):
+        # P(HI) would pass 2^63: refused from HI alone, before the sieve
+        def no_sieve(*args):
+            raise AssertionError("sieve started")
+
+        monkeypatch.setattr("primedisc.primes.sieve_primes", no_sieve)
+        hi = _TABLE_MAX_M + 1
+        code, out, err = run(capsys, "asym", "--m-range", f"2..{hi}")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 911962441 blocks exceed the 64-bit budget: "
+            "P(m) < 2^63 only up to m = 911962440\n"
+        )
 
     @pytest.mark.parametrize("x", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_x_is_usage_error(self, capsys, x):

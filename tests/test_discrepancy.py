@@ -148,6 +148,29 @@ def assert_increasing_closed_form(p):
     assert (int(witness[-1]), bool(at_side[-1])) == (1, p == 2), p
 
 
+def swept_peaks(specs):
+    """(max k D_k*, first k) per whole block from the grid sweep alone, in
+    bounds-shaped groups: consecutive blocks of either ordering while (G + 1)
+    W <= _CELLS // 8, W the widest p. The reference of block_max_weighted,
+    which sweeps only the inversive blocks."""
+    groups, width = [], 0
+    for spec in specs:
+        width = max(width, spec.p)
+        if groups and (len(groups[-1]) + 1) * width <= discrepancy._CELLS // 8:
+            groups[-1].append(spec)
+        else:
+            groups.append([spec])
+            width = spec.p
+    peaks = []
+    for group in groups:
+        sweeps = discrepancy._grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in group])
+        for spec, (maxima, _, _) in zip(group, sweeps):
+            k = int(maxima.argmax())
+            peaks.append((Fraction(int(maxima[k]), spec.p), k + 1))
+    assert sum(map(len, groups)) == len(specs)
+    return peaks
+
+
 def random_multiset(rng, max_size=60, max_den=30):
     size = int(rng.integers(1, max_size + 1))
     dens = rng.integers(2, max_den + 1, size=size)
@@ -1195,8 +1218,9 @@ class TestGridSweep:
     def test_matches_per_prefix_int64_loop(self):
         # every prime up to 2000 in both orderings, in int32 lanes as given and
         # in int64 lanes as c nums / c p: the same points, slots c times as
-        # large, and p N c >= 2^31; then every block again through the
-        # grouped sweep of bounds, both orderings in one stream
+        # large, and p N c >= 2^31; then every block again through the sweep
+        # in bounds-shaped groups, both orderings in one stream, and through
+        # block_max_weighted, which sweeps the inversive blocks alone
         specs, want = [], []
         for p in sieve_primes(2000).tolist():
             for ordering in (INV, INC):
@@ -1211,6 +1235,7 @@ class TestGridSweep:
                     assert np.array_equal(got[2], at_side), (p, ordering, scale)
                 specs.append(BlockSpec(p, ordering))
                 want.append((Fraction(int(maxima.max()), p), int(maxima.argmax()) + 1))
+        assert swept_peaks(specs) == want
         assert block_max_weighted(specs) == want
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 17], ids=["one-row", "seven", "default"])
@@ -1271,7 +1296,9 @@ class TestGridSweep:
 
     def test_block_maxima_match_one_block_at_a_time(self):
         # every prime up to 1200, both orderings apart and interleaved: the
-        # groups of bounds against one block_max_weighted call per block
+        # groups of bounds against one block_max_weighted call per block, and
+        # against the sweep of every block, the increasing ones too, in
+        # bounds-shaped groups: of increasing blocks alone, and mixed
         primes = sieve_primes(1200).tolist()
         want = {
             (p, o): block_max_weighted([BlockSpec(p, o)])[0] for p in primes for o in (INV, INC)
@@ -1280,6 +1307,28 @@ class TestGridSweep:
             specs = [BlockSpec(p, o) for p in primes for o in orderings]
             got = block_max_weighted(specs)
             assert got == [want[s.p, s.ordering] for s in specs], orderings
+            assert got == swept_peaks(specs), orderings
+
+    def test_block_maxima_sweep_inversive_blocks_only(self, monkeypatch):
+        # _grid_sweeps is never given an increasing block: a stream of
+        # increasing blocks sweeps nothing, and an interleaved stream sweeps
+        # the inversive blocks alone, in the groups of the inversive stream
+        primes = sieve_primes(700).tolist()
+        seen, inner = [], discrepancy._grid_sweeps
+
+        def recorded(seqs):
+            seen.append([(np.asarray(nums).tolist(), p) for nums, p in seqs])
+            return inner(seqs)
+
+        monkeypatch.setattr(discrepancy, "_grid_sweeps", recorded)
+        block_max_weighted([BlockSpec(p, INC) for p in primes])
+        assert seen == []
+        block_max_weighted([BlockSpec(p, INV) for p in primes])
+        alone, seen[:] = list(seen), []
+        block_max_weighted([BlockSpec(p, o) for p in primes for o in (INC, INV)])
+        assert seen == alone and len(seen) > 1
+        swept = [(nums, p) for group in seen for nums, p in group]
+        assert swept == [(block_numerators(p, INV).tolist(), p) for p in primes]
 
     def test_block_maxima_refuse_before_any_sweep(self, monkeypatch):
         swept = []
@@ -1363,6 +1412,19 @@ class TestGridSweep:
         for p in sieve_primes(2000).tolist():
             assert_increasing_closed_form(p)
 
+    def test_increasing_maxima_match_the_sweep(self):
+        # the closed form block_max_weighted and scan --prime read, against
+        # the sweep's maxima of whole increasing blocks and their prefixes,
+        # with the sweep's 2^63 refusal
+        for p in sieve_primes(300).tolist():
+            for n in sorted({1, p // 2, p - 1}):
+                want = weighted_prefix_maxima(np.arange(1, n + 1), p)
+                assert np.array_equal(discrepancy._increasing_maxima(p, n), want), (p, n)
+        p = (1 << 62) - 1
+        assert discrepancy._increasing_maxima(p, 2).tolist() == [p - 1, 2 * p - 4]
+        with pytest.raises(OverflowError, match="2\\^63"):
+            discrepancy._increasing_maxima(1 << 62, 2)
+
     @pytest.mark.slow
     def test_increasing_block_closed_form_in_int64_lanes(self):
         # the smallest prime with p (p - 1) >= 2^31: the mirrored rows in
@@ -1374,10 +1436,11 @@ class TestGridSweep:
 
     def test_bounds_increasing_closed_form(self, capsys):
         # max k D_k* of {1/p, ..., k/p} is (p^2 - 1) / (4p) at k = (p - 1) / 2,
-        # and 1/2 at k = 1 for p = 2
-        assert main(["bounds", "--pmax", "2000", "--ordering", "increasing"]) == 0
+        # and 1/2 at k = 1 for p = 2, up to the default sweep limit: well
+        # under a second in closed form, minutes if the blocks were swept
+        assert main(["bounds", "--pmax", str(DEFAULT_SWEEP_LIMIT), "--ordering", "increasing"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert len(rows) == 303
+        assert len(rows) == 3245
         for p, k, num, den, *_ in rows:
             p = int(p)
             want = (1, Fraction(1, 2)) if p == 2 else ((p - 1) // 2, Fraction(p * p - 1, 4 * p))

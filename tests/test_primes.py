@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from primedisc.discrepancy import nw_bound
 from primedisc.errors import CapacityError, TableTooSmallError
 from primedisc.primes import (
+    _TABLE_MAX_M,
+    INT64_MAX,
     _nth_prime_limit,
     block_index_of,
     build_prime_table,
@@ -20,6 +22,34 @@ from primedisc.primes import (
     table_covering,
 )
 from primedisc.sequences import BlockSpec, Ordering, block_numerators
+
+
+def prime_sum_and_count(n: int) -> tuple[int, int]:
+    """(sum of the primes <= n modulo 2^64, pi(n)) by Lucy's sieve: S(v) over
+    the values v = n // i, from the sum of 2..v, less p (S(v // p) - S(p - 1))
+    for each prime p <= sqrt(v) in turn; uint64 arithmetic wraps modulo 2^64."""
+    r = math.isqrt(n)
+    low = [v * (v + 1) // 2 - 1 for v in range(r + 1)]
+    high = [n // i * (n // i + 1) // 2 - 1 for i in range(1, r + 1)]
+    # [0] of small is unused; large[i] holds v = n // i, i = 1..r
+    small_s = np.array([x % (1 << 64) for x in low], dtype=np.uint64)
+    large_s = np.array([0] + [x % (1 << 64) for x in high], dtype=np.uint64)
+    small_c = np.arange(-1, r, dtype=np.int64)
+    large_c = np.array([0] + [n // i - 1 for i in range(1, r + 1)], dtype=np.int64)
+    for p in sieve_primes(r).tolist():
+        sp, cp = small_s[p - 1], small_c[p - 1]
+        top = min(r, n // (p * p))
+        # v = n // i >= p^2 for i <= top, and v // p = n // (i p)
+        ip = np.arange(p, p * top + 1, p, dtype=np.int64)
+        inner = ip <= r
+        li, si = np.where(inner, ip, 0), np.where(inner, 0, n // ip)
+        large_s[1 : top + 1] -= np.uint64(p) * (np.where(inner, large_s[li], small_s[si]) - sp)
+        large_c[1 : top + 1] -= np.where(inner, large_c[li], small_c[si]) - cp
+        if p * p <= r:
+            w = np.arange(p * p, r + 1) // p
+            small_s[p * p :] -= np.uint64(p) * (small_s[w] - sp)
+            small_c[p * p :] -= small_c[w] - cp
+    return int(large_s[1]), int(large_c[1])
 
 
 def trial_division_primes(count: int) -> list[int]:
@@ -89,6 +119,49 @@ class TestBuildTable:
         monkeypatch.setattr("primedisc.primes.INT64_MAX", 100)
         with pytest.raises(CapacityError):
             build_prime_table(20)
+
+    def test_table_limit_refused_before_the_sieve(self, monkeypatch):
+        # from m_count alone, for every caller; a table past the limit would
+        # need a sieve to about 2 * 10^10
+        def no_sieve(*args):
+            raise AssertionError("sieve started")
+
+        monkeypatch.setattr("primedisc.primes.sieve_primes", no_sieve)
+        message = f"P\\(m\\) < 2\\^63 only up to m = {_TABLE_MAX_M}"
+        with pytest.raises(CapacityError, match=f"^{_TABLE_MAX_M + 1} blocks .*{message}"):
+            build_prime_table(_TABLE_MAX_M + 1)
+        with pytest.raises(CapacityError, match=message):
+            table_covering(INT64_MAX)
+
+    @pytest.mark.slow
+    def test_table_limit_from_a_sieve(self):
+        # P(m) = S(x) - pi(x) at x = p_m, S the sum of the primes up to x.
+        # Lucy's sieve gives S and pi at an x below the limit, then an
+        # Eratosthenes window walks the primes past x to the first P(m) >=
+        # 2^63; every S stays below 2^64, so S taken modulo 2^64 is exact.
+        # Known values first: at 10^10 the sums of 2..v already wrap
+        assert prime_sum_and_count(10**6) == (37550402023, 78498)
+        assert prime_sum_and_count(10**10) == (2220822432581729238, 455052511)
+        primes = sieve_primes(99_991)
+        assert prime_sum_and_count(99_991) == (int(primes.sum()), primes.size)
+        x = 20_700_000_000
+        s, m = prime_sum_and_count(x)
+        total = s - m
+        assert total < 1 << 63
+        base = sieve_primes(math.isqrt(x + (1 << 26)) + 1).tolist()
+        lo = x + 1
+        while True:
+            # base covers the windows up to x + 2^26
+            assert lo + (1 << 20) <= x + (1 << 26)
+            flags = np.ones(1 << 20, dtype=bool)
+            for p in base:
+                flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+            for q in (np.flatnonzero(flags) + lo).tolist():
+                if total + q - 1 >= 1 << 63:
+                    assert (m, q) == (_TABLE_MAX_M, 20_706_267_151)
+                    return
+                total, m = total + q - 1, m + 1
+            lo += flags.size
 
 
 class TestCumulativeP:
