@@ -570,131 +570,100 @@ def star_discrepancy_oracle(points: Sequence) -> DiscrepancyValue:
 _CELLS = 1 << 17
 
 
-def _grid_sweeps(
-    seqs: Sequence[tuple[Sequence[int], int]],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per sequence (nums, p) of a group and per prefix k: p * k * D_k*, its
-    witness numerator j and whether side is "at".
+def _grid_sweep(nums: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per prefix k of one sequence on the grid j/p: p * k * D_k*, its witness
+    numerator j and whether side is "at".
 
-    All points of one sequence sit on the grid j/p. With c(s) the running
-    count of numerators <= s, grid point s holds x(s) = p c(s) - k s: p k
-    times the "at" deviation at v is x(v), and at "left" v it is x(v - 1) -
-    k. Between consecutive prefix values c is constant and x falls strictly
-    in s, so max x sits at a prefix value and min x just below one, and no
-    other grid point reaches either. Hence p k D_k* is the larger of max x
-    ("at" s) and k - min x ("left" s + 1); a positive "left" or negative
-    "at" deviation is always strictly smaller. The sweep holds only the half
-    grid S = {v - 1, v : v a distinct numerator}, one slot per point of S,
-    at most 2 x (distinct numerators) and p for a whole block.
+    All points sit on the grid j/p. With c(s) the running count of
+    numerators <= s, grid point s holds x(s) = p c(s) - k s: p k times the
+    "at" deviation at v is x(v), and at "left" v it is x(v - 1) - k. Between
+    consecutive prefix values c is constant and x falls strictly in s, so
+    max x sits at a prefix value and min x just below one, and no other grid
+    point reaches either. Hence p k D_k* is the larger of max x ("at" s) and
+    k - min x ("left" s + 1); a positive "left" or negative "at" deviation
+    is always strictly smaller. The sweep holds only the half grid S =
+    {v - 1, v : v a distinct numerator}, one slot per point of S, at most
+    2 x (distinct numerators) and p for a whole block.
 
     Inserting v adds p to every slot from v on: the window of W slots that
-    starts at W - t in a fixed row [0]*W + [p]*W, t the index of v. One
-    sequence steps by a plain slice of its row, one numpy call per prefix.
-    A group of G steps together: one index into a sliding-window view
-    gathers the G windows of step k and one add puts them on the (G, W)
-    row of step k - 1, so the per-call overhead is paid once per step, not
-    once per sequence. W is the widest half grid of the group. A narrower
-    grid's padded slots copy its last slot, both its grid value and the +p
-    of every insert, so each equals that last slot and the first argmax or
-    argmin never picks one. A sequence that has ended steps at start 0,
-    where the window adds nothing, and its rows past the end are cut off
-    after the decode. Every slot lies in (-P N, P N], with P the group's largest p
-    and N its longest sequence: int32 lanes while P N < 2^31, int64 above,
-    and P N >= 2^63, where int64 lanes would overflow, is refused before
-    any work. Rows of consecutive steps, up to _CELLS slots, hold p c(s) -
-    k0 s with k0 fixed per row block, so the k s ramp comes off once per
-    block, before one argmax and one argmin over the slots of every row,
-    whose indices and values are kept per row and decoded for the whole
-    group at the end. The caller forms the groups: block_max_weighted takes
-    consecutive blocks while (G + 1) W <= _CELLS // 8, so a row block still
-    holds at least 8 steps.
+    starts at W - t in a fixed row [0]*W + [p]*W, t the index of v, one
+    slice and one add per prefix. Every slot lies in (-p N, p N], N the
+    length of the sequence: int32 lanes while p N < 2^31, int64 above, and
+    p N >= 2^63, where int64 lanes would overflow, is refused before any
+    work. Rows of consecutive steps, up to _CELLS slots, hold p c(s) - k0 s
+    with k0 fixed per row block, so the k s ramp comes off once per block,
+    before one argmax and one argmin over the slots of every row, whose
+    indices and values are kept per row and decoded at the end.
 
     A whole block of a prime p is anti-symmetric: nums[::-1] == p - nums,
     as (p - j)^-1 = -j^-1 (mod p), so its suffix after k points mirrors its
     prefix of k' = p - 1 - k. On its half grid s = 0..p - 1, with
     s' = p - 1 - s, this gives x_k(s) = z_k'(s') + k, where
-    z_k'(s') = p c_k'(s') - (k' + 1) s'. When every member of the group is
-    such a block, the rows sweep only the prefixes 0..h, h the largest
-    (p - 1) // 2, from the empty prefix, whose slots are all 0. After the
-    argmax and argmin of the x rows, one more subtraction of the grid turns
-    the row block into its z rows for one more argmax and argmin, and the
-    next block continues from the last z row. Prefix k > (p - 1) / 2 reads
-    max z_k' + k at "at" s = p - 1 - argmax, and -min z_k' at "left"
-    s = p - argmin. The first argmax in s' is the last in s, but no row of
-    such a block ties: x(s1) = x(s2) needs p (c1 - c2) = k (s1 - s2) with
-    0 < k < p and 0 < |s1 - s2| < p, which p prime forbids; padded slots
-    still come after the real ones. A composite p can tie, so the mirror
-    needs p prime, nums sorting to 1..p - 1 and nums[::-1] == p - nums:
-    O(p) checks against O(p^2) sweep work. Any other group sweeps every
-    prefix.
+    z_k'(s') = p c_k'(s') - (k' + 1) s'. For such a block the rows sweep
+    only the prefixes 0..(p - 1) // 2, from the empty prefix, whose slots
+    are all 0. After the argmax and argmin of the x rows, one more
+    subtraction of the grid turns the row block into its z rows for one
+    more argmax and argmin, and the next block continues from the last z
+    row. Prefix k > (p - 1) / 2 reads max z_k' + k at "at" s = p - 1 -
+    argmax, and -min z_k' at "left" s = p - argmin. The first argmax in s'
+    is the last in s, but no row of such a block ties: x(s1) = x(s2) needs
+    p (c1 - c2) = k (s1 - s2) with 0 < k < p and 0 < |s1 - s2| < p, which p
+    prime forbids. A composite p can tie, so the mirror needs p prime, nums
+    sorting to 1..p - 1 and nums[::-1] == p - nums: O(p) checks against
+    O(p^2) sweep work. Any other sequence sweeps every prefix.
     """
-    nums, ps = [np.asarray(x) for x, _ in seqs], [int(p) for _, p in seqs]
-    n = max(x.size for x in nums)
-    pn = max(ps) * n
-    if pn >= 1 << 63:
-        raise OverflowError(f"p * N = {pn} reaches 2^63; the sweep needs int64")
-    mirror = all(
-        x.size == p - 1
+    nums, p = np.asarray(nums), int(p)
+    n = nums.size
+    if p * n >= 1 << 63:
+        raise OverflowError(f"p * N = {p * n} reaches 2^63; the sweep needs int64")
+    mirror = (
+        n == p - 1
         and is_prime(p)
-        and np.array_equal(np.sort(x), np.arange(1, p))
-        and np.array_equal(x[::-1], p - x)
-        for x, p in zip(nums, ps)
+        and np.array_equal(np.sort(nums), np.arange(1, p))
+        and np.array_equal(nums[::-1], p - nums)
     )
     if mirror:
         # a whole block's half grid is 0..p - 1, value t at index t
-        grids, wheres = [np.arange(p) for p in ps], nums
+        grid, where = np.arange(p), nums
     else:
-        grids, wheres = zip(
-            *(np.unique(np.concatenate([x - 1, x]), return_inverse=True) for x in nums)
-        )
-        wheres = [where[x.size :] for x, where in zip(nums, wheres)]
-    # rows hold the prefixes 1..n, or 0..h of a mirror
+        grid, where = np.unique(np.concatenate([nums - 1, nums]), return_inverse=True)
+        where = where[n:]
+    grid = grid.astype(np.int64, copy=False)
+    # rows hold the prefixes 1..n, or 0..(p - 1) // 2 of a mirror
     first = 0 if mirror else 1
-    steps = (max(ps) - 1) // 2 + 1 if mirror else n
-    size, w = len(seqs), max(grid.size for grid in grids)
-    lane = np.int32 if pn < 1 << 31 else np.int64
-    rows = max(1, min(steps, _CELLS // (size * w)))
-    window = np.zeros((size, 2 * w), dtype=lane)
-    window[:, w:] = [[p] for p in ps]
-    # window[g, w - t:][:w] inserts the value at index t of grid g; a
-    # sequence past its end, or at the empty prefix, takes window[g, :w],
-    # all zeros
-    starts = np.zeros((n + 1, size), dtype=np.intp)
-    padded = np.empty((size, w), dtype=np.int64)
-    for g, (grid, where) in enumerate(zip(grids, wheres)):
-        starts[1 : where.size + 1, g] = w - where
-        padded[g], padded[g, : grid.size] = grid[-1], grid
-    starts = starts[first : first + steps]
-    del wheres
+    steps = (p - 1) // 2 + 1 if mirror else n
+    w = grid.size
+    lane = np.int32 if p * n < 1 << 31 else np.int64
+    rows = max(1, min(steps, _CELLS // w))
+    # window[w - t:][:w] inserts the value at index t of the grid; the empty
+    # prefix takes window[:w], all zeros
+    window = np.zeros(2 * w, dtype=lane)
+    window[w:] = p
+    starts = np.zeros(n + 1, dtype=np.intp)
+    starts[1:] = w - where
+    starts = starts[first : first + steps].tolist()
+    del where
     # the k s ramp of one row block; a mirror's z rows take one more slope off
-    slope = padded.astype(lane)
+    slope = grid.astype(lane)
     ramp = np.multiply.outer(np.arange(first, rows + first, dtype=lane), slope)
-    block = np.zeros((rows, size, w), dtype=lane)
-    flat, offsets = block.reshape(-1), np.arange(0, rows * size * w, w).reshape(rows, size)
-    if size == 1:
-        lines, starts, window = list(block[:, 0]), starts[:, 0].tolist(), window[0]
-    else:
-        lines, starts = list(block), list(starts)
-        window = np.lib.stride_tricks.sliding_window_view(window, w, axis=1)
-    seq, add = np.arange(size), np.add
+    block = np.zeros((rows, w), dtype=lane)
+    flat, offsets, lines = block.reshape(-1), np.arange(0, rows * w, w), list(block)
     # per row: the first argmax and argmin of its x row, then of a mirror's z
     # row, and the values there
-    idx = np.empty((4 if mirror else 2, steps, size), dtype=np.intp)
+    idx = np.empty((4 if mirror else 2, steps), dtype=np.intp)
     val = np.empty(idx.shape, dtype=lane)
 
     def extremes(part: np.ndarray, k: int, e: int) -> None:
         i, v = idx[e : e + 2, k : k + len(part)], val[e : e + 2, k : k + len(part)]
-        part.argmax(axis=2, out=i[0])
-        part.argmin(axis=2, out=i[1])
+        part.argmax(axis=1, out=i[0])
+        part.argmin(axis=1, out=i[1])
         flat.take(i + offsets[: len(part)], out=v)
 
     for k in range(0, steps, rows):
         # each row follows the one before, row 0 the last row of the block before
         part, prev = block[: steps - k], lines[-1]
         for line, s in zip(lines, starts[k : k + rows]):
-            # one sequence steps by a plain slice, the cheapest call there
-            # is; a group gathers the window of each sequence at its start
-            add(prev, window[s : s + w] if size == 1 else window[seq, s], line)
+            np.add(prev, window[s : s + w], line)
             prev = line
         part -= ramp[: len(part)]
         extremes(part, k, 0)
@@ -704,34 +673,121 @@ def _grid_sweeps(
             extremes(part, k, 2)
     # the row buffers and every view of them go before the decode
     del block, ramp, slope, lines, flat, part, prev, line, starts, window
-    k, val, ps = np.arange(1, n + 1)[:, None], val.astype(np.int64), np.array(ps)
+    k, val = np.arange(1, n + 1), val.astype(np.int64)
     if mirror:
         # row r holds prefix r; prefix k > (p - 1) / 2 reads z row p - 1 - k
-        # (the rows a member never reaches read row 0)
-        r = np.clip(ps - 1 - k, 0, k)
+        r = np.minimum(p - 1 - k, k)
         back = r < k
-        # one flat take per extreme: entry [e, r, g] of idx and val, with
-        # e = 2, 3 (z rows) for a prefix read back and 0, 1 (x rows) else
-        at = (r + 2 * steps * back) * size + seq
-        pick = np.stack([at, at + steps * size])
+        # one take per extreme: entry [e, r] of idx and val, with e = 2, 3
+        # (z rows) for a prefix read back and 0, 1 (x rows) else
+        at = r + 2 * steps * back
+        pick = np.stack([at, at + steps])
         idx, val = idx.take(pick), val.take(pick)
-        idx = np.where(back, ps - 1 - idx, idx)
+        idx = np.where(back, p - 1 - idx, idx)
         val = np.where(back, val + k, val)
     # the first maximum and minimum are the smallest thresholds; "at" s
     # against "left" s' + 1: the larger value, then the smaller threshold,
     # then "at" before "left"
-    at, left = padded[seq, idx[0]], padded[seq, idx[1]] + 1
+    at, left = grid[idx[0]], grid[idx[1]] + 1
     best, neg = val[0], k - val[1]
     low = (neg > best) | ((neg == best) & (left < at))
-    m, j = np.where(low, neg, best), np.where(low, left, at)
-    return [(m[: x.size, g], j[: x.size, g], ~low[: x.size, g]) for g, x in enumerate(nums)]
+    return np.where(low, neg, best), np.where(low, left, at), ~low
+
+
+def _block_peaks(seqs: Sequence[tuple[np.ndarray, int]]) -> list[tuple[int, int]]:
+    """Per whole inversive block (nums, p) of a group: p * max_k k D_k* and
+    the smallest k reaching it, from about p^2 / 4 slots.
+
+    Write v_i = i^-1 mod p, c_k(s) = #{i <= k : v_i <= s} and, as in
+    _grid_sweep, x_k(s) = p c_k(s) - k s on the square k, s = 0..p - 1;
+    prefix k has p k D_k* = max over s of the "at" value x_k(s) and the
+    "left" value k - x_k(s).
+    - c_k(s) counts the pairs (i, j) in [1, k] x [1, s] with i j = 1
+      (mod p), so c_k(s) = c_s(k), and x is symmetric.
+    - The block's anti-symmetry (_grid_sweep's mirror) gives x_k(s) =
+      x_k'(s') + k + s - (p - 1), with k' = p - 1 - k and s' = p - 1 - s.
+    - So every cell (k, s) shares its 4-cell orbit with a cell where
+      k <= s <= p - 1 - k. Take such a cell and let y = x_k(s) - s:
+      - the largest "at" value on its orbit is y + (p - 1 - k), first
+        reached at row p - 1 - s;
+      - the largest "left" value is -y, first reached at row s.
+    Each row k = 0..(W - 1) // 2 therefore holds y_k(s) = p c_k(s) - (k + 1) s
+    over its live slots k <= s <= W - 1 - k, W the widest p of the group, and
+    gives one "at" candidate from its argmax and one "left" candidate from
+    its argmin. A real slot outside k..p - 1 - k (a row block starts at
+    k0 <= k, and a narrower block ends before W - 1 - k) still gives true
+    values of its square and their rows, so reading it is harmless. No two
+    real slots of one row tie, as p is prime and 0 < k + 1 < p. A narrower
+    block's padded slots copy its last slot, both its grid value and the
+    +p of every insert, so the first argmax and argmin never pick one; its
+    rows past (p - 1) // 2 are dropped at the decode. Ties across rows go
+    to the smallest implied row. Implied row 0 is the empty prefix: its
+    value is 0, and it never wins.
+
+    Each row block of up to _CELLS slots is one contiguous (rows, G, live)
+    buffer, live = W - 2 k0 at its first row k0, since argmax copies a
+    strided input. It starts from a copy of the last row of the block
+    before, which holds p c(s) - k0 s, so the (j + 1) s ramp comes off once
+    per block. Per row one gather through a strided view of the fixed rows
+    [0]*W + [p]*W adds the G inserts. Every slot lies within W^2 of 0:
+    int32 lanes while W^2 < 2^31, int64 above. The caller forms the groups:
+    block_max_weighted takes consecutive blocks while (G + 1) W <=
+    _CELLS // 8, so a row block still holds at least 8 rows.
+    """
+    ps = np.array([p for _, p in seqs])
+    size, w = len(seqs), int(ps.max())
+    steps = (w - 1) // 2 + 1
+    lane = np.int32 if w * w < 1 << 31 else np.int64
+    rows = max(1, min(steps, _CELLS // (size * w)))
+    window = np.zeros((size, 2 * w), dtype=lane)
+    window[:, w:] = ps[:, None]
+    # window[g, k0 + w - v:][:live] inserts v into live slots k0.. of block g;
+    # row 0, the empty prefix, and a block past its end take start 0, all zeros
+    starts = np.zeros((steps, size), dtype=np.intp)
+    for g, (nums, p) in enumerate(seqs):
+        n = min(steps, p) - 1
+        starts[1 : n + 1, g] = w - nums[:n]
+    grid = np.minimum(np.arange(w), ps[:, None] - 1).astype(lane)
+    ramp = np.multiply.outer(np.arange(1, rows + 1, dtype=lane), grid)
+    buf = np.empty(rows * size * w, dtype=lane)
+    prev = np.zeros((size, w), dtype=lane)
+    seq, add, item = np.arange(size), np.add, window.itemsize
+    # per row: the first argmax and argmin of its y row and the values there
+    idx = np.empty((2, steps, size), dtype=np.intp)
+    val = np.empty(idx.shape, dtype=lane)
+    for k0 in range(0, steps, rows):
+        n, live = min(rows, steps - k0), w - 2 * k0
+        part = buf[: n * size * live].reshape(n, size, live)
+        gather = np.lib.stride_tricks.as_strided(
+            window[:, k0:], (size, w, live), (window.strides[0], item, item)
+        )
+        for line, s in zip(part, starts[k0 : k0 + n]):
+            add(prev, gather[seq, s], line)
+            prev = line
+        part -= ramp[:n, :, k0 : k0 + live]
+        i, v = idx[:, k0 : k0 + n], val[:, k0 : k0 + n]
+        part.argmax(axis=2, out=i[0])
+        part.argmin(axis=2, out=i[1])
+        np.take(part, i + np.arange(0, n * size * live, live).reshape(n, size), out=v)
+        i += k0
+        # the next block's live slots of the last row, copied out of buf
+        prev = part[-1, :, n : live - n].copy()
+    del buf, ramp, window, gather, part, prev, line
+    r, val = np.arange(steps)[:, None], val.astype(np.int64)
+    # "at" candidates, then "left" ones, of the rows each block reaches
+    value = np.concatenate([val[0] + (ps - 1 - r), -val[1]])
+    row = np.concatenate([ps - 1 - idx[0], idx[1]])
+    value[np.tile(r > (ps - 1) // 2, (2, 1))] = -1
+    m = value.max(axis=0)
+    k = np.where(value == m, row, w).min(axis=0)
+    return list(zip(m.tolist(), k.tolist()))
 
 
 def _rank_sweep(pairs: list[tuple[int, int]]) -> Iterator[DiscrepancyValue]:
     """D_k* for k = 1..N of any points, from one ranking of their distinct values.
 
     Ranks come from floats while every denominator is at most _FLOAT_SAFE_DEN,
-    else from one exact sort. As in _grid_sweeps, count holds #{y <= v_t} ("at")
+    else from one exact sort. As in _grid_sweep, count holds #{y <= v_t} ("at")
     and #{y < v_t} ("left") at each distinct value v_t. It is constant between
     consecutive distinct values, where |c - k x| is below its value at one end,
     so a value not yet in the prefix never beats or ties one that is. Floats
@@ -783,7 +839,7 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
     dens = {b for _, b in pairs}
     p = max(dens)
     if len(dens) == 1 and p * n < 1 << 63:
-        m, j, at_side = _grid_sweeps([([a for a, _ in pairs], p)])[0]
+        m, j, at_side = _grid_sweep([a for a, _ in pairs], p)
         g = np.gcd(j, p)
         # the columns go before the records are made
         columns = [x.tolist() for x in (*_maxima_columns(m, p), j // g, p // g, at_side)]
@@ -801,7 +857,7 @@ def prefix_scan(points: Sequence) -> list[ScanRecord]:
 def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     """p * k * D_k* for k = 1..len(nums) as an int64 array (common denominator p).
 
-    The grid sweep (_grid_sweeps) of the one sequence, the kernel behind
+    The grid sweep (_grid_sweep) of the one sequence, the kernel behind
     prefix_scan's common-denominator path, returning only the scaled
     integer maxima; scan --prime runs it and reduces them with
     _maxima_columns. Each prefix costs one slot per point of the half grid
@@ -811,7 +867,7 @@ def weighted_prefix_maxima(nums: Sequence[int], p: int) -> np.ndarray:
     refuses p * len(nums) >= 2^63, where int64 lanes would overflow.
     """
     nums, _ = _checked_arrays(nums, p)
-    return _grid_sweeps([(nums, int(p))])[0][0]
+    return _grid_sweep(nums, p)[0]
 
 
 def _increasing_maxima(p: int, n: int) -> np.ndarray:
@@ -840,11 +896,13 @@ def block_max_weighted(
     increasing block takes its maxima in closed form (_increasing_maxima),
     O(p); its peak is (p^2 - 1) / (4p) at k = (p - 1) / 2, and 1/2 at k = 1
     for p = 2. Only the inversive blocks are swept: consecutive ones share
-    one _grid_sweeps group while (G + 1) W <= _CELLS // 8, W the widest p
+    one _block_peaks group while (G + 1) W <= _CELLS // 8, W the widest p
     (a whole block's half grid is {0, ..., p - 1}), so a row block still
-    holds at least 8 steps; a block wider than that goes alone. Value and k
-    do not depend on the grouping. A swept block costs about p^2 / 2 slots,
-    as its prefixes past (p - 1) / 2 mirror earlier ones.
+    holds at least 8 rows; a block wider than that goes alone. Value and k
+    do not depend on the grouping. A swept block costs about p^2 / 4 slots:
+    its count grid is symmetric, as k -> k^-1 mod p is an involution, and
+    anti-symmetric, so each row k <= (p - 1) / 2 reads only the slots
+    k..p - 1 - k, one cell of each 4-cell orbit of the square.
     """
     for spec in specs:
         if spec.p > sweep_limit:
@@ -855,16 +913,14 @@ def block_max_weighted(
     # per index into specs, filled in whatever order the blocks are answered
     peaks: dict[int, tuple[Fraction, int]] = {}
 
-    def peak(i: int, maxima: np.ndarray) -> None:
-        k = int(maxima.argmax())
-        peaks[i] = (Fraction(int(maxima[k]), specs[i].p), k + 1)
-
     # the inversive blocks, as indices into specs, in groups
     groups: list[list[int]] = []
     width = 0
     for i, spec in enumerate(specs):
         if spec.ordering is Ordering.INCREASING:
-            peak(i, _increasing_maxima(spec.p, spec.p - 1))
+            maxima = _increasing_maxima(spec.p, spec.p - 1)
+            k = int(maxima.argmax())
+            peaks[i] = (Fraction(int(maxima[k]), spec.p), k + 1)
             continue
         width = max(width, spec.p)
         if groups and (len(groups[-1]) + 1) * width <= _CELLS // 8:
@@ -873,10 +929,9 @@ def block_max_weighted(
             groups.append([i])
             width = spec.p
     for group in groups:
-        blocks = [specs[i] for i in group]
-        sweeps = _grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in blocks])
-        for i, (maxima, _, _) in zip(group, sweeps):
-            peak(i, maxima)
+        blocks = [(block_numerators(specs[i].p, Ordering.INVERSIVE), specs[i].p) for i in group]
+        for i, (m, k) in zip(group, _block_peaks(blocks)):
+            peaks[i] = (Fraction(m, specs[i].p), k)
     return [peaks[i] for i in range(len(specs))]
 
 

@@ -521,15 +521,15 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert f"no prime in [{pmin}, {pmax}]" in err
 
-    @pytest.mark.parametrize("cells", [1, 8 * 1202], ids=["groups-of-one", "groups-of-two"])
-    @pytest.mark.parametrize("ordering", ["inversive", "increasing"])
-    def test_pins_hold_for_any_grouping(self, capsys, monkeypatch, cells, ordering):
-        # the 47 blocks of 400..700 share 2 groups at the default _CELLS; at
-        # _CELLS // 8 = 1202 the blocks p <= 601 go in pairs and each larger
-        # one alone, and at _CELLS = 1 every block alone, one row per step
+    @pytest.mark.parametrize(
+        "cells", [1, 8 * 1202], ids=["inversive-groups-of-one", "inversive-groups-of-two"]
+    )
+    def test_pins_hold_for_any_grouping(self, capsys, monkeypatch, cells):
+        # the 47 inversive blocks of 400..700 share 2 groups at the default
+        # _CELLS; at _CELLS // 8 = 1202 the blocks p <= 601 go in pairs and
+        # each larger one alone, and at _CELLS = 1 every block alone, one row
+        # per row block (increasing blocks form no groups)
         command = "bounds --pmin 400 --pmax 700"
-        if ordering == "increasing":
-            command += " --ordering increasing"
         [digest] = [d for c, _, d in PINNED if c == command]
         monkeypatch.setattr(discrepancy, "_CELLS", cells)
         code, out, _ = run(capsys, *command.split())

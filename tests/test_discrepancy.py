@@ -140,7 +140,7 @@ def assert_increasing_closed_form(p):
     # {1/p, ..., k/p} has p k D_k* = k (p - k) "at" k/p; at k = p - 1 "left"
     # 1/p ties it and wins on the smaller threshold, except at p = 2, where
     # both sides sit at 1/2
-    maxima, witness, at_side = discrepancy._grid_sweeps([(np.arange(1, p), p)])[0]
+    maxima, witness, at_side = discrepancy._grid_sweep(np.arange(1, p), p)
     k = np.arange(1, p)
     assert np.array_equal(maxima, k * (p - k)), p
     assert np.array_equal(witness[:-1], k[:-1]), p
@@ -149,26 +149,24 @@ def assert_increasing_closed_form(p):
 
 
 def swept_peaks(specs):
-    """(max k D_k*, first k) per whole block from the grid sweep alone, in
-    bounds-shaped groups: consecutive blocks of either ordering while (G + 1)
-    W <= _CELLS // 8, W the widest p. The reference of block_max_weighted,
-    which sweeps only the inversive blocks."""
-    groups, width = [], 0
-    for spec in specs:
-        width = max(width, spec.p)
-        if groups and (len(groups[-1]) + 1) * width <= discrepancy._CELLS // 8:
-            groups[-1].append(spec)
-        else:
-            groups.append([spec])
-            width = spec.p
+    """(max k D_k*, first k) per whole block from one grid sweep of every
+    prefix of each block: the reference of block_max_weighted, which takes
+    the increasing blocks in closed form and reads a quarter of each
+    inversive block's grid."""
     peaks = []
-    for group in groups:
-        sweeps = discrepancy._grid_sweeps([(block_numerators(s.p, s.ordering), s.p) for s in group])
-        for spec, (maxima, _, _) in zip(group, sweeps):
-            k = int(maxima.argmax())
-            peaks.append((Fraction(int(maxima[k]), spec.p), k + 1))
-    assert sum(map(len, groups)) == len(specs)
+    for spec in specs:
+        maxima = discrepancy._grid_sweep(block_numerators(spec.p, spec.ordering), spec.p)[0]
+        k = int(maxima.argmax())
+        peaks.append((Fraction(int(maxima[k]), spec.p), k + 1))
     return peaks
+
+
+@functools.cache
+def inversive_peak(p):
+    """(p * max k D_k*, first k) of the whole inversive block of p from the
+    per-prefix int64 loop."""
+    maxima = per_prefix_int64_sweep(block_numerators(p, INV), p)[0]
+    return int(maxima.max()), int(maxima.argmax()) + 1
 
 
 def random_multiset(rng, max_size=60, max_den=30):
@@ -1153,47 +1151,6 @@ class TestWeightedPrefixMaxima:
 
 
 @pytest.fixture(scope="module")
-def sweep_groups():
-    """Seeded groups of 1-8 (nums, p) sequences with their per-prefix int64
-    loop results: whole blocks and block prefixes in both orderings from
-    p = 2 up, sparse numerators on grids of 2^20 and 2^25, a few numerators
-    repeated many times, and in every third group a scaled whole block
-    that alone needs int64 lanes (p N >= 2^31); lengths differ within a
-    group."""
-    rng = np.random.default_rng(20)
-    primes = sieve_primes(400).tolist()
-
-    def member(kind):
-        p = int(rng.choice(primes[: int(rng.integers(1, len(primes) + 1))]))
-        nums = block_numerators(p, INV if rng.integers(2) else INC)
-        if kind == 0:
-            return nums, p
-        if kind == 1:
-            return nums[: int(rng.integers(1, p))], p
-        if kind == 2:
-            den = int(rng.choice([1 << 20, 1 << 25]))
-            return rng.integers(1, den, size=int(rng.integers(1, 60))), den
-        if kind == 3:
-            den = int(rng.integers(2, 60))
-            pool = rng.integers(1, den, size=3)
-            return rng.choice(pool, size=int(rng.integers(1, 250))), den
-        c = -(-(1 << 31) // (p * nums.size))
-        return nums * c, p * c
-
-    groups = []
-    for i in range(30):
-        size = int(rng.integers(1, 9))
-        kinds = rng.integers(0, 4, size=size)
-        if i % 3 == 0:
-            kinds[int(rng.integers(size))] = 4
-        group = [member(int(kind)) for kind in kinds]
-        groups.append((group, [per_prefix_int64_sweep(nums, p) for nums, p in group]))
-    sizes = {len(group) for group, _ in groups}
-    assert 1 in sizes and 8 in sizes
-    return groups
-
-
-@pytest.fixture(scope="module")
 def mirror_cases():
     """(kind, nums, p) with the per-prefix int64 loop's result: random
     anti-symmetric permutations of primes, which the sweep mirrors, and
@@ -1218,9 +1175,9 @@ class TestGridSweep:
     def test_matches_per_prefix_int64_loop(self):
         # every prime up to 2000 in both orderings, in int32 lanes as given and
         # in int64 lanes as c nums / c p: the same points, slots c times as
-        # large, and p N c >= 2^31; then every block again through the sweep
-        # in bounds-shaped groups, both orderings in one stream, and through
-        # block_max_weighted, which sweeps the inversive blocks alone
+        # large, and p N c >= 2^31; then every block's peak through
+        # swept_peaks and through block_max_weighted, both orderings in one
+        # stream
         specs, want = [], []
         for p in sieve_primes(2000).tolist():
             for ordering in (INV, INC):
@@ -1228,7 +1185,7 @@ class TestGridSweep:
                 maxima, witness, at_side = per_prefix_int64_sweep(nums, p)
                 c = -(-(1 << 31) // (p * nums.size))
                 for scale in (1, c):
-                    got = discrepancy._grid_sweeps([(nums * scale, p * scale)])[0]
+                    got = discrepancy._grid_sweep(nums * scale, p * scale)
                     assert got[0].dtype == np.int64
                     assert np.array_equal(got[0], maxima * scale), (p, ordering, scale)
                     assert np.array_equal(got[1], witness * scale), (p, ordering, scale)
@@ -1263,42 +1220,21 @@ class TestGridSweep:
             maxima, witness, at_side = per_prefix_int64_sweep(nums, p)
             c = -(-(1 << 31) // (p * nums.size))
             for scale in (1, c):
-                got = discrepancy._grid_sweeps([(nums * scale, p * scale)])[0]
+                got = discrepancy._grid_sweep(nums * scale, p * scale)
                 assert np.array_equal(got[0], maxima * scale), (p, scale)
                 assert np.array_equal(got[1], witness * scale), (p, scale)
                 assert np.array_equal(got[2], at_side), (p, scale)
 
-    @pytest.mark.parametrize(
-        "cells", [1, 7, 1 << 17, 1 << 40], ids=["one-row", "seven", "default", "all-rows"]
-    )
-    def test_groups_match_single_sweeps(self, monkeypatch, sweep_groups, cells):
-        # each member of a group gets its own single sweep's result, and the
-        # per-prefix int64 loop's, whatever the row blocks
-        monkeypatch.setattr(discrepancy, "_CELLS", cells)
-        for group, refs in sweep_groups:
-            got = discrepancy._grid_sweeps(group)
-            assert len(got) == len(group)
-            for (nums, p), sweep, ref in zip(group, got, refs):
-                single = discrepancy._grid_sweeps([(nums, p)])[0]
-                for a, b, c in zip(sweep, single, ref):
-                    assert np.array_equal(a, b), (p, nums.size, len(group))
-                    assert np.array_equal(a, c), (p, nums.size, len(group))
-
     def test_kernel_refuses_int64_overflow(self):
-        # P N >= 2^63 is refused by the kernel for every entry: one sequence
-        # through weighted_prefix_maxima, and a group whose largest p and
-        # longest sequence belong to different members, neither overflowing
-        # alone
+        # p N >= 2^63 is refused by the kernel itself, before any work
         with pytest.raises(OverflowError, match="2\\^63"):
-            weighted_prefix_maxima([1, 2], 1 << 62)
-        with pytest.raises(OverflowError, match="2\\^63"):
-            discrepancy._grid_sweeps([([1], 1 << 62), ([1, 2], 5)])
+            discrepancy._grid_sweep([1, 2], 1 << 62)
 
     def test_block_maxima_match_one_block_at_a_time(self):
         # every prime up to 1200, both orderings apart and interleaved: the
         # groups of bounds against one block_max_weighted call per block, and
-        # against the sweep of every block, the increasing ones too, in
-        # bounds-shaped groups: of increasing blocks alone, and mixed
+        # against one grid sweep of every prefix of each block, the
+        # increasing ones too
         primes = sieve_primes(1200).tolist()
         want = {
             (p, o): block_max_weighted([BlockSpec(p, o)])[0] for p in primes for o in (INV, INC)
@@ -1310,17 +1246,17 @@ class TestGridSweep:
             assert got == swept_peaks(specs), orderings
 
     def test_block_maxima_sweep_inversive_blocks_only(self, monkeypatch):
-        # _grid_sweeps is never given an increasing block: a stream of
+        # _block_peaks is never given an increasing block: a stream of
         # increasing blocks sweeps nothing, and an interleaved stream sweeps
         # the inversive blocks alone, in the groups of the inversive stream
         primes = sieve_primes(700).tolist()
-        seen, inner = [], discrepancy._grid_sweeps
+        seen, inner = [], discrepancy._block_peaks
 
         def recorded(seqs):
             seen.append([(np.asarray(nums).tolist(), p) for nums, p in seqs])
             return inner(seqs)
 
-        monkeypatch.setattr(discrepancy, "_grid_sweeps", recorded)
+        monkeypatch.setattr(discrepancy, "_block_peaks", recorded)
         block_max_weighted([BlockSpec(p, INC) for p in primes])
         assert seen == []
         block_max_weighted([BlockSpec(p, INV) for p in primes])
@@ -1331,12 +1267,49 @@ class TestGridSweep:
         assert swept == [(block_numerators(p, INV).tolist(), p) for p in primes]
 
     def test_block_maxima_refuse_before_any_sweep(self, monkeypatch):
-        swept = []
-        monkeypatch.setattr(discrepancy, "_grid_sweeps", swept.append)
+        swept, inner = [], discrepancy._block_peaks
+
+        def recorded(seqs):
+            swept.append([p for _, p in seqs])
+            return inner(seqs)
+
+        monkeypatch.setattr(discrepancy, "_block_peaks", recorded)
         specs = [BlockSpec(p, INV) for p in (5, 7, 11, 13)]
         with pytest.raises(ValueError, match="p=13 exceeds the sweep limit 12"):
             block_max_weighted(specs, sweep_limit=12)
         assert swept == []
+        # within the limit the same blocks reach the recorded kernel
+        assert block_max_weighted(specs, sweep_limit=13) == swept_peaks(specs)
+        assert swept == [[5, 7, 11, 13]]
+
+    @pytest.mark.parametrize(
+        "cells", [1, 7, 1 << 17, 1 << 40], ids=["one-row", "seven", "default", "all-rows"]
+    )
+    def test_block_peaks_match_per_prefix_int64_loop(self, monkeypatch, cells):
+        # every prime up to 400 alone, then seeded groups of mixed widths that
+        # each hold p = 2, 3 and 5: value and first k against the argmax of
+        # the per-prefix int64 loop's maxima, whatever the row blocks
+        monkeypatch.setattr(discrepancy, "_CELLS", cells)
+        primes = sieve_primes(400).tolist()
+        rng = np.random.default_rng(36)
+        groups = [[p] for p in primes]
+        for _ in range(20):
+            group = [2, 3, 5, *rng.choice(primes, int(rng.integers(1, 9))).tolist()]
+            groups.append(rng.permutation(group).tolist())
+        for group in groups:
+            got = discrepancy._block_peaks([(block_numerators(p, INV), p) for p in group])
+            assert got == [inversive_peak(p) for p in group], group
+
+    @pytest.mark.slow
+    def test_block_peaks_in_int64_lanes(self):
+        # the smallest prime with p^2 >= 2^31, whose block takes int64 lanes
+        p = 46349
+        below = int(sieve_primes(p - 1)[-1])
+        assert p * p >= 1 << 31 > below * below
+        nums = block_numerators(p, INV)
+        maxima = weighted_prefix_maxima(nums, p)
+        want = (int(maxima.max()), int(maxima.argmax()) + 1)
+        assert discrepancy._block_peaks([(nums, p)]) == [want]
 
     def test_every_small_grid_in_every_order(self):
         # every multiset of up to 4 numerators on each grid j/p, p <= 7, in
@@ -1347,7 +1320,7 @@ class TestGridSweep:
             for size in range(1, 5):
                 for multiset in itertools.combinations_with_replacement(range(1, p), size):
                     for order in set(itertools.permutations(multiset)):
-                        maxima, witness, at_side = discrepancy._grid_sweeps([(list(order), p)])[0]
+                        maxima, witness, at_side = discrepancy._grid_sweep(list(order), p)
                         for k in range(1, size + 1):
                             key = (p, tuple(sorted(order[:k])))
                             if key not in oracle:
@@ -1390,23 +1363,12 @@ class TestGridSweep:
         "cells", [1, 7, 1 << 17, 1 << 40], ids=["one-row", "seven", "default", "all-rows"]
     )
     def test_mirror_route_matches_per_prefix_int64_loop(self, monkeypatch, mirror_cases, cells):
-        # each case alone; then groups of one kind, which mirror only when
-        # every member is a whole prime block, and groups that mix a whole
-        # block with a prefix or with a composite p, which sweep every row
+        # whole prime blocks mirror; a prefix, a composite p or a shuffle
+        # that is not anti-symmetric sweeps every row
         monkeypatch.setattr(discrepancy, "_CELLS", cells)
-        kinds = {}
-        for case in mirror_cases:
-            kinds.setdefault(case[0], []).append(case)
-        groups = [[case] for case in mirror_cases]
-        for same in kinds.values():
-            groups += [same[i : i + 5] for i in range(0, len(same), 5)]
-        for other in ("cut", "composite", "shuffled"):
-            groups += [[kinds["whole"][-1], kinds[other][0]], [kinds[other][-1], kinds["whole"][3]]]
-        for group in groups:
-            got = discrepancy._grid_sweeps([(nums, p) for _, nums, p, _ in group])
-            for (kind, nums, p, ref), sweep in zip(group, got):
-                for a, b in zip(sweep, ref):
-                    assert np.array_equal(a, b), (kind, p, len(group))
+        for kind, nums, p, ref in mirror_cases:
+            for a, b in zip(discrepancy._grid_sweep(nums, p), ref):
+                assert np.array_equal(a, b), (kind, p)
 
     def test_increasing_blocks_closed_form(self):
         for p in sieve_primes(2000).tolist():

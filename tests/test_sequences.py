@@ -80,6 +80,14 @@ class TestInversiveGenerator:
             assert got.dtype == np.int64
             assert np.array_equal(got, fermat_inverses(p)), p
 
+    def test_involution_and_antisymmetry(self):
+        # the two symmetries the bounds kernel folds each block's grid by:
+        # j -> j^-1 is its own inverse, and (p - j)^-1 = p - j^-1
+        for p in sieve_primes(5000).tolist():
+            nums = block_numerators(p, Ordering.INVERSIVE)
+            assert np.array_equal(nums[nums - 1], np.arange(1, p)), p
+            assert np.array_equal(nums[::-1], p - nums), p
+
     def test_primes_below_2000_against_pow(self):
         for p in (int(p) for p in sieve_primes(2000)):
             want = [pow(j, -1, p) for j in range(1, p)]
